@@ -9,6 +9,7 @@ from .arith import (
     chebyshev,
     even_sublattice,
     kernel_lattice,
+    kernel_target,
     kostov_generic,
     lambda_hat,
     lattice_index,
@@ -35,13 +36,12 @@ from .qtorus import (
     elem_mul,
     lead_term,
     mono_mul,
-    pairing,
     reflection_normalize,
     subalgebra_contains,
     weyl_normalize,
 )
 from .qtrace import TraceTorus, check_thmbtr, pants_degree, trace_torus, utr_component, utr_coord
-from .ring import Cyclotomic, GroundElem, GroundRing, HalfLaurent, cyclotomic_poly, reflect, specialize
+from .ring import Cyclotomic, GroundElem, GroundRing, cyclotomic_poly, specialize
 from .surface import (
     DTDatum,
     FatGraph,

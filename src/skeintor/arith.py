@@ -23,7 +23,7 @@ from .intlinalg import (
     transpose,
 )
 from .ring import Cyclotomic
-from .surface import DTDatum, _datum_tables, q_matrix, surface_excluded, tilde_q
+from .surface import DTDatum, q_matrix, surface_excluded, tilde_q
 
 
 # ---------------------------------------------------------------------------
@@ -187,9 +187,8 @@ def lattice_index(sub: LatticeBasis, sup: LatticeBasis) -> int:
 
 
 def _parity_matrix(datum: DTDatum) -> list[list[int]]:
-    tb = _datum_tables(datum)
     rows = []
-    for curves in tb.face_curves:
+    for curves in datum._tables.face_curves:
         row = [0] * datum.r
         for c in curves:
             row[c] += 1
@@ -235,6 +234,13 @@ def even_sublattice(datum: DTDatum) -> LatticeBasis:
     geometric intersection with every curve.
     """
     return kernel_lattice(datum, 4)
+
+
+def kernel_target(root: RootOfUnity, span: LatticeBasis, even: LatticeBasis) -> LatticeBasis:
+    """The kernel lattice the center theorem predicts at ``root``: the
+    span scaled by the order of xi^4 when xi^2 has odd order, the even
+    sublattice scaled by it otherwise."""
+    return (span if root.n1 % 2 else even).scaled(root.big_n)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .arith import (
     RootOfUnity,
     even_sublattice,
     kernel_lattice,
+    kernel_target,
     lambda_hat,
     lattice_index,
     pi_degree,
@@ -132,10 +133,9 @@ def cmd_analyze(args) -> int:
     span = lambda_hat(datum)
     even = even_sublattice(datum)
     kernel = kernel_lattice(datum, root.n)
-    target = span.scaled(root.big_n) if root.n1 % 2 else even.scaled(root.big_n)
     index = lattice_index(kernel, span)
     degree = pi_degree(g, m, root)
-    kernel_ok = kernel == target
+    kernel_ok = kernel == kernel_target(root, span, even)
     index_ok = index == degree * degree
     report = {
         "surface": {"genus": g, "punctures": m, "r": datum.r},
@@ -252,32 +252,33 @@ def cmd_trace(args) -> int:
     return 0 if all_ok else 1
 
 
+# --grid keys and the run_all parameters they set
+_GRID_KEYS = {"rmax": "rmax", "nmax": "nmax", "leadbox": "lead_box", "tracebox": "trace_box",
+              "pairs": "pairs", "monopairs": "mono_pairs"}
+
+
 def _parse_grid(spec: str) -> dict[str, int]:
+    """run_all keyword arguments from a ``key=value,...`` grid; unknown
+    keys and sizes below 1 are errors."""
     out: dict[str, int] = {}
-    if not spec:
-        return out
-    for piece in spec.split(","):
-        if not piece:
-            continue
+    for piece in filter(None, spec.split(",")):
         key, _, val = piece.partition("=")
+        key = key.strip()
+        if key not in _GRID_KEYS:
+            raise ValueError(f"unknown grid key {key!r}; known keys: {', '.join(_GRID_KEYS)}")
         try:
-            out[key.strip()] = int(val)
+            value = int(val)
         except ValueError:
-            raise ValueError(f"cannot parse grid entry {piece!r}")
+            raise ValueError(f"cannot parse grid entry {piece!r}") from None
+        if value < 1:
+            raise ValueError(f"grid entry {piece!r} must be at least 1")
+        out[_GRID_KEYS[key]] = value
     return out
 
 
 def cmd_check(args) -> int:
-    grid = _parse_grid(args.grid)
     results = checks.run_all(
-        rmax=grid.get("rmax", 4),
-        nmax=grid.get("nmax", 12),
-        seed=args.seed,
-        lead_box=grid.get("leadbox", 4),
-        trace_box=grid.get("tracebox", 6),
-        pairs=grid.get("pairs", 10000),
-        mono_pairs=grid.get("monopairs", 100000),
-        corrupt_qtilde=args.corrupt_qtilde,
+        seed=args.seed, corrupt_qtilde=args.corrupt_qtilde, **_parse_grid(args.grid)
     )
     if args.format == "json":
         rows = []

@@ -32,10 +32,11 @@ def _validate_type(j: int):
         raise ValueError(f"pants type must be one of {PANTS_TYPES}, got {j}")
 
 
-def split_nt(j: int, coord: Coord) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    if len(coord) != 2 * j:
-        raise ValueError(f"coordinate for type {j} must have length {2 * j}")
-    return tuple(coord[:j]), tuple(coord[j:])
+def split_nt(r: int, coord: Coord) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Lengths and twists of a coordinate on ``r`` curves (or boundaries)."""
+    if len(coord) != 2 * r:
+        raise ValueError(f"coordinate must have length {2 * r}")
+    return tuple(coord[:r]), tuple(coord[r:])
 
 
 def interior_punctures(j: int) -> int:

@@ -59,10 +59,6 @@ class AntisymMatrix:
         return tuple(out)
 
 
-def pairing(matrix: AntisymMatrix, k: Sequence[int], l: Sequence[int]) -> int:
-    return matrix.pairing(k, l)
-
-
 @dataclass(frozen=True)
 class QuantumTorus:
     """A quantum torus: commutation matrix plus coefficient ground ring."""

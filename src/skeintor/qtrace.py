@@ -189,12 +189,10 @@ def utr_coord(tt: TraceTorus, coord: Coord) -> TorusElement:
     removes.
     """
     j = tt.j
-    if len(coord) != 2 * j:
-        raise ValueError(f"coordinate for type {j} must have length {2 * j}")
-    n, t = coord[:j], coord[j:]
+    n, t = split_nt(j, coord)
     if any(x < 0 for x in n) or sum(n) % 2:
         raise ValueError(f"coordinate {coord} is not in Lambda_{j}")
-    base = pants.base_twists(j, tuple(n))
+    base = pants.base_twists(j, n)
     loops = [0] * j
     shift = [0] * j
     for i in range(j):
@@ -205,7 +203,7 @@ def utr_coord(tt: TraceTorus, coord: Coord) -> TorusElement:
             loops[i] = extra
         else:
             shift[i] = extra
-    core = _core_value(j, tuple(n), tuple(loops))
+    core = _core_value(j, n, tuple(loops))
     return core.translate((0,) * j + tuple(shift))
 
 
@@ -230,6 +228,36 @@ def weyl_u_mul(tt: TraceTorus, i: int, value: TorusElement, x_degree: int) -> To
 # the four checkable properties of the trace
 
 
+def grading_violation(j: int, coord: Coord, value: TorusElement) -> str | None:
+    """Why the x-degrees of ``value`` are not the lengths of ``coord``, or None."""
+    n = tuple(coord[:j])
+    for k in value.terms:
+        if k[:j] != n:
+            return f"grading: monomial {k} has x-degrees {k[:j]}, expected {n}"
+    return None
+
+
+def lead_violation(j: int, coord: Coord, value: TorusElement) -> str | None:
+    """Why ``coord`` is not the unique top-degree exponent of ``value``, or None."""
+    leads = [k for k, _ in lead_term(value, lambda k: pants_degree(j, k))]
+    if leads == [tuple(coord)]:
+        return None
+    return f"lead: maximal class {leads}, expected unique {coord}"
+
+
+def twist_violations(tt: TraceTorus, coord: Coord, trace) -> list[str]:
+    """The twist rule at every boundary the curve meets, with the traces
+    computed by ``trace`` (``utr_coord`` or ``utr_coord_straight``)."""
+    j = tt.j
+    value = trace(tt, coord)
+    return [
+        f"twist: boundary {i} of {coord}"
+        for i in range(1, j + 1)
+        if coord[i - 1]
+        and trace(tt, twist_apply(j, i, coord)) != weyl_u_mul(tt, i, value, coord[i - 1])
+    ]
+
+
 @dataclass
 class ThmbtrReport:
     j: int
@@ -249,34 +277,12 @@ def check_thmbtr(tt: TraceTorus, coord: Coord) -> ThmbtrReport:
     """Check boundary grading, the twist rule, the top-degree exponent and
     reflection invariance on the trace of one coordinate."""
     j = tt.j
-    n, _ = split_nt(j, coord)
     value = utr_coord(tt, coord)
-    violations: list[str] = []
-
-    grading_ok = True
-    for k in value.terms:
-        if tuple(k[:j]) != n:
-            grading_ok = False
-            violations.append(f"grading: monomial {k} has x-degrees {k[:j]}, expected {n}")
-            break
-
-    twist_ok = True
-    for i in range(1, j + 1):
-        if n[i - 1] == 0:
-            continue
-        lhs = utr_coord(tt, twist_apply(j, i, coord))
-        rhs = weyl_u_mul(tt, i, value, n[i - 1])
-        if lhs != rhs:
-            twist_ok = False
-            violations.append(f"twist: boundary {i} of {coord}")
-
-    leads = lead_term(value, lambda k: pants_degree(j, k))
-    lead_ok = len(leads) == 1 and leads[0][0] == coord
-    if not lead_ok:
-        violations.append(f"lead: maximal class {[k for k, _ in leads]}, expected unique {coord}")
-
+    grading = grading_violation(j, coord, value)
+    twist = twist_violations(tt, coord, utr_coord)
+    lead = lead_violation(j, coord, value)
     reflection_ok = value.reflect() == value
+    violations = [v for v in (grading, *twist, lead) if v]
     if not reflection_ok:
         violations.append("reflection: value is not reflection invariant")
-
-    return ThmbtrReport(j, tuple(coord), grading_ok, twist_ok, lead_ok, reflection_ok, violations)
+    return ThmbtrReport(j, tuple(coord), grading is None, not twist, lead is None, reflection_ok, violations)

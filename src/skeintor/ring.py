@@ -1,15 +1,14 @@
 """Exact coefficient rings.
 
-Three layers of coefficients are used throughout the package:
+Two kinds of coefficients are used throughout the package:
 
-* :class:`HalfLaurent` -- Laurent polynomials in a square root of the
-  quantum parameter, with integer coefficients.  Exponents are stored as
-  integer counts of half-steps, so ``q^{3/2}`` is the single half-step
-  exponent ``3``.  This keeps every computation integral.
-* :class:`GroundRing` / :class:`GroundElem` -- the same ring extended by
-  Laurent monomials in a declared tuple of puncture symbols.  A surface
-  with interior punctures gets one invertible central symbol per
-  puncture.
+* :class:`GroundRing` / :class:`GroundElem` -- Laurent polynomials with
+  integer coefficients in a square root of the quantum parameter and in
+  a declared tuple of puncture symbols.  A surface with interior
+  punctures gets one invertible central symbol per puncture;
+  ``GroundRing(())`` is the plain half-step Laurent ring.  The quantum
+  parameter is stored as integer counts of half-steps, so ``q^{3/2}`` is
+  the half-step exponent ``3``.  This keeps every computation integral.
 * :class:`Cyclotomic` -- elements of ``Z[zeta]`` for a primitive root of
   unity ``zeta``, reduced modulo the cyclotomic polynomial.  Used when a
   root of unity is substituted for the quantum parameter.  We always
@@ -90,141 +89,13 @@ def cyclotomic_poly(d: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
-# Laurent polynomials in a half-step generator
-
-
-class HalfLaurent:
-    """Laurent polynomial in the half-step generator.
-
-    ``terms`` maps half-step exponents to nonzero integer coefficients;
-    the unit is the empty-exponent monomial.  ``HalfLaurent.q(1)`` is the
-    quantum parameter itself, ``HalfLaurent.q_half(1)`` its square root.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict[int, int] | None = None):
-        self.terms = {e: c for e, c in (terms or {}).items() if c}
-
-    # -- constructors
-
-    @staticmethod
-    def zero() -> "HalfLaurent":
-        return HalfLaurent()
-
-    @staticmethod
-    def one() -> "HalfLaurent":
-        return HalfLaurent({0: 1})
-
-    @staticmethod
-    def from_int(c: int) -> "HalfLaurent":
-        return HalfLaurent({0: c})
-
-    @staticmethod
-    def q(k: int) -> "HalfLaurent":
-        """The monomial q^k."""
-        return HalfLaurent({2 * k: 1})
-
-    @staticmethod
-    def q_half(e: int) -> "HalfLaurent":
-        """The monomial q^{e/2}."""
-        return HalfLaurent({e: 1})
-
-    # -- ring structure
-
-    def __add__(self, other: "HalfLaurent") -> "HalfLaurent":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, 0) + c
-            if s:
-                out[e] = s
-            elif e in out:
-                del out[e]
-        return HalfLaurent(out)
-
-    def __neg__(self) -> "HalfLaurent":
-        return HalfLaurent({e: -c for e, c in self.terms.items()})
-
-    def __sub__(self, other: "HalfLaurent") -> "HalfLaurent":
-        return self + (-other)
-
-    def __mul__(self, other: "HalfLaurent") -> "HalfLaurent":
-        out: dict[int, int] = {}
-        for e, c in self.terms.items():
-            for f, d in other.terms.items():
-                g = e + f
-                s = out.get(g, 0) + c * d
-                if s:
-                    out[g] = s
-                elif g in out:
-                    del out[g]
-        return HalfLaurent(out)
-
-    def __pow__(self, n: int) -> "HalfLaurent":
-        if n < 0:
-            raise ValueError("only monomials are invertible; use shift for q-powers")
-        result = HalfLaurent.one()
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base = base * base
-            n >>= 1
-        return result
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, HalfLaurent) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    # -- the reflection anti-involution
-
-    def reflect(self) -> "HalfLaurent":
-        """Negate every exponent; an involutive ring map on this ring."""
-        return HalfLaurent({-e: c for e, c in self.terms.items()})
-
-    def shift(self, half_steps: int) -> "HalfLaurent":
-        """Multiply by q^{half_steps/2}."""
-        return HalfLaurent({e + half_steps: c for e, c in self.terms.items()})
-
-    def __repr__(self):
-        return f"HalfLaurent({self.terms!r})"
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        parts = []
-        for e in sorted(self.terms, reverse=True):
-            c = self.terms[e]
-            if e == 0:
-                mono = ""
-            elif e % 2 == 0:
-                mono = "q" if e == 2 else f"q^{e // 2}"
-            else:
-                mono = f"q^{e}/2" if e != 1 else "q^1/2"
-            coeff = "" if (abs(c) == 1 and mono) else str(abs(c))
-            term = coeff + ("*" if coeff and mono else "") + mono
-            parts.append(("- " if c < 0 else "+ ") + (term or "1"))
-        s = " ".join(parts)
-        return s[2:] if s.startswith("+ ") else "-" + s[2:]
-
-
-def reflect(p: HalfLaurent) -> HalfLaurent:
-    return p.reflect()
-
-
-# ---------------------------------------------------------------------------
 # ground ring with puncture symbols
 
 
 @dataclass(frozen=True)
 class GroundRing:
-    """Laurent polynomials in the declared puncture symbols over the
-    half-step Laurent ring.
+    """Laurent polynomials in the declared puncture symbols and the
+    half-step generator ``q^{1/2}``.
 
     Elements are :class:`GroundElem`; their term keys are tuples
     ``(*puncture_exponents, q_half_exponent)``.
@@ -257,10 +128,6 @@ class GroundRing:
         exps = [0] * self.nsym
         exps[i] = k
         return self.monomial(tuple(exps))
-
-    def from_half_laurent(self, p: HalfLaurent) -> "GroundElem":
-        pad = (0,) * self.nsym
-        return GroundElem(self, {pad + (e,): c for e, c in p.terms.items()})
 
 
 class GroundElem:
@@ -320,11 +187,6 @@ class GroundElem:
 
     def shift_q(self, half_steps: int) -> "GroundElem":
         return GroundElem(self.ring, {k[:-1] + (k[-1] + half_steps,): c for k, c in self.terms.items()})
-
-    def q_support(self):
-        """Iterate over the q half-step exponents with multiplicity."""
-        for k in self.terms:
-            yield k[-1]
 
     def __repr__(self):
         return f"GroundElem({self.terms!r})"
@@ -464,8 +326,9 @@ class Cyclotomic:
         return f"Cyclotomic(order={self.order}, coeffs={self.coeffs})"
 
 
-def specialize(p: HalfLaurent, xi_order: int) -> Cyclotomic:
-    """Evaluate at a root of unity of the given order.
+def specialize(p: GroundElem, xi_order: int) -> Cyclotomic:
+    """Evaluate an element of ``GroundRing(())`` at a root of unity of the
+    given order.
 
     The half-step generator is sent to a primitive ``2*xi_order``-th
     root, so the quantum parameter itself lands on a primitive
@@ -473,11 +336,13 @@ def specialize(p: HalfLaurent, xi_order: int) -> Cyclotomic:
     """
     if xi_order < 1:
         raise ValueError("xi_order must be positive")
+    if p.ring.symbols:
+        raise ValueError("only elements without puncture symbols can be specialized")
     n = 2 * xi_order
     table = _power_table(n)
     deg = len(cyclotomic_poly(n)) - 1
     out = [0] * deg
-    for e, c in p.terms.items():
+    for (e,), c in p.terms.items():
         for j, t in enumerate(table[e % n]):
             out[j] += c * t
     return Cyclotomic(n, out)

@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 from . import pants
-from .pants import Coord, base_twists
+from .pants import Coord, base_twists, split_nt
 from .qtorus import AntisymMatrix, QuantumTorus, TorusElement, lead_term
 from .qtrace import trace_torus, utr_coord
-from .ring import Cyclotomic, GroundElem, GroundRing, HalfLaurent
+from .ring import Cyclotomic, GroundElem, GroundRing
 
 
 _EXCLUDED = {(1, 0), (1, 1)}
@@ -62,10 +62,10 @@ class FatGraph:
                     raise ValueError(f"half-edge {h} appears twice")
                 seen[h] = v
         paired = set()
-        for h1, h2 in self.edges:
-            if h1 == h2 or h1 not in seen or h2 not in seen:
+        for e in self.edges:
+            if len(e) != 2 or e[0] == e[1] or e[0] not in seen or e[1] not in seen:
                 raise ValueError("edges must pair distinct existing half-edges")
-            paired.update((h1, h2))
+            paired.update(e)
         if len(paired) != 2 * len(self.edges):
             raise ValueError("a half-edge may belong to only one edge")
         for h in self.legs:
@@ -77,6 +77,17 @@ class FatGraph:
             raise ValueError("fatgraph does not close up to an orientable surface")
         if self.r < 1:
             raise ValueError("at least one decomposition curve is required")
+        nbrs: dict[int, set[int]] = {v: set() for v in range(len(self.vertices))}
+        for h1, h2 in self.edges:
+            nbrs[seen[h1]].add(seen[h2])
+            nbrs[seen[h2]].add(seen[h1])
+        reached, stack = {0}, [0]
+        while stack:
+            for w in nbrs[stack.pop()] - reached:
+                reached.add(w)
+                stack.append(w)
+        if len(reached) != len(self.vertices):
+            raise ValueError("fatgraph must be connected")
 
     @property
     def r(self) -> int:
@@ -90,11 +101,10 @@ class FatGraph:
     def genus(self) -> int:
         return (2 + len(self.vertices) - len(self.legs)) // 2
 
-    def curve_of(self, h: int) -> int | None:
-        for c, (h1, h2) in enumerate(self.edges):
-            if h in (h1, h2):
-                return c
-        return None
+    @cached_property
+    def he_curve(self) -> dict[int, int]:
+        """The curve of every paired half-edge; legs are absent."""
+        return {h: c for c, pair in enumerate(self.edges) for h in pair}
 
 
 @dataclass(frozen=True)
@@ -126,8 +136,8 @@ class DTDatum:
             if any(h in legset for h in sl[:j]) or any(h not in legset for h in sl[j:]):
                 raise ValueError(f"legs of vertex {v} must fill the trailing slots")
             if j == 2:
-                c2 = g.curve_of(sl[1])
-                c1 = g.curve_of(sl[0])
+                c2 = g.he_curve[sl[1]]
+                c1 = g.he_curve[sl[0]]
                 if not c2 < c1:
                     raise ValueError(
                         f"two-holed face {v}: curve {c2} at the second slot must "
@@ -142,10 +152,10 @@ class DTDatum:
         legset = set(self.graph.legs)
         return 3 - sum(1 for h in self.slots[v] if h in legset)
 
-    # -- derived incidence tables (cached on first use)
+    # -- derived incidence tables (built on first use, kept on the instance)
 
-    @property
-    def _tables(self):
+    @cached_property
+    def _tables(self) -> "_Tables":
         return _datum_tables(self)
 
     def to_dict(self) -> dict:
@@ -161,12 +171,24 @@ class DTDatum:
 
     @staticmethod
     def from_dict(d: dict) -> "DTDatum":
-        graph = FatGraph(
-            tuple(tuple(v) for v in d["vertices"]),
-            tuple((e[0], e[1]) for e in d["edges"]),
-            tuple(d["legs"]),
-        )
-        return DTDatum(graph, tuple(tuple(s) for s in d["slots"]))
+        """Build a datum from its ``to_dict`` form; malformed input raises
+        ValueError naming the missing key or the wrong type."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a datum must be a JSON object, not {type(d).__name__}")
+        for key in ("vertices", "edges", "legs", "slots"):
+            if key not in d:
+                raise ValueError(f"datum is missing the key {key!r}")
+            if not isinstance(d[key], list):
+                raise ValueError(f"datum key {key!r} must be a list, not {type(d[key]).__name__}")
+        try:
+            graph = FatGraph(
+                tuple(tuple(v) for v in d["vertices"]),
+                tuple(tuple(e) for e in d["edges"]),
+                tuple(d["legs"]),
+            )
+            return DTDatum(graph, tuple(tuple(s) for s in d["slots"]))
+        except TypeError as exc:
+            raise ValueError(f"malformed datum: {exc}") from None
 
     @staticmethod
     def from_json(text: str) -> "DTDatum":
@@ -182,16 +204,11 @@ class _Tables:
     leg_symbol_index: dict[int, int]
 
 
-@lru_cache(maxsize=None)
 def _datum_tables(datum: DTDatum) -> _Tables:
     g = datum.graph
     face_types = tuple(datum.face_type(v) for v in range(len(g.vertices)))
-    he_curve = {}
-    for c, (h1, h2) in enumerate(g.edges):
-        he_curve[h1] = c
-        he_curve[h2] = c
     face_curves = tuple(
-        tuple(he_curve[h] for h in datum.slots[v][: face_types[v]])
+        tuple(g.he_curve[h] for h in datum.slots[v][: face_types[v]])
         for v in range(len(g.vertices))
     )
     incidences: dict[int, list[tuple[int, int]]] = {c: [] for c in range(g.r)}
@@ -307,15 +324,11 @@ def q_matrix(datum: DTDatum) -> AntisymMatrix:
     convention of this package.
     """
     g = datum.graph
-    he_curve: dict[int, int] = {}
-    for c, (h1, h2) in enumerate(g.edges):
-        he_curve[h1] = c
-        he_curve[h2] = c
     rows = [[0] * g.r for _ in range(g.r)]
     for hes in g.vertices:
         for i in range(3):
-            a = he_curve.get(hes[i])
-            b = he_curve.get(hes[(i + 1) % 3])
+            a = g.he_curve.get(hes[i])
+            b = g.he_curve.get(hes[(i + 1) % 3])
             if a is not None and b is not None and a != b:
                 rows[a][b] += 1
                 rows[b][a] -= 1
@@ -336,32 +349,24 @@ def tilde_q(q: AntisymMatrix) -> AntisymMatrix:
 @lru_cache(maxsize=None)
 def surface_torus(datum: DTDatum) -> QuantumTorus:
     """The quantum torus the graded skein algebra degenerates into."""
-    return QuantumTorus(tilde_q(q_matrix(datum)), GroundRing(_datum_tables(datum).symbols))
+    return QuantumTorus(tilde_q(q_matrix(datum)), GroundRing(datum._tables.symbols))
 
 
 # ---------------------------------------------------------------------------
 # the global coordinate monoid and its order
 
 
-def split_nt(datum: DTDatum, coord: Coord) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    r = datum.r
-    if len(coord) != 2 * r:
-        raise ValueError(f"coordinate must have length {2 * r}")
-    return tuple(coord[:r]), tuple(coord[r:])
-
-
-def _face_lengths(datum: DTDatum, n: tuple[int, ...]) -> list[tuple[int, ...]]:
-    tb = _datum_tables(datum)
-    return [tuple(n[c] for c in tb.face_curves[v]) for v in range(len(datum.graph.vertices))]
+def _face_lengths(tb: _Tables, n: tuple[int, ...]) -> list[tuple[int, ...]]:
+    return [tuple(n[c] for c in curves) for curves in tb.face_curves]
 
 
 def lambda_membership(datum: DTDatum, coord: Coord) -> tuple[bool, str]:
     """Membership in the global coordinate monoid, with a witness reason."""
-    n, t = split_nt(datum, coord)
+    n, t = split_nt(datum.r, coord)
     if any(x < 0 for x in n):
         return False, "negative length coordinate"
-    tb = _datum_tables(datum)
-    lengths = _face_lengths(datum, n)
+    tb = datum._tables
+    lengths = _face_lengths(tb, n)
     for v, face_n in enumerate(lengths):
         if sum(face_n) % 2:
             return False, f"odd boundary sum {face_n} at face {v}"
@@ -385,7 +390,7 @@ def d_embed(datum: DTDatum, coord: Coord) -> tuple[int, ...]:
     Total length and twist first, then all but the last twist and all
     but the last length; compared lexicographically.
     """
-    n, t = split_nt(datum, coord)
+    n, t = split_nt(datum.r, coord)
     return (sum(n), sum(t)) + t[:-1] + n[:-1]
 
 
@@ -407,9 +412,9 @@ def face_split(datum: DTDatum, coord: Coord, secondary: bool = False) -> list[tu
     ok, why = lambda_membership(datum, coord)
     if not ok:
         raise ValueError(f"coordinate not in the monoid: {why}")
-    n, t = split_nt(datum, coord)
-    tb = _datum_tables(datum)
-    lengths = _face_lengths(datum, n)
+    n, t = split_nt(datum.r, coord)
+    tb = datum._tables
+    lengths = _face_lengths(tb, n)
     bases = [base_twists(tb.face_types[v], lengths[v]) for v in range(len(lengths))]
     twists = [list(b) for b in bases]
     for c in range(datum.r):
@@ -459,8 +464,8 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
     paired x-degrees become the length exponent.
     """
     splits = face_split(datum, coord, secondary=secondary_split)
-    n, _ = split_nt(datum, coord)
-    tb = _datum_tables(datum)
+    n, _ = split_nt(datum.r, coord)
+    tb = datum._tables
     torus = surface_torus(datum)
     ring = torus.ring
     r = datum.r
@@ -513,7 +518,7 @@ class GradedProduct:
 
     half_pairing: int
     coord: Coord
-    scalar: HalfLaurent | Cyclotomic
+    scalar: GroundElem | Cyclotomic
 
 
 def graded_mul(datum: DTDatum, k: Coord, l: Coord, xi_order: int | None = None) -> GradedProduct:
@@ -528,12 +533,13 @@ def graded_mul(datum: DTDatum, k: Coord, l: Coord, xi_order: int | None = None) 
         ok, why = lambda_membership(datum, c)
         if not ok:
             raise ValueError(f"coordinate not in the monoid: {why}")
-    p = surface_torus(datum).matrix.pairing(k, l)
+    torus = surface_torus(datum)
+    p = torus.matrix.pairing(k, l)
     if p % 2:
         raise ValueError(f"odd pairing {p} of monoid members {k}, {l}")
     total = tuple(a + b for a, b in zip(k, l))
     if xi_order is None:
-        scalar: HalfLaurent | Cyclotomic = HalfLaurent.q_half(p)
+        scalar: GroundElem | Cyclotomic = torus.ring.q_half(p)
     else:
         scalar = Cyclotomic.root(2 * xi_order, p)
     return GradedProduct(p // 2, total, scalar)

@@ -23,7 +23,6 @@ from skeintor.intlinalg import (
     mat_mul,
     snf,
 )
-from skeintor.ring import HalfLaurent
 from skeintor.surface import q_matrix, standard_datum, tilde_q
 
 GRID_SURFACES = [(0, 4), (0, 5), (1, 2), (0, 6), (1, 3), (2, 0), (0, 7), (1, 4), (2, 1)]
@@ -65,16 +64,6 @@ class TestChebyshev:
         assert chebyshev(1) == (0, 1)
         assert chebyshev(2) == (-2, 0, 1)
         assert chebyshev(3) == (0, -3, 0, 1)
-
-    def test_trace_identity_oracle(self):
-        x = HalfLaurent.q(1)
-        z = x + x.reflect()
-        for k in range(0, 65):
-            acc = HalfLaurent.zero()
-            for i, c in enumerate(chebyshev(k)):
-                if c:
-                    acc = acc + (z ** i) * HalfLaurent.from_int(c)
-            assert acc == (x ** k) + (x ** k).reflect()
 
     def test_threading(self):
         assert threading_coeffs(1) == (0, 1)

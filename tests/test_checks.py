@@ -31,6 +31,13 @@ class TestReproducibility:
         assert r.summary(timings=False).endswith("checks")
 
 
+class TestNothingChecked:
+    def test_empty_suite_fails(self):
+        r = checks.check_monoid_closure(pairs=0)
+        assert r.checked == 0 and not r.passed
+        assert r.summary(timings=False).startswith("[FAIL]")
+
+
 class TestNegativeControl:
     def test_corrupted_form_detected(self):
         r = checks.check_product_top(pairs=300, seed=1, corrupt_qtilde=True)

@@ -1,9 +1,13 @@
 import json
+from pathlib import Path
 
 import pytest
 
 from skeintor.cli import main
 from skeintor.surface import standard_datum
+
+GOLDEN = Path(__file__).parent / "golden"
+SMALL_GRID = "rmax=1,nmax=4,pairs=60,leadbox=2,tracebox=2,monopairs=300"
 
 
 def run(capsys, *argv):
@@ -130,7 +134,7 @@ class TestDatumFile:
 
 
 class TestCheck:
-    GRID = "rmax=1,nmax=4,pairs=60,leadbox=2,tracebox=2,monopairs=300"
+    GRID = SMALL_GRID
 
     def test_small_grid_passes(self, capsys):
         code, out, _ = run(capsys, "check", "--grid", self.GRID, "--seed", "5",
@@ -163,3 +167,49 @@ class TestCheck:
         lines = [l for l in out.splitlines() if l.strip()]
         assert len(lines) == 10
         assert all(l.startswith("[PASS]") for l in lines)
+
+    @pytest.mark.parametrize("grid", ["rmaxx=1", "pairs=-5", "rmax=0", "pairs=x"])
+    def test_bad_grid_is_an_error(self, capsys, grid):
+        code, out, err = run(capsys, "check", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and grid.partition("=")[0] in err
+
+
+class TestMalformedDatum:
+    @pytest.mark.parametrize("text, named", [
+        ("{}", "'vertices'"),
+        ("[1, 2]", "list"),
+        ("null", "NoneType"),
+        ('{"vertices": 5, "edges": [], "legs": [], "slots": []}', "int"),
+        ('{"vertices": [5], "edges": [], "legs": [], "slots": []}', "int"),
+        ('{"vertices": [[0, 1, 2], [3, 4, 5]], "edges": [[0, 3, 9]], "legs": [1, 2, 4, 5],'
+         ' "slots": [[0, 1, 2], [3, 4, 5]]}', "edges"),
+    ])
+    def test_error_not_traceback(self, tmp_path, capsys, text, named):
+        path = tmp_path / "datum.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "analyze", "--datum", str(path), "--xi-order", "4")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and named in err
+
+
+# Exact stdout of these commands, pinned byte for byte: a refactor must
+# leave the reports unchanged.
+GOLDEN_RUNS = {
+    "check_seed5.txt": ("check", "--grid", SMALL_GRID, "--seed", "5"),
+    "check_seed5.json": ("check", "--grid", SMALL_GRID, "--seed", "5", "--format", "json"),
+    "analyze_0_4_xi5.json": ("analyze", "--genus", "0", "--punctures", "4", "--xi-order", "5",
+                             "--format", "json"),
+    "coords_0_4.json": ("coords", "--genus", "0", "--punctures", "4", "--coord", "2,2",
+                        "--format", "json"),
+    "trace_pants3.json": ("trace", "--pants", "3", "--coord", "2,0,0,0,1,0", "--format", "json"),
+    "trace_0_4.json": ("trace", "--genus", "0", "--punctures", "4", "--coord", "2,2",
+                       "--format", "json"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_RUNS))
+def test_golden_output(capsys, name):
+    code, out, _ = run(capsys, *GOLDEN_RUNS[name])
+    assert code == 0
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")

@@ -7,8 +7,11 @@ from skeintor.pants import cross, lambda_contains, loop, return_arc, twist_apply
 from skeintor.qtorus import elem_mul, lead_term, reflection_normalize
 from skeintor.qtrace import (
     check_thmbtr,
+    grading_violation,
+    lead_violation,
     pants_degree,
     trace_torus,
+    twist_violations,
     utr_component,
     utr_coord,
     utr_coord_straight,
@@ -189,3 +192,20 @@ class TestThmbtr:
                     if lambda_contains(j, c):
                         rep = check_thmbtr(tt, c)
                         assert rep.ok, (j, c, rep.violations)
+
+    def test_violations_are_detected(self):
+        # negative controls for the shared checks behind check_thmbtr and
+        # the trace-property suite
+        coord = (2, 0, 0, 0, 1, 0)
+        value = utr_coord(t3, coord)
+        assert grading_violation(3, coord, value) is None
+        assert lead_violation(3, coord, value) is None
+        assert twist_violations(t3, coord, utr_coord_straight) == []
+        off_grade = value + t3.monomial((0, 2, 0, 0, 0, 0))
+        assert grading_violation(3, coord, off_grade).startswith("grading:")
+        higher = value + t3.monomial((2, 0, 0, 0, 2, 0))
+        assert lead_violation(3, coord, higher).startswith("lead:")
+        tie = value + t3.monomial((2, 0, 0, 1, 0, 0))
+        assert lead_violation(3, coord, tie).startswith("lead:")
+        untwisted = lambda tt, c: utr_coord(tt, c[:3] + (0, 1, 0))
+        assert twist_violations(t3, coord, untwisted) == ["twist: boundary 1 of (2, 0, 0, 0, 1, 0)"]

@@ -5,7 +5,7 @@ import random
 import pytest
 
 from skeintor.qtorus import elem_mul, lead_term, subalgebra_contains
-from skeintor.ring import Cyclotomic, HalfLaurent
+from skeintor.ring import Cyclotomic
 from skeintor.surface import (
     DTDatum,
     FatGraph,
@@ -98,6 +98,17 @@ class TestStandardDatum:
             FatGraph(((0, 1),), ((0, 1),), ())  # not trivalent
         with pytest.raises(ValueError):
             FatGraph(((0, 1, 2),), ((0, 1),), ())  # half-edge 2 dangles
+
+    def test_disconnected_rejected(self):
+        # two copies of the theta graph once passed as a genus-3 surface
+        g = d20.graph
+        shift = 1 + max(max(v) for v in g.vertices)
+        with pytest.raises(ValueError, match="connected"):
+            FatGraph(
+                g.vertices + tuple(tuple(h + shift for h in v) for v in g.vertices),
+                g.edges + tuple((a + shift, b + shift) for a, b in g.edges),
+                (),
+            )
 
 
 class TestQMatrix:
@@ -323,7 +334,7 @@ class TestGradedMul:
     def test_examples(self):
         gp = graded_mul(d04, (2, 0), (0, 1))
         assert gp.half_pairing == 2 and gp.coord == (2, 1)
-        assert gp.scalar == HalfLaurent.q(2)
+        assert gp.scalar == surface_torus(d04).ring.q_half(4)
         gp = graded_mul(d04, (2, 2), (0, 0))
         assert gp.half_pairing == 0 and gp.coord == (2, 2)
         gp = graded_mul(d04, (2, 1), (2, 1))
