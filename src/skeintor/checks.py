@@ -107,9 +107,10 @@ def _sample_pants(rng: random.Random, j: int, nmax: int, tmax: int):
 
 
 def _sample_global(rng: random.Random, datum: DTDatum, nmax: int, tmax: int):
+    r = datum.r
     while True:
-        n = tuple(rng.randint(0, nmax) for _ in range(datum.r))
-        t = tuple(rng.randint(-tmax, tmax) for _ in range(datum.r))
+        n = tuple(rng.randint(0, nmax) for _ in range(r))
+        t = tuple(rng.randint(-tmax, tmax) for _ in range(r))
         if lambda_global(datum, n + t):
             return n + t
 

@@ -2,15 +2,22 @@
 
 Elements are stored in the Weyl-normalized monomial basis: a term is an
 exponent vector together with a :class:`~skeintor.ring.GroundElem`
-coefficient.  Unnormalized generator products never materialize; the
-product of two normalized monomials is again a normalized monomial up
-to an explicit half-integer power of the quantum parameter, which makes
-every operation closed-form.
+coefficient, held in a read-only mapping.  Unnormalized generator
+products never materialize; the product of two normalized monomials is
+again a normalized monomial up to an explicit half-integer power of the
+quantum parameter, which makes every operation closed-form.
+
+Products accumulate flat: each output exponent collects plain integer
+coefficients under their coefficient keys, the pairing's half-steps
+are added to the left coefficient key, and each output coefficient
+becomes a ``GroundElem`` once, at the end.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add, mul
+from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
 from .ring import GroundElem, GroundRing
@@ -48,15 +55,11 @@ class AntisymMatrix:
         return total
 
     def pairing_row(self, k: Sequence[int]) -> tuple[int, ...]:
-        """The row vector k^T Q, so pairing(k, l) = dot(pairing_row(k), l)."""
-        n = self.dim
-        out = [0] * n
-        for i, ki in enumerate(k):
-            if ki:
-                row = self.rows[i]
-                for j in range(n):
-                    out[j] += ki * row[j]
-        return tuple(out)
+        """The row vector k^T Q, so pairing(k, l) = dot(pairing_row(k), l).
+
+        By antisymmetry k^T Q = -Q k, which is one dot product per row.
+        """
+        return tuple(-sum(map(mul, row, k)) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -90,18 +93,35 @@ class QuantumTorus:
         exps[i] = power
         return self.monomial(exps)
 
-    def from_terms(self, terms: dict[tuple[int, ...], GroundElem]) -> "TorusElement":
-        return TorusElement(self, {k: c for k, c in terms.items() if not c.is_zero()})
+    def from_flat(self, terms: dict[tuple[int, ...], dict[tuple[int, ...], int]]) -> "TorusElement":
+        """The element with integer coefficients accumulated per exponent
+        under their coefficient keys; exponents whose coefficients all
+        cancel are dropped.  Takes over ``terms``."""
+        ring = self.ring
+        cancelled = []
+        for k, acc in terms.items():
+            c = GroundElem(ring, acc)
+            if c.terms:
+                terms[k] = c
+            else:
+                cancelled.append(k)
+        for k in cancelled:
+            del terms[k]
+        return TorusElement(self, terms)
 
 
 class TorusElement:
-    """Finitely supported map from exponent vectors to coefficients."""
+    """Finitely supported map from exponent vectors to coefficients.
+
+    ``terms`` is a read-only view of the dict passed in, which the
+    element takes over: values shared with a cache cannot be changed.
+    """
 
     __slots__ = ("torus", "terms")
 
     def __init__(self, torus: QuantumTorus, terms: dict[tuple[int, ...], GroundElem]):
         self.torus = torus
-        self.terms = terms
+        self.terms = MappingProxyType(terms)
 
     def _check(self, other: "TorusElement"):
         if self.torus.matrix is not other.torus.matrix and self.torus.matrix != other.torus.matrix:
@@ -170,7 +190,7 @@ class TorusElement:
         return TorusElement(self.torus, {k: c.reflect() for k, c in self.terms.items()})
 
     def __repr__(self):
-        return f"TorusElement({self.terms!r})"
+        return f"TorusElement({dict(self.terms)!r})"
 
 
 def mono_mul(torus: QuantumTorus, a: Sequence[int], b: Sequence[int]) -> TorusElement:
@@ -190,24 +210,24 @@ def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
     """Bilinear extension of the normalized-monomial product."""
     e1._check(e2)
     torus = e1.torus
-    matrix = torus.matrix
-    out: dict[tuple[int, ...], GroundElem] = {}
+    pairing_row = torus.matrix.pairing_row
+    right = [(l, d.terms.items()) for l, d in e2.terms.items()]
+    out: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
     for k, c in e1.terms.items():
-        row = matrix.pairing_row(k)
-        for l, d in e2.terms.items():
-            p = sum(r * x for r, x in zip(row, l))
-            key = tuple(x + y for x, y in zip(k, l))
-            v = (c * d).shift_q(p)
-            s = out.get(key)
-            if s is None:
-                out[key] = v
-            else:
-                s = s + v
-                if s.is_zero():
-                    del out[key]
-                else:
-                    out[key] = s
-    return TorusElement(torus, out)
+        row = pairing_row(k)
+        left = c.terms.items()
+        for l, dterms in right:
+            p = sum(map(mul, row, l))
+            key = tuple(map(add, k, l))
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            for ka, ca in left:
+                shifted = ka[:-1] + (ka[-1] + p,)
+                for kb, cb in dterms:
+                    kc = tuple(map(add, shifted, kb))
+                    acc[kc] = acc.get(kc, 0) + ca * cb
+    return torus.from_flat(out)
 
 
 def weyl_normalize(torus: QuantumTorus, seq: Iterable[tuple[int, int]]) -> TorusElement:

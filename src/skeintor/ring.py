@@ -130,14 +130,37 @@ class GroundRing:
         return self.monomial(tuple(exps))
 
 
+class _ReadOnlyTerms(dict):
+    """A dict whose mutating methods raise TypeError.
+
+    Coefficients use it rather than a ``types.MappingProxyType`` view:
+    a cached trace holds one coefficient per term, and a view is one
+    more object for each.
+    """
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("coefficient terms are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+
 class GroundElem:
-    """Element of a :class:`GroundRing`; immutable by convention."""
+    """Element of a :class:`GroundRing`.
+
+    ``terms`` maps term key to nonzero integer coefficient and is
+    read-only, so values shared with a cache cannot be changed.
+    """
 
     __slots__ = ("ring", "terms")
 
     def __init__(self, ring: GroundRing, terms: dict[tuple[int, ...], int]):
         self.ring = ring
-        self.terms = {k: c for k, c in terms.items() if c}
+        if 0 in terms.values():
+            terms = {k: c for k, c in terms.items() if c}
+        self.terms = _ReadOnlyTerms(terms)
 
     def __add__(self, other: "GroundElem") -> "GroundElem":
         out = dict(self.terms)

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import add
 
 from . import pants
 from .pants import Coord, base_twists, split_nt
@@ -362,7 +363,8 @@ def _face_lengths(tb: _Tables, n: tuple[int, ...]) -> list[tuple[int, ...]]:
 
 def lambda_membership(datum: DTDatum, coord: Coord) -> tuple[bool, str]:
     """Membership in the global coordinate monoid, with a witness reason."""
-    n, t = split_nt(datum.r, coord)
+    r = datum.r
+    n, t = split_nt(r, coord)
     if any(x < 0 for x in n):
         return False, "negative length coordinate"
     tb = datum._tables
@@ -370,7 +372,7 @@ def lambda_membership(datum: DTDatum, coord: Coord) -> tuple[bool, str]:
     for v, face_n in enumerate(lengths):
         if sum(face_n) % 2:
             return False, f"odd boundary sum {face_n} at face {v}"
-    for c in range(datum.r):
+    for c in range(r):
         if n[c] == 0:
             bound2 = 0
             for v, s in tb.sides[c]:
@@ -438,21 +440,22 @@ def face_split(datum: DTDatum, coord: Coord, secondary: bool = False) -> list[tu
 # the glued trace and its top term
 
 
-def _inject_coeff(ring: GroundRing, mapping: tuple[int, ...], coeff: GroundElem) -> GroundElem:
-    """Reindex a face coefficient into the global ground ring.
+def _inject_coeff(
+    mapping: tuple[int, ...], nsym: int, coeff: GroundElem
+) -> list[tuple[tuple[int, ...], int]]:
+    """Reindex a face coefficient's terms into the global ground ring.
 
     ``mapping[i]`` is the global symbol position of the face's i-th
-    local symbol.
+    local symbol; ``nsym`` is the number of global symbols.
     """
-    nsym = ring.nsym
-    out = {}
+    out = []
     for key, c in coeff.terms.items():
         exps = [0] * nsym
         for i, e in enumerate(key[:-1]):
             if e:
                 exps[mapping[i]] = e
-        out[tuple(exps) + (key[-1],)] = c
-    return GroundElem(ring, out)
+        out.append((tuple(exps) + (key[-1],), c))
+    return out
 
 
 def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> TorusElement:
@@ -461,16 +464,18 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
     Per-face values are matched (their boundary degrees equal the global
     lengths), so every tensor monomial projects: the u-exponents of the
     two sides of each curve add up to the global twist exponent, and the
-    paired x-degrees become the length exponent.
+    paired x-degrees become the length exponent.  Coefficients
+    accumulate as integers under their coefficient keys, as in
+    ``elem_mul``.
     """
     splits = face_split(datum, coord, secondary=secondary_split)
-    n, _ = split_nt(datum.r, coord)
+    r = datum.r
+    n, _ = split_nt(r, coord)
     tb = datum._tables
     torus = surface_torus(datum)
-    ring = torus.ring
-    r = datum.r
+    nsym = torus.ring.nsym
 
-    acc: dict[tuple[int, ...], GroundElem] = {(0,) * r: ring.one()}
+    acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(0,) * r: {(0,) * (nsym + 1): 1}}
     for v, (j, face_coord) in enumerate(splits):
         tt = trace_torus(j)
         value = utr_coord(tt, face_coord)
@@ -481,23 +486,21 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
             contrib = [0] * r
             for s in range(j):
                 contrib[curves[s]] += k[j + s]
-            face_terms.append((tuple(contrib), _inject_coeff(ring, sym_map, c)))
-        new: dict[tuple[int, ...], GroundElem] = {}
+            face_terms.append((tuple(contrib), _inject_coeff(sym_map, nsym, c)))
+        new: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
         for tacc, cacc in acc.items():
+            left = cacc.items()
             for tface, cface in face_terms:
-                key = tuple(a + b for a, b in zip(tacc, tface))
-                val = cacc * cface
-                s = new.get(key)
-                if s is None:
-                    new[key] = val
-                else:
-                    s = s + val
-                    if s.is_zero():
-                        del new[key]
-                    else:
-                        new[key] = s
+                key = tuple(map(add, tacc, tface))
+                bucket = new.get(key)
+                if bucket is None:
+                    bucket = new[key] = {}
+                for ka, ca in left:
+                    for kb, cb in cface:
+                        kc = tuple(map(add, ka, kb))
+                        bucket[kc] = bucket.get(kc, 0) + ca * cb
         acc = new
-    return torus.from_terms({n + tvec: c for tvec, c in acc.items()})
+    return torus.from_flat({n + tvec: c for tvec, c in acc.items()})
 
 
 def phi_lead(datum: DTDatum, coord: Coord) -> tuple[Coord, TorusElement]:

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeintor.qtorus import (
     AntisymMatrix,
@@ -12,6 +14,7 @@ from skeintor.qtorus import (
     subalgebra_contains,
     weyl_normalize,
 )
+from skeintor.ring import GroundElem, GroundRing
 
 
 def random_torus(rng, n, bound=3):
@@ -113,6 +116,69 @@ class TestElemMul:
         t2 = QuantumTorus(AntisymMatrix(((0, 2), (-2, 0))))
         with pytest.raises(ValueError):
             elem_mul(t1.one(), t2.one())
+
+
+# two puncture symbols, so coefficients have several terms
+SYM = GroundRing(("v1", "v2"))
+
+# narrow ranges make exponents and coefficient keys collide and cancel
+sym_coeffs = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-3, 3)),
+    st.integers(-3, 3),
+    max_size=3,
+).map(lambda terms: GroundElem(SYM, terms))
+
+
+@st.composite
+def torus_and_pair(draw):
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-3, 3))
+            rows[j][i] = -rows[i][j]
+    t = QuantumTorus(AntisymMatrix(tuple(tuple(r) for r in rows)), SYM)
+    exps = st.tuples(*[st.integers(-1, 1)] * n)
+    element = st.dictionaries(exps, sym_coeffs, max_size=4).map(
+        lambda terms: sum((t.monomial(k, c) for k, c in terms.items()), t.zero())
+    )
+    return t, draw(element), draw(element)
+
+
+def reference_mul(t, a, b):
+    """The product one term pair at a time, through mono_mul."""
+    out = t.zero()
+    for k, c in a.terms.items():
+        for l, d in b.terms.items():
+            out = out + mono_mul(t, k, l).scale(c * d)
+    return out
+
+
+class TestElemMulReference:
+    @given(torus_and_pair())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_pair_reference(self, case):
+        t, a, b = case
+        prod = elem_mul(a, b)
+        assert prod == reference_mul(t, a, b)
+        assert all(not c.is_zero() for c in prod.terms.values())
+
+    def test_cancelling_terms_are_dropped(self):
+        # X Y = q^{p/2} [XY] and Y X = q^{-p/2} [XY], so in
+        # (X + Y)(X - q^{-p} Y) = X^2 - q^{-p} Y^2 the two XY terms cancel
+        t = QuantumTorus(AntisymMatrix(((0, 2), (-2, 0))), SYM)
+        p = t.matrix.pairing((1, 0), (0, 1))
+        v1 = SYM.var("v1")
+        a = t.monomial((1, 0), v1) + t.monomial((0, 1), v1)
+        b = t.monomial((1, 0)) - t.monomial((0, 1), SYM.q_half(-2 * p))
+        prod = elem_mul(a, b)
+        assert (1, 1) not in prod.terms
+        assert prod == reference_mul(t, a, b)
+        assert prod == t.monomial((2, 0), v1) - t.monomial((0, 2), v1 * SYM.q_half(-2 * p))
+        # a coefficient whose symbol terms cancel leaves the other terms alone
+        c = t.monomial((1, 0), v1 + SYM.one())
+        d = t.monomial((0, 0), SYM.one()) - t.monomial((0, 0), v1)
+        assert elem_mul(c, d) == reference_mul(t, c, d) == t.monomial((1, 0), SYM.one() - v1 * v1)
 
 
 class TestWeyl:

@@ -132,6 +132,30 @@ class TestUtrCoord:
                 c = sample_member(rng, j)
                 assert utr_coord(tt, c) == utr_coord_straight(tt, c)
 
+    def test_returned_value_is_read_only(self):
+        # the untwisted value is the cached core itself; a caller must not
+        # be able to change what later calls return
+        coord = (2, 0, 0, 0, 1, 0)
+        v = utr_coord(t3, coord)
+        before = {k: dict(c.terms) for k, c in v.terms.items()}
+        k = next(iter(v.terms))
+        with pytest.raises(AttributeError):
+            v.terms.clear()
+        with pytest.raises(TypeError):
+            v.terms[k] = t3.ring.one()
+        with pytest.raises(TypeError):
+            del v.terms[k]
+        c = v.terms[k]
+        with pytest.raises(TypeError):
+            c.terms[next(iter(c.terms))] = 5
+        with pytest.raises(TypeError):
+            c.terms.clear()
+        with pytest.raises(TypeError):
+            c.terms.update({})
+        after = utr_coord(t3, coord)
+        assert {k: dict(c.terms) for k, c in after.terms.items()} == before
+        assert after == utr_coord_straight(t3, coord)
+
     def test_reflection_invariance(self):
         rng = random.Random(8)
         for j in (1, 2, 3):

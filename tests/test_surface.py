@@ -277,6 +277,19 @@ class TestPhi:
         )
         assert val == want
 
+    def test_returned_value_is_read_only(self):
+        before = phi_value(d05, (2, 2, 1, 1))
+        v = phi_value(d05, (2, 2, 1, 1))
+        k = next(iter(v.terms))
+        with pytest.raises(AttributeError):
+            v.terms.clear()
+        with pytest.raises(TypeError):
+            v.terms[k] = v.torus.ring.one()
+        c = v.terms[k]
+        with pytest.raises(TypeError):
+            c.terms[next(iter(c.terms))] = 5
+        assert phi_value(d05, (2, 2, 1, 1)) == before
+
     def test_loop_value(self):
         lead, val = phi_lead(d04, (0, 1))
         torus = surface_torus(d04)
