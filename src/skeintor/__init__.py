@@ -10,17 +10,13 @@ from .arith import (
     even_sublattice,
     kernel_lattice,
     kernel_target,
-    kostov_generic,
     lambda_hat,
     lattice_index,
-    orders,
     pi_degree,
-    threading_coeffs,
 )
 from .pants import (
     ComponentSpec,
     Decomposition,
-    add_fn,
     cross,
     decompose,
     lambda_contains,
@@ -37,18 +33,15 @@ from .qtorus import (
     lead_term,
     mono_mul,
     reflection_normalize,
-    subalgebra_contains,
     weyl_normalize,
 )
 from .qtrace import TraceTorus, check_thmbtr, pants_degree, trace_torus, utr_component, utr_coord
-from .ring import Cyclotomic, GroundElem, GroundRing, cyclotomic_poly, specialize
+from .ring import GroundElem, GroundRing
 from .surface import (
     DTDatum,
     FatGraph,
-    GradedProduct,
     d_embed,
     face_split,
-    graded_mul,
     lambda_global,
     lambda_membership,
     phi_lead,

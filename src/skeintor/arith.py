@@ -1,15 +1,11 @@
-"""Root-of-unity bookkeeping, Chebyshev threading, and the lattice
+"""Root-of-unity orders, Chebyshev polynomials, and the lattice
 computations behind the center and PI-degree of the sliced algebra.
 
-Everything here is exact integer arithmetic except the Kostov
-genericity test, whose input is an arbitrary complex vector and which
-therefore uses floating point with an explicit tolerance.
+Everything here is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
-import cmath
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
@@ -22,7 +18,6 @@ from .intlinalg import (
     solve_rational,
     transpose,
 )
-from .ring import Cyclotomic
 from .surface import DTDatum, q_matrix, surface_excluded, tilde_q
 
 
@@ -35,8 +30,9 @@ class RootOfUnity:
     """A primitive root of unity of order ``n`` with its derived orders.
 
     ``n2`` is the order of the root itself, ``n1`` the order of its
-    square, ``big_n`` the order of its fourth power; ``epsilon`` is the
-    fourth root of unity the root raises to the square of ``big_n``.
+    square, ``big_n`` the order of its fourth power.  The root raised to
+    the square of ``big_n`` is a fourth root of unity epsilon: the root
+    to the power ``epsilon_exponent``, named by ``epsilon_class``.
     """
 
     n: int
@@ -70,22 +66,9 @@ class RootOfUnity:
             return "-1"
         return "i" if e == self.n // 4 else "-i"
 
-    def epsilon(self) -> Cyclotomic:
-        """The value of epsilon inside Z[zeta_{2n}] (as a power of xi)."""
-        return Cyclotomic.root(2 * self.n, 2 * self.epsilon_exponent)
-
-    def xi(self) -> Cyclotomic:
-        return Cyclotomic.root(2 * self.n, 2)
-
-
-def orders(n: int) -> tuple[int, int, int, str]:
-    """(order of xi, order of xi^2, order of xi^4, epsilon class)."""
-    root = RootOfUnity(n)
-    return (root.n2, root.n1, root.big_n, root.epsilon_class)
-
 
 # ---------------------------------------------------------------------------
-# Chebyshev polynomials of the first kind and threading coefficients
+# Chebyshev polynomials of the first kind
 
 
 @lru_cache(maxsize=None)
@@ -104,16 +87,6 @@ def chebyshev(k: int) -> tuple[int, ...]:
     a, b = chebyshev(k - 2), chebyshev(k - 1)
     shifted = (0,) + b
     return tuple(s - (a[i] if i < len(a) else 0) for i, s in enumerate(shifted))
-
-
-def threading_coeffs(big_n: int) -> tuple[int, ...]:
-    """Coefficients (c_0 .. c_N) threading a curve through T_N."""
-    if big_n < 1:
-        raise ValueError("threading degree must be at least 1")
-    cs = chebyshev(big_n)
-    if len(cs) != big_n + 1 or cs[-1] != 1:
-        raise AssertionError("Chebyshev polynomial is not monic of the right degree")
-    return cs
 
 
 # ---------------------------------------------------------------------------
@@ -148,12 +121,6 @@ class LatticeBasis:
             raise ValueError("columns do not span a full-rank sublattice")
         return LatticeBasis(ambient, tuple(tuple(c) for c in cols))
 
-    @staticmethod
-    def standard(ambient: int) -> "LatticeBasis":
-        return LatticeBasis.from_columns(
-            ambient, [[1 if i == j else 0 for i in range(ambient)] for j in range(ambient)]
-        )
-
     def matrix(self) -> list[list[int]]:
         """Columns as a matrix (rows of the ambient space)."""
         return [list(row) for row in zip(*self.columns)]
@@ -164,9 +131,6 @@ class LatticeBasis:
         return LatticeBasis.from_columns(
             self.ambient, [[k * x for x in col] for col in self.columns]
         )
-
-    def covolume(self) -> int:
-        return abs(det_int(self.matrix()))
 
 
 def lattice_index(sub: LatticeBasis, sup: LatticeBasis) -> int:
@@ -242,31 +206,3 @@ def kernel_target(root: RootOfUnity, span: LatticeBasis, even: LatticeBasis) -> 
     sublattice scaled by it otherwise."""
     return (span if root.n1 % 2 else even).scaled(root.big_n)
 
-
-# ---------------------------------------------------------------------------
-# Kostov genericity of a boundary-trace vector
-
-
-def kostov_generic(ws, tol: float = 1e-9) -> bool:
-    """Whether no product of eigenvalue choices across the punctures is 1.
-
-    For each w the two candidate eigenvalues solve z + 1/z = w; the
-    vector is generic when every one of the 2^m sign-choice products
-    stays at least ``tol`` away from 1 and no w is within ``tol`` of
-    plus or minus 2.  The empty product is 1, so an empty vector is not
-    generic by convention.
-    """
-    pairs = []
-    for w in ws:
-        w = complex(w)
-        if abs(w - 2) <= tol or abs(w + 2) <= tol:
-            return False
-        root = (w + cmath.sqrt(w * w - 4)) / 2
-        pairs.append((root, 1 / root))
-    for choice in itertools.product((0, 1), repeat=len(pairs)):
-        prod = complex(1)
-        for pair, pick in zip(pairs, choice):
-            prod *= pair[pick]
-        if abs(prod - 1) <= tol:
-            return False
-    return True

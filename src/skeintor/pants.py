@@ -6,7 +6,7 @@ flat tuple ``(n_1..n_j, t_1..t_j)`` of j non-negative lengths followed
 by j integer twists.  The admissible coordinates form the monoid
 ``Lambda_j``: the lengths satisfy a parity constraint and, at every
 boundary the curve misses, the twist is bounded below by the Add
-function.
+function (half of :func:`add2`).
 
 The twist convention differs from the classical one: each standard
 return arc based at boundary i contributes +1 to the twist at the
@@ -19,8 +19,9 @@ terms of skein products.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from types import MappingProxyType
+from typing import Mapping
 
 PANTS_TYPES = (1, 2, 3)
 
@@ -39,33 +40,19 @@ def split_nt(r: int, coord: Coord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(coord[:r]), tuple(coord[r:])
 
 
-def interior_punctures(j: int) -> int:
-    _validate_type(j)
-    return 3 - j
-
-
 def add2(j: int, i: int, n: tuple[int, ...]) -> int:
-    """Twice the lower twist bound at boundary ``i``; always an integer."""
+    """Twice the lower twist bound at boundary ``i`` (1-based) for length
+    vector ``n``; always an integer.
+
+    The bound itself is the number of return arcs approaching boundary i
+    in the canonical arc realization of ``n``: a half-integer, and an
+    integer whenever the parity constraint holds.
+    """
     if j == 1:
         return 0
     if j == 2:
         return -n[1] if i == 1 else n[0]
     return max(0, n[i - 2] - n[i - 1] - n[i % 3])
-
-
-def add_fn(j: int, i: int, n: tuple[int, ...]) -> Fraction:
-    """Lower twist bound at boundary ``i`` (1-based) for length vector ``n``.
-
-    Equals the number of return arcs approaching boundary i in the
-    canonical arc realization of ``n``; always a half-integer, and an
-    integer whenever the parity constraint holds.
-    """
-    _validate_type(j)
-    if not (1 <= i <= j):
-        raise IndexError(f"boundary index {i} out of range for type {j}")
-    if len(n) != j:
-        raise ValueError("length vector size mismatch")
-    return Fraction(add2(j, i, n), 2)
 
 
 def parity_ok(j: int, n: tuple[int, ...]) -> bool:
@@ -194,11 +181,11 @@ def nu_of_component(j: int, c: ComponentSpec) -> Coord:
 
 
 @lru_cache(maxsize=65536)
-def arc_counts(j: int, n: tuple[int, ...]) -> tuple[dict[tuple[int, int], int], dict[int, int]]:
+def arc_counts(j: int, n: tuple[int, ...]) -> tuple[Mapping[tuple[int, int], int], Mapping[int, int]]:
     """Canonical arc multiset realizing the length vector ``n``.
 
     Returns (cross counts keyed by boundary pair, return counts keyed by
-    base boundary); the dicts are cached, treat them as read-only.
+    base boundary) as read-only mappings, since they are cached.
     Follows the classical triangle resolution; verified against the
     coordinate round trip rather than any closed reference.
     """
@@ -231,7 +218,7 @@ def arc_counts(j: int, n: tuple[int, ...]) -> tuple[dict[tuple[int, int], int], 
             r = max(0, (n[i - 1] - sum(others)) // 2)
             if r:
                 returns[i] = r
-    return crosses, returns
+    return MappingProxyType(crosses), MappingProxyType(returns)
 
 
 @lru_cache(maxsize=65536)

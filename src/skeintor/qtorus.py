@@ -114,14 +114,21 @@ class TorusElement:
     """Finitely supported map from exponent vectors to coefficients.
 
     ``terms`` is a read-only view of the dict passed in, which the
-    element takes over: values shared with a cache cannot be changed.
+    element takes over, and the attributes cannot be rebound: values
+    shared with a cache cannot be changed.
     """
 
     __slots__ = ("torus", "terms")
 
     def __init__(self, torus: QuantumTorus, terms: dict[tuple[int, ...], GroundElem]):
-        self.torus = torus
-        self.terms = MappingProxyType(terms)
+        _set_torus(self, torus)
+        _set_terms(self, MappingProxyType(terms))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"TorusElement.{name} is read-only")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"TorusElement.{name} is read-only")
 
     def _check(self, other: "TorusElement"):
         if self.torus.matrix is not other.torus.matrix and self.torus.matrix != other.torus.matrix:
@@ -191,6 +198,11 @@ class TorusElement:
 
     def __repr__(self):
         return f"TorusElement({dict(self.terms)!r})"
+
+
+# The slot setters, which bypass the guard (as in ring.GroundElem).
+_set_torus = TorusElement.torus.__set__
+_set_terms = TorusElement.terms.__set__
 
 
 def mono_mul(torus: QuantumTorus, a: Sequence[int], b: Sequence[int]) -> TorusElement:
@@ -274,11 +286,6 @@ def lead_term(
         elif d == best:
             out.append((k, c))
     return out
-
-
-def subalgebra_contains(pred: Callable[[tuple[int, ...]], bool], e: TorusElement) -> bool:
-    """True iff every exponent with nonzero coefficient satisfies ``pred``."""
-    return all(pred(k) for k in e.terms)
 
 
 def reflection_normalize(e: TorusElement) -> TorusElement:

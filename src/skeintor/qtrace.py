@@ -65,9 +65,6 @@ class TraceTorus:
     def ring(self) -> GroundRing:
         return self.torus.ring
 
-    def x(self, i: int, power: int = 1) -> TorusElement:
-        return self.torus.generator(i - 1, power)
-
     def u(self, i: int, power: int = 1) -> TorusElement:
         return self.torus.generator(self.j + i - 1, power)
 

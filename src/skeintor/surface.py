@@ -26,7 +26,7 @@ from . import pants
 from .pants import Coord, base_twists, split_nt
 from .qtorus import AntisymMatrix, QuantumTorus, TorusElement, lead_term
 from .qtrace import trace_torus, utr_coord
-from .ring import Cyclotomic, GroundElem, GroundRing
+from .ring import GroundElem, GroundRing
 
 
 _EXCLUDED = {(1, 0), (1, 1)}
@@ -513,36 +513,3 @@ def phi_lead(datum: DTDatum, coord: Coord) -> tuple[Coord, TorusElement]:
     if len(leads) != 1:
         raise ValueError(f"lead term tie at {coord}: {[k for k, _ in leads]}")
     return leads[0][0], value
-
-
-@dataclass(frozen=True)
-class GradedProduct:
-    """Top-term product data: scalar exponent and the summed coordinate."""
-
-    half_pairing: int
-    coord: Coord
-    scalar: GroundElem | Cyclotomic
-
-
-def graded_mul(datum: DTDatum, k: Coord, l: Coord, xi_order: int | None = None) -> GradedProduct:
-    """Product in the associated graded algebra.
-
-    Returns the half-pairing exponent (must be an integer: the pairing
-    of two monoid members is always even) and the coordinate sum.  With
-    ``xi_order`` the scalar is evaluated at the root of unity, otherwise
-    it stays a formal power of the quantum parameter.
-    """
-    for c in (k, l):
-        ok, why = lambda_membership(datum, c)
-        if not ok:
-            raise ValueError(f"coordinate not in the monoid: {why}")
-    torus = surface_torus(datum)
-    p = torus.matrix.pairing(k, l)
-    if p % 2:
-        raise ValueError(f"odd pairing {p} of monoid members {k}, {l}")
-    total = tuple(a + b for a, b in zip(k, l))
-    if xi_order is None:
-        scalar: GroundElem | Cyclotomic = torus.ring.q_half(p)
-    else:
-        scalar = Cyclotomic.root(2 * xi_order, p)
-    return GradedProduct(p // 2, total, scalar)

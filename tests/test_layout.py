@@ -1,0 +1,76 @@
+"""Every definition in the package has a caller outside the tests.
+
+A module-level function or class, or a public method, counts as used
+when its name is read somewhere in ``src/skeintor`` outside its own
+definition and outside ``__init__.py`` (whose re-exports are not
+callers), or anywhere in the benchmark scripts under ``perfbench/``,
+which name some targets as strings.  Methods are matched by attribute
+access only, so a local variable of the same name does not count.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "skeintor"
+
+# Kept without a caller in the package, and why.
+ALLOWED = {
+    "qtorus.mono_mul": "reference product the elem_mul tests compare against",
+    "pants.Decomposition.nu": "inverse of decompose, checked by the round-trip tests",
+    "surface.DTDatum.to_json": "inverse of from_json, the datum file format",
+}
+
+
+def _names(tree, *, load_names: bool, strings: bool) -> list[str]:
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute):
+            out.append(node.attr)
+        elif load_names and isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.append(node.id)
+        elif strings and isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.append(node.value)
+    return out
+
+
+def _definitions():
+    """(qualified name, bare name, is_method, node) for every checked definition."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                yield f"{path.stem}.{node.name}", node.name, False, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        yield f"{path.stem}.{node.name}.{item.name}", item.name, True, item
+
+
+def _uses() -> tuple[list[str], list[str]]:
+    """Names read as plain names or attributes, and as attributes only."""
+    names, attrs = [], []
+    files = [(p, False) for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    files += [(p, True) for p in (ROOT / "perfbench").glob("*.py")]
+    for path, strings in files:
+        tree = ast.parse(path.read_text())
+        names += _names(tree, load_names=True, strings=strings)
+        attrs += _names(tree, load_names=False, strings=strings)
+    return names, attrs
+
+
+def test_every_definition_has_a_caller():
+    names, attrs = _uses()
+    unused = []
+    for qual, name, is_method, node in _definitions():
+        pool = attrs if is_method else names
+        own = _names(node, load_names=not is_method, strings=False).count(name)
+        if pool.count(name) - own <= 0 and qual not in ALLOWED:
+            unused.append(qual)
+    assert not unused, f"defined but never called outside the tests: {unused}"
+
+
+def test_allowlist_names_exist():
+    defined = {qual for qual, *_ in _definitions()}
+    assert set(ALLOWED) <= defined

@@ -11,7 +11,6 @@ from skeintor.qtorus import (
     lead_term,
     mono_mul,
     reflection_normalize,
-    subalgebra_contains,
     weyl_normalize,
 )
 from skeintor.ring import GroundElem, GroundRing
@@ -245,11 +244,6 @@ class TestLeadAndSubalgebra:
             assert len(lp) == 1
             assert t.monomial(lp[0][0], lp[0][1]) == expect
             done += 1
-
-    def test_subalgebra_contains(self):
-        t = QuantumTorus(AntisymMatrix(((0, 1), (-1, 0))))
-        assert subalgebra_contains(lambda k: k == (0, 0), t.one())
-        assert not subalgebra_contains(lambda k: k[0] % 2 == 0, t.monomial((1, 0)))
 
 
 class TestReflection:

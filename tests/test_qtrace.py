@@ -152,6 +152,15 @@ class TestUtrCoord:
             c.terms.clear()
         with pytest.raises(TypeError):
             c.terms.update({})
+        # rebinding or deleting an attribute is refused as well
+        with pytest.raises(AttributeError):
+            v.terms = {}
+        with pytest.raises(AttributeError):
+            del v.terms
+        with pytest.raises(AttributeError):
+            c.terms = {}
+        with pytest.raises(AttributeError):
+            c.ring = t3.ring
         after = utr_coord(t3, coord)
         assert {k: dict(c.terms) for k, c in after.terms.items()} == before
         assert after == utr_coord_straight(t3, coord)
