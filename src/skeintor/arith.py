@@ -7,14 +7,17 @@ Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from math import gcd
+from functools import cached_property, lru_cache
+from math import gcd, lcm
 
 from .intlinalg import (
     congruence_kernel,
     det_int,
     hnf_columns,
+    identity,
+    kernel_columns,
     mat_mul,
+    smith_columns,
     solve_rational,
     transpose,
 )
@@ -108,18 +111,25 @@ def pi_degree(g: int, m: int, xi: RootOfUnity) -> int:
 
 @dataclass(frozen=True)
 class LatticeBasis:
-    """A full-rank sublattice of Z^ambient, stored as its canonical
-    column Hermite normal form, so equality is lattice equality."""
+    """A full-rank sublattice of Z^ambient given by ``ambient`` basis
+    columns.  ``from_columns`` stores the canonical column Hermite normal
+    form, so that equality of such bases is lattice equality."""
 
     ambient: int
     columns: tuple[tuple[int, ...], ...]
+
+    def __post_init__(self):
+        cols = tuple(map(tuple, self.columns))
+        if len(cols) != self.ambient or any(len(c) != self.ambient for c in cols):
+            raise ValueError(f"a basis of Z^{self.ambient} needs {self.ambient} columns of that length")
+        object.__setattr__(self, "columns", cols)
 
     @staticmethod
     def from_columns(ambient: int, columns) -> "LatticeBasis":
         cols = hnf_columns([list(c) for c in columns])
         if len(cols) != ambient:
             raise ValueError("columns do not span a full-rank sublattice")
-        return LatticeBasis(ambient, tuple(tuple(c) for c in cols))
+        return LatticeBasis(ambient, cols)
 
     def matrix(self) -> list[list[int]]:
         """Columns as a matrix (rows of the ambient space)."""
@@ -132,19 +142,30 @@ class LatticeBasis:
             self.ambient, [[k * x for x in col] for col in self.columns]
         )
 
+    @cached_property
+    def _scaled_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``(d, d * M^-1)`` for the basis matrix M, d the least common
+        denominator of M^-1: one rational solve per instance."""
+        inv = solve_rational(self.matrix(), identity(self.ambient))
+        d = lcm(*(v.denominator for row in inv for v in row))
+        return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in inv)
+
 
 def lattice_index(sub: LatticeBasis, sup: LatticeBasis) -> int:
-    """Index [sup : sub]; raises when sub is not contained in sup."""
+    """Index [sup : sub], that is |det X| for sup X = sub; raises
+    ValueError when sub is not contained in sup.
+
+    X is (d sup^-1) sub / d with the scaled inverse kept on ``sup``, so
+    each call is one integer product, a divisibility test and a
+    determinant.
+    """
     if sub.ambient != sup.ambient:
         raise ValueError("ambient dimensions differ")
-    coords = solve_rational(sup.matrix(), sub.matrix())
-    ints = []
-    for row in coords:
-        for v in row:
-            if v.denominator != 1:
-                raise ValueError("first lattice is not contained in the second")
-        ints.append([int(v) for v in row])
-    idx = abs(det_int(ints))
+    d, inv = sup._scaled_inverse
+    coords = mat_mul(inv, sub.matrix())
+    if any(v % d for row in coords for v in row):
+        raise ValueError("first lattice is not contained in the second")
+    idx = abs(det_int([[v // d for v in row] for row in coords]))
     if idx == 0:
         raise ValueError("degenerate sublattice")
     return idx
@@ -160,9 +181,22 @@ def _parity_matrix(datum: DTDatum) -> list[list[int]]:
     return rows
 
 
-def lambda_hat(datum: DTDatum) -> LatticeBasis:
-    """Integer span of the coordinate monoid: lengths obey the boundary
-    parity condition at every face, twists are free."""
+def _center_data(datum: DTDatum) -> tuple:
+    """What the center lattices of one datum share: ``(span, diagonal of
+    S, columns of B V)`` for the coordinate span with basis matrix B and
+    the Smith form S = U G V of its Gram matrix G = B^T Q~ B under the
+    doubled form.  Built on first use and kept on the datum instance
+    (next to its ``_tables``), so it lives as long as the datum does."""
+    data = vars(datum).get("_center")
+    if data is None:
+        span = _span(datum)
+        diag, v = smith_columns(_gram(datum, span))
+        data = span, tuple(diag), tuple(zip(*mat_mul(span.matrix(), v)))
+        vars(datum)["_center"] = data
+    return data
+
+
+def _span(datum: DTDatum) -> LatticeBasis:
     r = datum.r
     nblock = congruence_kernel(_parity_matrix(datum), 2)
     cols = [list(c) + [0] * r for c in nblock]
@@ -173,6 +207,13 @@ def lambda_hat(datum: DTDatum) -> LatticeBasis:
     return LatticeBasis.from_columns(2 * r, cols)
 
 
+def lambda_hat(datum: DTDatum) -> LatticeBasis:
+    """Integer span of the coordinate monoid: lengths obey the boundary
+    parity condition at every face, twists are free.  Computed once per
+    datum instance."""
+    return _center_data(datum)[0]
+
+
 def _gram(datum: DTDatum, basis: LatticeBasis) -> list[list[int]]:
     tq = tilde_q(q_matrix(datum))
     B = basis.matrix()
@@ -181,14 +222,17 @@ def _gram(datum: DTDatum, basis: LatticeBasis) -> list[list[int]]:
 
 def kernel_lattice(datum: DTDatum, modulus: int) -> LatticeBasis:
     """Vectors of the coordinate span pairing into modulus * Z against
-    the whole span, under the doubled form."""
+    the whole span, under the doubled form.
+
+    With the datum's Smith data (S = U G V for the Gram matrix G of the
+    span basis B), this is the lattice spanned by the columns of B V,
+    column i scaled by modulus // gcd(S_ii, modulus): one Hermite normal
+    form per call, as the Smith form does not depend on the modulus.
+    """
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    span = lambda_hat(datum)
-    sol = congruence_kernel(_gram(datum, span), modulus)
-    B = span.matrix()
-    cols = [[sum(B[i][k] * col[k] for k in range(len(col))) for i in range(2 * datum.r)] for col in sol]
-    return LatticeBasis.from_columns(2 * datum.r, cols)
+    _, smith, span_v = _center_data(datum)
+    return LatticeBasis.from_columns(2 * datum.r, kernel_columns(smith, span_v, modulus))
 
 
 def even_sublattice(datum: DTDatum) -> LatticeBasis:

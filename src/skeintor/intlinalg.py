@@ -1,8 +1,10 @@
 """Small exact integer matrix utilities.
 
 Hand-rolled Hermite and Smith normal forms with transformation
-matrices; the dimensions in this package never exceed a dozen, so the
-naive algorithms with Python integers are exact and fast enough.
+matrices.  The largest matrices in this package are the Gram matrices
+of the coordinate span, 2r x 2r (20 x 20 at r = 10), which the center
+lattices factor once per datum; at these sizes the naive algorithms
+with Python integers are exact and fast enough.
 """
 
 from __future__ import annotations
@@ -78,8 +80,29 @@ def hnf_columns(columns: list[list[int]]) -> list[list[int]]:
     return cols[:piv]
 
 
+def _xgcd(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with x a + y b = g = gcd(a, b) >= 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, x1 = x1, x0 - q * x1
+        y0, y1 = y1, y0 - q * y1
+    return (a, x0, y0) if a >= 0 else (-a, -x0, -y0)
+
+
+def _zeroing(a: int, b: int) -> tuple[int, int, int, int]:
+    """A unimodular (x, y, z, w) taking the pair (a, b), a != 0, to
+    (x a + y b, z a + w b) = (g, 0) with g = +-gcd(a, b)."""
+    if b % a == 0:
+        return 1, 0, -(b // a), 1
+    g, x, y = _xgcd(a, b)
+    return x, y, b // g, -(a // g)
+
+
 class _SnfState:
-    """Workspace tracking S = U @ original @ V under row/column operations."""
+    """Workspace tracking S = U @ original @ V under unimodular 2 x 2
+    operations on pairs of rows or of columns."""
 
     def __init__(self, mat: Matrix):
         self.rows = len(mat)
@@ -88,65 +111,74 @@ class _SnfState:
         self.U = identity(self.rows)
         self.V = identity(self.cols)
 
-    def swap_rows(self, a, b):
-        self.S[a], self.S[b] = self.S[b], self.S[a]
-        self.U[a], self.U[b] = self.U[b], self.U[a]
+    def mix_rows(self, a, b, x, y, z, w):
+        """Rows (a, b) of S and U become (x row_a + y row_b, z row_a + w row_b)."""
+        for m in (self.S, self.U):
+            ra, rb = m[a], m[b]
+            m[a] = [x * p + y * q for p, q in zip(ra, rb)]
+            m[b] = [z * p + w * q for p, q in zip(ra, rb)]
 
-    def swap_cols(self, a, b):
-        for row in self.S:
-            row[a], row[b] = row[b], row[a]
-        for row in self.V:
-            row[a], row[b] = row[b], row[a]
+    def mix_cols(self, a, b, x, y, z, w):
+        """Columns (a, b) of S and V become (x col_a + y col_b, z col_a + w col_b)."""
+        for m in (self.S, self.V):
+            for row in m:
+                p, q = row[a], row[b]
+                row[a] = x * p + y * q
+                row[b] = z * p + w * q
 
-    def add_row(self, src, dst, q):
-        for j in range(self.cols):
-            self.S[dst][j] += q * self.S[src][j]
-        for j in range(self.rows):
-            self.U[dst][j] += q * self.U[src][j]
+    def diagonalize(self):
+        """Make S diagonal with its nonzero entries first, all positive.
 
-    def add_col(self, src, dst, q):
-        for row in self.S:
-            row[dst] += q * row[src]
-        for row in self.V:
-            row[dst] += q * row[src]
-
-    def negate_row(self, i):
-        self.S[i] = [-x for x in self.S[i]]
-        self.U[i] = [-x for x in self.U[i]]
-
-    def diagonalize_from(self, t: int):
+        Each pivot is the smallest entry left, and a whole row or column
+        is cleared by Bezout steps, each leaving the gcd at the pivot, so
+        the pivot only shrinks.  (Clearing by single Euclid steps with a
+        row or column swap after each lets the remaining entries grow
+        exponentially on dense matrices.)
+        """
         S = self.S
-        while t < min(self.rows, self.cols):
-            pos = None
+        for t in range(min(self.rows, self.cols)):
             best = None
             for i in range(t, self.rows):
                 for j in range(t, self.cols):
-                    if S[i][j] and (best is None or abs(S[i][j]) < best):
-                        best = abs(S[i][j])
-                        pos = (i, j)
-            if pos is None:
+                    if S[i][j] and (best is None or abs(S[i][j]) < best[0]):
+                        best = (abs(S[i][j]), i, j)
+            if best is None:
                 return
-            self.swap_rows(t, pos[0])
-            self.swap_cols(t, pos[1])
+            _, i, j = best
+            if i != t:
+                self.mix_rows(t, i, 0, 1, 1, 0)
+            if j != t:
+                self.mix_cols(t, j, 0, 1, 1, 0)
             while True:
-                dirty = False
                 for i in range(t + 1, self.rows):
                     if S[i][t]:
-                        self.add_row(t, i, -(S[i][t] // S[t][t]))
-                        if S[i][t]:
-                            self.swap_rows(t, i)
-                            dirty = True
+                        self.mix_rows(t, i, *_zeroing(S[t][t], S[i][t]))
+                if not any(S[t][j] for j in range(t + 1, self.cols)):
+                    break
                 for j in range(t + 1, self.cols):
                     if S[t][j]:
-                        self.add_col(t, j, -(S[t][j] // S[t][t]))
-                        if S[t][j]:
-                            self.swap_cols(t, j)
-                            dirty = True
-                if not dirty:
+                        self.mix_cols(t, j, *_zeroing(S[t][t], S[t][j]))
+                if not any(S[i][t] for i in range(t + 1, self.rows)):
                     break
             if S[t][t] < 0:
-                self.negate_row(t)
-            t += 1
+                for m in (S, self.U):
+                    m[t] = [-x for x in m[t]]
+
+    def divisibility_chain(self):
+        """Replace diagonal pairs (a, b) by (gcd, a b / gcd) until each
+        diagonal entry divides the next."""
+        S = self.S
+        n = min(self.rows, self.cols)
+        for i in range(n):
+            for j in range(i + 1, n):
+                a, b = S[i][i], S[j][j]
+                if a and b % a:
+                    g, x, y = _xgcd(a, b)
+                    self.mix_rows(i, j, 1, 0, x, 1)
+                    self.mix_cols(i, j, 1, y, 0, 1)
+                    self.mix_rows(i, j, 1, -(a // g), 0, 1)
+                    self.mix_cols(i, j, 1, 0, -(b // g), 1)
+                    self.mix_rows(i, j, 0, 1, -1, 0)
 
 
 def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
@@ -156,20 +188,28 @@ def snf(mat: Matrix) -> tuple[Matrix, Matrix, Matrix]:
     are unimodular.
     """
     st = _SnfState(mat)
-    st.diagonalize_from(0)
-    # enforce the divisibility chain
-    n = min(st.rows, st.cols)
-    changed = True
-    while changed:
-        changed = False
-        for i in range(n - 1):
-            a, b = st.S[i][i], st.S[i + 1][i + 1]
-            if a and b % a:
-                st.add_col(i + 1, i, 1)
-                st.diagonalize_from(i)
-                changed = True
-                break
+    st.diagonalize()
+    st.divisibility_chain()
     return st.S, st.U, st.V
+
+
+def smith_columns(mat: Matrix) -> tuple[list[int], Matrix]:
+    """The Smith diagonal of ``mat``, padded with zeros to one entry per
+    column, and the column transform V of ``snf``: the data
+    ``congruence_kernel`` scales, which does not depend on the modulus."""
+    S, _, V = snf(mat)
+    return [S[i][i] if i < len(S) else 0 for i in range(len(V))], V
+
+
+def kernel_columns(diag, columns, modulus: int) -> list[list[int]]:
+    """Column i multiplied by modulus // gcd(diag[i], modulus): with the
+    output of ``smith_columns`` (V's columns), a basis of the congruence
+    kernel of the factored matrix modulo ``modulus``."""
+    out = []
+    for s, col in zip(diag, columns):
+        mult = modulus // gcd(s, modulus)
+        out.append([x * mult for x in col])
+    return out
 
 
 def congruence_kernel(mat: Matrix, modulus: int) -> list[list[int]]:
@@ -183,13 +223,8 @@ def congruence_kernel(mat: Matrix, modulus: int) -> list[list[int]]:
     cols = len(mat[0]) if rows else 0
     if modulus == 1 or rows == 0:
         return [[1 if i == j else 0 for i in range(cols)] for j in range(cols)]
-    S, _, V = snf(mat)
-    out = []
-    for i in range(cols):
-        s = S[i][i] if i < rows else 0
-        mult = modulus // gcd(s, modulus)
-        out.append([V[z][i] * mult for z in range(cols)])
-    return out
+    diag, V = smith_columns(mat)
+    return kernel_columns(diag, transpose(V), modulus)
 
 
 def det_int(mat: Matrix) -> int:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from operator import add
 
 from . import pants
@@ -153,11 +153,16 @@ class DTDatum:
         legset = set(self.graph.legs)
         return 3 - sum(1 for h in self.slots[v] if h in legset)
 
-    # -- derived incidence tables (built on first use, kept on the instance)
+    # -- derived incidence tables and surface torus (built on first use, kept
+    # on the instance)
 
     @cached_property
     def _tables(self) -> "_Tables":
         return _datum_tables(self)
+
+    @cached_property
+    def _torus(self) -> QuantumTorus:
+        return QuantumTorus(tilde_q(q_matrix(self)), GroundRing(self._tables.symbols))
 
     def to_dict(self) -> dict:
         return {
@@ -347,10 +352,10 @@ def tilde_q(q: AntisymMatrix) -> AntisymMatrix:
     return AntisymMatrix(tuple(rows))
 
 
-@lru_cache(maxsize=None)
 def surface_torus(datum: DTDatum) -> QuantumTorus:
-    """The quantum torus the graded skein algebra degenerates into."""
-    return QuantumTorus(tilde_q(q_matrix(datum)), GroundRing(datum._tables.symbols))
+    """The quantum torus the graded skein algebra degenerates into, built
+    once per datum instance and kept on it."""
+    return datum._torus
 
 
 # ---------------------------------------------------------------------------

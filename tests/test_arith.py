@@ -1,5 +1,8 @@
+import dataclasses
+import gc
 import itertools
 import random
+import weakref
 
 import pytest
 
@@ -13,12 +16,15 @@ from skeintor.arith import (
     lattice_index,
     pi_degree,
 )
+from skeintor.checks import grid_surfaces
 from skeintor.intlinalg import (
     congruence_kernel,
     det_int,
     hnf_columns,
     mat_mul,
     snf,
+    solve_rational,
+    transpose,
 )
 from skeintor.surface import q_matrix, standard_datum, tilde_q
 
@@ -131,12 +137,13 @@ class TestIntLinalg:
                     assert sum(a * b for a, b in zip(row, col)) % D == 0
             for x in itertools.product(range(-D, D + 1), repeat=c):
                 good = all(sum(a * b for a, b in zip(row, x)) % D == 0 for row in M)
-                assert _lattice_member(basis, x) == good
+                assert _lattice_member(basis.columns, x) == good
 
 
-def _lattice_member(basis: LatticeBasis, x) -> bool:
+def _lattice_member(columns, x) -> bool:
+    """Whether x is an integer combination of columns in column echelon form."""
     x = list(x)
-    for col in basis.columns:
+    for col in columns:
         i = next(i for i, v in enumerate(col) if v)
         if x[i] % col[i]:
             return False
@@ -221,10 +228,221 @@ class TestLattices:
                     tuple(rng.randint(-window, window) for _ in range(dim)) for _ in range(400)
                 ]
                 for x in pts:
-                    if not _lattice_member(span, x):
+                    if not _lattice_member(span.columns, x):
                         continue
                     good = all(
                         tq.pairing(x, col) % n == 0 for col in span_cols
                     )
-                    assert _lattice_member(ker, x) == good, (g, m, n, x)
+                    assert _lattice_member(ker.columns, x) == good, (g, m, n, x)
 
+
+
+# ---------------------------------------------------------------------------
+# reference path: the center lattices recomputed from scratch on every call
+
+
+def _reference_span(datum) -> LatticeBasis:
+    """Lengths with an even sum at every face, twists free."""
+    r = datum.r
+    parity = []
+    for v, slots in enumerate(datum.slots):
+        row = [0] * r
+        for h in slots[: datum.face_type(v)]:
+            row[datum.graph.he_curve[h]] += 1
+        parity.append(row)
+    cols = [list(c) + [0] * r for c in congruence_kernel(parity, 2)]
+    cols += [[1 if k == r + i else 0 for k in range(2 * r)] for i in range(r)]
+    return LatticeBasis.from_columns(2 * r, cols)
+
+
+def _gram(datum, B) -> list[list[int]]:
+    """B^T Q~ B for the doubled form Q~ of the datum."""
+    tq = [list(row) for row in tilde_q(q_matrix(datum)).rows]
+    return mat_mul(mat_mul(transpose(B), tq), B)
+
+
+def _reference_kernel(datum, span: LatticeBasis, modulus: int) -> LatticeBasis:
+    """Span vectors pairing into modulus * Z with the span: the congruence
+    kernel of the Gram matrix, factored afresh, mapped back through B."""
+    B = span.matrix()
+    sol = congruence_kernel(_gram(datum, B), modulus)
+    cols = [[sum(B[i][k] * c[k] for k in range(len(c))) for i in range(len(B))] for c in sol]
+    return LatticeBasis.from_columns(len(B), cols)
+
+
+def _reference_index(sub: LatticeBasis, sup: LatticeBasis) -> int:
+    """|det X| for sup X = sub, by a rational solve; raises when X is not integral."""
+    coords = solve_rational(sup.matrix(), sub.matrix())
+    if any(v.denominator != 1 for row in coords for v in row):
+        raise ValueError("not contained")
+    return abs(det_int([[int(v) for v in row] for row in coords]))
+
+
+class TestCenterReference:
+    def test_grid_cold_and_warm(self):
+        # every surface with r <= 6 at orders 1-24; "cold" is a fresh datum
+        # per order, "warm" one datum reused across all orders
+        for g, m in grid_surfaces(6):
+            warm = standard_datum(g, m)
+            span = _reference_span(warm)
+            assert lambda_hat(warm) == span
+            # the same lattice through a basis not in normal form
+            cols = [list(c) for c in reversed(span.columns)]
+            cols[0] = [a + 3 * b for a, b in zip(cols[0], cols[1])]
+            loose = LatticeBasis(span.ambient, cols)
+            assert loose != span
+            for n in range(1, 25):
+                ref = _reference_kernel(warm, span, n)
+                index = _reference_index(ref, span)
+                assert index == pi_degree(g, m, RootOfUnity(n)) ** 2
+                for datum in (standard_datum(g, m), warm):
+                    ker = kernel_lattice(datum, n)
+                    assert ker == ref, (g, m, n)
+                    assert lattice_index(ker, lambda_hat(datum)) == index
+                assert lattice_index(ref, loose) == index
+                if index > 1:
+                    for sup in (ref, kernel_lattice(warm, n)):
+                        with pytest.raises(ValueError, match="not contained"):
+                            lattice_index(span, sup)
+                        with pytest.raises(ValueError, match="not contained"):
+                            lattice_index(loose, sup)
+                else:
+                    assert lattice_index(span, ref) == 1
+
+    def test_direct_bases(self):
+        # Z^2 against 2Z + Z, both built directly; then a lattice that meets
+        # the span in a proper sublattice of both
+        span = LatticeBasis(2, ((2, 0), (0, 1)))
+        whole = LatticeBasis(2, ((1, 0), (0, 1)))
+        skew = LatticeBasis(2, ((1, 1), (0, 2)))
+        assert lattice_index(span, whole) == 2
+        for sub, sup in ((whole, span), (skew, span), (span, skew)):
+            with pytest.raises(ValueError, match="not contained"):
+                lattice_index(sub, sup)
+            with pytest.raises(ValueError):
+                _reference_index(sub, sup)
+        # inverse denominators 2 and 3, so the common one is 6 = lcm, not max
+        mixed = LatticeBasis(2, ((2, 0), (0, 3)))
+        six = LatticeBasis(2, ((6, 0), (0, 6)))
+        assert lattice_index(six, mixed) == _reference_index(six, mixed) == 6
+        odd = LatticeBasis(2, ((1, 0), (0, 6)))
+        with pytest.raises(ValueError, match="not contained"):
+            lattice_index(odd, mixed)
+        with pytest.raises(ValueError):
+            _reference_index(odd, mixed)
+
+    def test_malformed_bases_rejected(self):
+        with pytest.raises(ValueError):
+            LatticeBasis(2, ((1, 0),))
+        with pytest.raises(ValueError):
+            LatticeBasis(2, ((1, 0), (0, 1, 0)))
+        singular = LatticeBasis(2, ((1, 2), (2, 4)))
+        with pytest.raises(ValueError):
+            lattice_index(singular, LatticeBasis(2, ((1, 0), (0, 1))))
+        with pytest.raises(ValueError):
+            lattice_index(LatticeBasis(2, ((1, 0), (0, 1))), singular)
+
+
+class TestCachedLatticeData:
+    def test_caller_cannot_change_later_results(self):
+        datum = standard_datum(1, 3)
+        span = lambda_hat(datum)
+        ker = kernel_lattice(datum, 6)
+        index = lattice_index(ker, span)
+        # what a caller can reach: the matrix lists, the columns, the
+        # cached scaled inverse
+        mat = span.matrix()
+        mat[0][0] += 5
+        mat.reverse()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            span.columns = ((1,) * span.ambient,) * span.ambient
+        with pytest.raises(TypeError):
+            span.columns[0][0] = 7
+        d, inv = span._scaled_inverse
+        with pytest.raises(TypeError):
+            inv[0][0] = d + 1
+        # a basis built from lists the caller still holds
+        cols = [list(c) for c in span.columns]
+        loose = LatticeBasis(span.ambient, cols)
+        assert lattice_index(ker, loose) == index
+        cols[0][0] += 1
+        cols.reverse()
+        assert lattice_index(ker, loose) == index
+        assert lambda_hat(datum) == span == loose
+        assert kernel_lattice(datum, 6) == ker
+        assert lattice_index(kernel_lattice(datum, 6), lambda_hat(datum)) == index
+
+    def test_kept_on_the_datum(self):
+        datum = standard_datum(0, 6)
+        span = lambda_hat(datum)
+        assert lambda_hat(datum) is span
+        lattice_index(kernel_lattice(datum, 5), span)
+        # nothing outside the datum holds on to it
+        ref = weakref.ref(datum)
+        del datum
+        gc.collect()
+        assert ref() is None
+
+
+# ---------------------------------------------------------------------------
+# cross-check of the integer linear algebra against sympy
+
+
+def _random_matrix(rng: random.Random, rows: int, cols: int) -> list[list[int]]:
+    """Entries in [-9, 9]; every third matrix gets a row that is a
+    combination of two others, so rank deficiency is covered."""
+    mat = [[rng.randint(-9, 9) for _ in range(cols)] for _ in range(rows)]
+    if rows >= 3 and rng.random() < 1 / 3:
+        a, b = rng.sample(range(1, rows), 2)
+        k = rng.randint(-3, 3)
+        mat[0] = [x + k * y for x, y in zip(mat[a], mat[b])]
+    return mat
+
+
+def _random_matrices(seed: int):
+    rng = random.Random(seed)
+    for n in range(1, 21):
+        yield _random_matrix(rng, n, n)
+        yield _random_matrix(rng, n, rng.randint(1, 20))
+    for _ in range(3):
+        yield _random_matrix(rng, 20, 20)
+
+
+def _gram_matrices():
+    for g, m in grid_surfaces(10):
+        datum = standard_datum(g, m)
+        yield _gram(datum, lambda_hat(datum).matrix())
+
+
+class TestSympyCrossCheck:
+    def test_snf_diagonal(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import smith_normal_form
+
+        for mat in itertools.chain(_random_matrices(11), _gram_matrices()):
+            S, U, V = snf(mat)
+            assert mat_mul(mat_mul(U, mat), V) == S
+            n = min(len(mat), len(mat[0]))
+            want = smith_normal_form(sympy.Matrix(mat), domain=sympy.ZZ)
+            assert [S[i][i] for i in range(n)] == [int(want[i, i]) for i in range(n)]
+
+    def test_det(self):
+        sympy = pytest.importorskip("sympy")
+        for mat in itertools.chain(_random_matrices(12), _gram_matrices()):
+            if len(mat) == len(mat[0]):
+                assert det_int(mat) == sympy.Matrix(mat).det()
+
+    def test_hnf_lattice(self):
+        sympy = pytest.importorskip("sympy")
+        from sympy.matrices.normalforms import hermite_normal_form
+
+        for mat in _random_matrices(13):
+            ours = hnf_columns(transpose(mat))
+            theirs = hermite_normal_form(sympy.Matrix(mat))
+            # their columns lie in our lattice, and the two have the same
+            # rank and covolume, so the lattices are equal
+            assert theirs.shape[1] == len(ours)
+            for j in range(theirs.shape[1]):
+                assert _lattice_member(ours, [int(x) for x in theirs.col(j)])
+            K = sympy.Matrix(ours).T
+            assert (K.T * K).det() == (theirs.T * theirs).det()

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import json
 import random
+import weakref
 
 import pytest
 
@@ -193,6 +195,21 @@ class TestQMatrix:
                 - 2 * sum(a * b for a, b in zip(n2, t))
             )
             assert lhs == rhs
+
+
+class TestSurfaceTorus:
+    def test_kept_on_the_datum(self):
+        datum = standard_datum(0, 5)
+        torus = surface_torus(datum)
+        assert surface_torus(datum) is torus
+        assert torus.matrix == tilde_q(q_matrix(datum))
+        # an equal datum builds its own torus, and nothing outside the
+        # datum holds on to it
+        assert surface_torus(standard_datum(0, 5)) is not torus
+        ref = weakref.ref(datum)
+        del datum
+        gc.collect()
+        assert ref() is None
 
 
 class TestLambdaGlobal:
