@@ -31,7 +31,6 @@ from .qtorus import (
     TorusElement,
     elem_mul,
     lead_term,
-    mono_mul,
     reflection_normalize,
     weyl_normalize,
 )

@@ -7,8 +7,9 @@ Everything here is exact integer arithmetic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd, lcm
+from operator import sub
 
 from .intlinalg import (
     congruence_kernel,
@@ -74,22 +75,19 @@ class RootOfUnity:
 # Chebyshev polynomials of the first kind
 
 
-@lru_cache(maxsize=None)
 def chebyshev(k: int) -> tuple[int, ...]:
     """Dense coefficients (constant term first) of T_k.
 
     T_0 = 2, T_1 = z, T_k = z T_{k-1} - T_{k-2}; equivalently the
-    polynomial with T_k(x + 1/x) = x^k + x^{-k}.
+    polynomial with T_k(x + 1/x) = x^k + x^{-k}.  Built iteratively
+    from T_{-1} = T_1, which keeps the recurrence valid at k = 1.
     """
     if k < 0:
         raise ValueError("index must be non-negative")
-    if k == 0:
-        return (2,)
-    if k == 1:
-        return (0, 1)
-    a, b = chebyshev(k - 2), chebyshev(k - 1)
-    shifted = (0,) + b
-    return tuple(s - (a[i] if i < len(a) else 0) for i, s in enumerate(shifted))
+    prev, cur = (0, 1), (2,)
+    for _ in range(k):
+        prev, cur = cur, tuple(map(sub, (0,) + cur, prev + (0, 0)))
+    return cur
 
 
 # ---------------------------------------------------------------------------

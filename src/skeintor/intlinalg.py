@@ -255,8 +255,9 @@ def det_int(mat: Matrix) -> int:
 def solve_rational(a: Matrix, b: Matrix) -> list[list[Fraction]]:
     """Solve a X = b exactly over the rationals (a square and invertible)."""
     n = len(a)
+    if any(len(row) != n for row in a) or len(b) != n:
+        raise ValueError("solve_rational needs a square matrix and a right-hand side of its height")
     aug = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(n)]
-    width = len(aug[0])
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
         if piv is None:
@@ -268,4 +269,4 @@ def solve_rational(a: Matrix, b: Matrix) -> list[list[Fraction]]:
             if i != col and aug[i][col]:
                 f = aug[i][col]
                 aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
-    return [row[n:width] for row in aug]
+    return [row[n:] for row in aug]

@@ -63,9 +63,7 @@ def lambda_contains(j: int, coord: Coord) -> bool:
     """Membership in the coordinate monoid ``Lambda_j``."""
     _validate_type(j)
     n, t = split_nt(j, coord)
-    if any(x < 0 for x in n):
-        return False
-    if not parity_ok(j, n):
+    if min(n) < 0 or not parity_ok(j, n):
         return False
     for i in range(1, j + 1):
         if n[i - 1] == 0 and 2 * t[i - 1] < add2(j, i, n):
@@ -257,31 +255,48 @@ class Decomposition:
         return tuple(total)
 
 
-def decompose(j: int, coord: Coord) -> Decomposition:
-    """Canonical decomposition of an admissible coordinate.
+def canonical(j: int, coord: Coord) -> tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The canonical decomposition of ``coord`` as three vectors: the
+    lengths, the loop count at each boundary and the residual twist.
 
-    Arcs appear untwisted with the triangle-resolution counts, loops
-    appear at the boundaries the curve misses, and the leftover twisting
-    is returned as the global twist vector (zero at missed boundaries).
+    The arcs are the untwisted canonical multiset for the lengths.  The
+    twist beyond the arcs' own (:func:`base_twists`) is a count of
+    near-boundary loops where the curve misses the boundary and the
+    residual twist where it meets it.  Raises ValueError exactly when
+    ``coord`` is not in ``Lambda_j``: at a missed boundary, the arcs'
+    own twist is the bound that :func:`lambda_contains` tests.
     """
-    if not lambda_contains(j, coord):
-        raise ValueError(f"coordinate {coord} is not in Lambda_{j}")
+    _validate_type(j)
     n, t = split_nt(j, coord)
-    crosses, returns = arc_counts(j, n)
+    if min(n) < 0 or not parity_ok(j, n):
+        raise ValueError(f"coordinate {coord} is not in Lambda_{j}")
     base = base_twists(j, n)
-    comps: list[ComponentSpec] = []
-    for (a, b), cnt in sorted(crosses.items()):
-        comps.append(ComponentSpec("cross", (a, b), (0, 0), cnt))
-    for i, cnt in sorted(returns.items()):
-        comps.append(ComponentSpec("return", (i,), (0,), cnt))
-    residual = [0] * j
-    for i in range(1, j + 1):
-        extra = t[i - 1] - base[i - 1]
-        if n[i - 1] == 0:
-            if extra < 0:
-                raise AssertionError("loop count went negative on an admissible coordinate")
-            if extra:
-                comps.append(ComponentSpec("loop", (i,), (), extra))
+    loops, residual = [0] * j, [0] * j
+    for i in range(j):
+        if n[i]:
+            residual[i] = t[i] - base[i]
+        elif t[i] < base[i]:
+            raise ValueError(f"coordinate {coord} is not in Lambda_{j}")
         else:
-            residual[i - 1] = extra
-    return Decomposition(j, tuple(comps), tuple(residual))
+            loops[i] = t[i] - base[i]
+    return n, tuple(loops), tuple(residual)
+
+
+@lru_cache(maxsize=65536)
+def components(j: int, n: tuple[int, ...], loops: tuple[int, ...]) -> tuple[ComponentSpec, ...]:
+    """The canonical components: the untwisted arcs for the lengths
+    ``n``, then ``loops[i]`` loops at boundary i + 1.  Cached; the
+    tuple and its frozen components cannot be changed."""
+    crosses, returns = arc_counts(j, n)
+    return (
+        *(ComponentSpec("cross", key, (0, 0), cnt) for key, cnt in sorted(crosses.items())),
+        *(ComponentSpec("return", (i,), (0,), cnt) for i, cnt in sorted(returns.items())),
+        *(ComponentSpec("loop", (i,), (), cnt) for i, cnt in enumerate(loops, 1) if cnt),
+    )
+
+
+def decompose(j: int, coord: Coord) -> Decomposition:
+    """Canonical decomposition of an admissible coordinate (see
+    :func:`canonical`); raises ValueError on any other coordinate."""
+    n, loops, residual = canonical(j, coord)
+    return Decomposition(j, components(j, n, loops), residual)

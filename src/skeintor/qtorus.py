@@ -205,19 +205,6 @@ _set_torus = TorusElement.torus.__set__
 _set_terms = TorusElement.terms.__set__
 
 
-def mono_mul(torus: QuantumTorus, a: Sequence[int], b: Sequence[int]) -> TorusElement:
-    """Product of two normalized monomials.
-
-    The result is the single normalized monomial at ``a + b`` scaled by
-    the quantum parameter to the half-pairing of the exponents.
-    """
-    a = tuple(a)
-    b = tuple(b)
-    p = torus.matrix.pairing(a, b)
-    exps = tuple(x + y for x, y in zip(a, b))
-    return torus.monomial(exps, torus.ring.q_half(p))
-
-
 def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
     """Bilinear extension of the normalized-monomial product."""
     e1._check(e2)

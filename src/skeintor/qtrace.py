@@ -15,15 +15,25 @@ is the product of the component values twisted by the global residual,
 normalized to be reflection invariant.  Twisting by a boundary with
 positive length is an exponent translation of the value, which is what
 the core cache below exploits.
+
+A component of multiplicity m enters the product as its m-th power,
+taken in one step.  Every component value is a monomial or a sum of two
+monomials, and two Weyl-normalized monomials q-commute:
+x^a x^b = q^p x^b x^a with p = pairing(a, b).  So the q-binomial
+theorem (Kassel, *Quantum Groups*, ch. IV) gives the power with the
+Gaussian binomials [m choose j]_t at t = q^p, and a multi-component
+value costs one torus product per distinct component.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import lru_cache
+from functools import lru_cache, reduce
+from itertools import accumulate, zip_longest
+from operator import add, mul
 
 from . import pants
-from .pants import Coord, ComponentSpec, decompose, lambda_contains, split_nt, twist_apply
+from .pants import Coord, ComponentSpec, decompose, nu_of_component, split_nt, twist_apply
 from .qtorus import (
     AntisymMatrix,
     QuantumTorus,
@@ -93,87 +103,83 @@ def pants_degree(j: int, exponent: Coord) -> tuple[int, int, int]:
 # catalog of one-component values
 
 
+# The second monomial of a return arc's value, keyed by pants type and
+# base boundary: its u-exponents minus those of the first monomial, and
+# the puncture symbols of its coefficient with their powers.
+_RETURN_TAIL = {
+    (3, 1): ((1, -1, -1), ()), (3, 2): ((-1, 1, -1), ()), (3, 3): ((-1, -1, 1), ()),
+    (2, 1): ((1, -1), (("b3", -1),)), (2, 2): ((1, -1), (("b3", 1),)),
+    (1, 1): ((-1,), (("b2", 1), ("b3", 1))),
+}
+
+
 def utr_component(tt: TraceTorus, c: ComponentSpec) -> TorusElement:
-    """Trace of a single standard curve, possibly twisted."""
-    j = tt.j
-    if c.multiplicity != 1:
-        raise ValueError("utr_component expects multiplicity 1")
-    for b in c.boundaries:
-        if not (1 <= b <= j):
-            raise ValueError(f"component boundary {b} invalid for type {j}")
-    zeros = (0,) * j
-
+    """Trace of a single standard curve, possibly twisted: the monomial
+    at the curve's coordinates, plus its inverse for a loop and the
+    monomial given by ``_RETURN_TAIL`` for a return arc."""
+    top = nu_of_component(tt.j, c)
+    value = tt.monomial(top)
     if c.kind == "loop":
-        i = c.boundaries[0]
-        e = [0] * j
-        e[i - 1] = 1
-        return tt.monomial(zeros + tuple(e)) + tt.monomial(zeros + tuple(-x for x in e))
-
-    if c.kind == "cross":
-        if j == 1:
-            raise ValueError("no cross arcs on the one-holed type")
-        (a, b), (s, t) = c.boundaries, c.twists
-        n = [0] * j
-        n[a - 1] = n[b - 1] = 1
-        tw = [0] * j
-        tw[a - 1] = s
-        tw[b - 1] = t
-        return tt.monomial(tuple(n) + tuple(tw))
-
-    i = c.boundaries[0]
-    m = c.twists[0]
-    n = [0] * j
-    n[i - 1] = 2
-    n = tuple(n)
-
-    def umono(**powers: int) -> Coord:
-        tw = [0] * j
-        for key, val in powers.items():
-            tw[int(key[1:]) - 1] = val
-        return n + tuple(tw)
-
-    if j == 3:
-        nxt, prv = i % 3 + 1, (i + 1) % 3 + 1
-        first = {f"u{i}": m, f"u{nxt}": 1}
-        second = {f"u{i}": m + 1, f"u{prv}": -1}
-        return tt.monomial(umono(**first)) + tt.monomial(umono(**second))
-    if j == 2:
-        if i == 1:
-            return tt.monomial(umono(u1=m, u2=1)) + tt.monomial(umono(u1=m + 1)).scale(
-                tt.ring.var("b3", -1)
-            )
-        return tt.monomial(umono(u1=-1, u2=m + 1)) + tt.monomial(umono(u2=m)).scale(
-            tt.ring.var("b3")
-        )
-    return tt.monomial(umono(u1=m + 1)) + tt.monomial(umono(u1=m)).scale(
-        tt.ring.var("b2") * tt.ring.var("b3")
-    )
+        return value + tt.monomial(tuple(-x for x in top))
+    if c.kind == "return":
+        shift, syms = _RETURN_TAIL[tt.j, c.boundaries[0]]
+        tail = tt.monomial(top[: tt.j] + tuple(map(add, top[tt.j :], shift)))
+        for name, power in syms:
+            tail = tail.scale(tt.ring.var(name, power))
+        return value + tail
+    return value
 
 
 # ---------------------------------------------------------------------------
 # multi-component values
 
 
+def _component_power(value: TorusElement, m: int) -> TorusElement:
+    """``value`` to the power ``m`` in one step, for a monomial or a sum
+    of two monomials (every component value is one of these).
+
+    With p = pairing(a, b), the q-binomial theorem gives
+    (alpha x^a + beta x^b)^m = sum_j alpha^j beta^(m-j)
+    sum_s g_{m,j,s} q^{p(j(m-j) - 2s)/2} x^{ja + (m-j)b}, where g_{m,j,s}
+    is the t^s coefficient of the Gaussian binomial [m choose j]_t.
+    """
+    torus = value.torus
+    (a, alpha), *rest = value.terms.items()
+    alphas = list(accumulate([alpha] * m, mul, initial=torus.ring.one()))
+    if not rest:
+        return torus.monomial(tuple(m * x for x in a), alphas[m])
+    (b, beta), = rest
+    betas = list(accumulate([beta] * m, mul, initial=torus.ring.one()))
+    row = [[1]]  # [r choose j]_t for j = 0..r, by Pascal's rule [r-1, j-1] + t^j [r-1, j]
+    for r in range(1, m + 1):
+        pascal = (zip_longest(row[j - 1], [0] * j + row[j], fillvalue=0) for j in range(1, r))
+        row = [[1], *([x + y for x, y in pair] for pair in pascal), [1]]
+    p = torus.matrix.pairing(a, b)
+    out: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
+    for j, gauss in enumerate(row):
+        acc = out[tuple(j * x + (m - j) * y for x, y in zip(a, b))] = {}
+        top = p * j * (m - j)
+        for key, c in (alphas[j] * betas[m - j]).terms.items():
+            for s, g in enumerate(gauss):
+                k = key[:-1] + (key[-1] + top - 2 * p * s,)
+                acc[k] = acc.get(k, 0) + c * g
+    return torus.from_flat(out)
+
+
 def _component_product(tt: TraceTorus, comps: tuple[ComponentSpec, ...]) -> TorusElement:
-    out = tt.torus.one()
-    for c in comps:
-        val = utr_component(tt, replace(c, multiplicity=1))
-        for _ in range(c.multiplicity):
-            out = elem_mul(out, val)
-    return out
+    powers = [
+        _component_power(utr_component(tt, replace(c, multiplicity=1)), c.multiplicity)
+        for c in comps
+    ]
+    return reduce(elem_mul, powers) if powers else tt.torus.one()
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=65536)
 def _core_value(j: int, n: tuple[int, ...], loops: tuple[int, ...]) -> TorusElement:
     """Reflection-normalized trace of the untwisted canonical multiset
     for the length vector ``n`` together with ``loops[i]`` near-boundary
     loops at each missed boundary."""
-    tt = trace_torus(j)
-    crosses, returns = pants.arc_counts(j, n)
-    comps = [ComponentSpec("cross", key, (0, 0), cnt) for key, cnt in sorted(crosses.items())]
-    comps += [ComponentSpec("return", (i,), (0,), cnt) for i, cnt in sorted(returns.items())]
-    comps += [ComponentSpec("loop", (i + 1,), (), cnt) for i, cnt in enumerate(loops) if cnt]
-    return reflection_normalize(_component_product(tt, tuple(comps)))
+    return reflection_normalize(_component_product(trace_torus(j), pants.components(j, n, loops)))
 
 
 def utr_coord(tt: TraceTorus, coord: Coord) -> TorusElement:
@@ -185,34 +191,16 @@ def utr_coord(tt: TraceTorus, coord: Coord) -> TorusElement:
     only adds a global power of q, which the reflection normalization
     removes.
     """
-    j = tt.j
-    n, t = split_nt(j, coord)
-    if any(x < 0 for x in n) or sum(n) % 2:
-        raise ValueError(f"coordinate {coord} is not in Lambda_{j}")
-    base = pants.base_twists(j, n)
-    loops = [0] * j
-    shift = [0] * j
-    for i in range(j):
-        extra = t[i] - base[i]
-        if n[i] == 0:
-            if extra < 0:
-                raise ValueError(f"coordinate {coord} is not in Lambda_{j}")
-            loops[i] = extra
-        else:
-            shift[i] = extra
-    core = _core_value(j, n, tuple(loops))
-    return core.translate((0,) * j + tuple(shift))
+    n, loops, shift = pants.canonical(tt.j, coord)
+    return _core_value(tt.j, n, loops).translate((0,) * tt.j + shift)
 
 
 def utr_coord_straight(tt: TraceTorus, coord: Coord) -> TorusElement:
     """Cache-free reference path: multiply the residual twist in as a
     monomial and renormalize.  Used to validate the translation shortcut."""
-    if not lambda_contains(tt.j, coord):
-        raise ValueError(f"coordinate {coord} is not in Lambda_{tt.j}")
     dec = decompose(tt.j, coord)
-    prod = _component_product(tt, dec.components)
     twist = tt.monomial((0,) * tt.j + dec.twists)
-    return reflection_normalize(elem_mul(twist, prod))
+    return reflection_normalize(elem_mul(twist, _component_product(tt, dec.components)))
 
 
 def weyl_u_mul(tt: TraceTorus, i: int, value: TorusElement, x_degree: int) -> TorusElement:

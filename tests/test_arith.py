@@ -3,6 +3,7 @@ import gc
 import itertools
 import random
 import weakref
+from fractions import Fraction
 
 import pytest
 
@@ -78,6 +79,19 @@ class TestChebyshev:
             cs = chebyshev(n)
             assert len(cs) == n + 1 and cs[-1] == 1
 
+    def test_recurrence_and_large_index(self):
+        # T_k = z T_{k-1} - T_{k-2}, and a large index needs no recursion
+        for k in range(2, 40):
+            a, b = chebyshev(k - 2), chebyshev(k - 1)
+            want = [0] + list(b)
+            for i, c in enumerate(a):
+                want[i] -= c
+            assert chebyshev(k) == tuple(want)
+        cs = chebyshev(3000)
+        assert len(cs) == 3001 and cs[-1] == 1
+        with pytest.raises(ValueError):
+            chebyshev(-1)
+
 
 class TestPiDegree:
     def test_examples(self):
@@ -123,6 +137,19 @@ class TestIntLinalg:
                 for z in range(n):
                     alt[0][z] += q * alt[1][z]
             assert hnf_columns(alt) == h1
+
+    def test_solve_rational_shapes(self):
+        assert solve_rational([[2, 0], [0, 1]], [[1], [1]]) == [[Fraction(1, 2)], [1]]
+        assert solve_rational([], []) == []
+        # a non-square matrix, a right-hand side of the wrong height
+        for a, b in [
+            ([[1, 0, 0], [0, 1, 0]], [[1], [1]]),
+            ([[1], [0]], [[1], [1]]),
+            ([[1, 0], [0, 1]], [[1]]),
+            ([[1, 0], [0, 1]], [[1], [1], [1]]),
+        ]:
+            with pytest.raises(ValueError):
+                solve_rational(a, b)
 
     def test_congruence_kernel_brute_force(self):
         rng = random.Random(2)

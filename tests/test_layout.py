@@ -1,4 +1,5 @@
-"""Every definition in the package has a caller outside the tests.
+"""Every definition in the package has a caller outside the tests, and
+every entry point the traced benchmark wraps exists under its name.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -11,12 +12,13 @@ access only, so a local variable of the same name does not count.
 import ast
 from pathlib import Path
 
+from skeintor import qtrace
+
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "skeintor"
 
 # Kept without a caller in the package, and why.
 ALLOWED = {
-    "qtorus.mono_mul": "reference product the elem_mul tests compare against",
     "pants.Decomposition.nu": "inverse of decompose, checked by the round-trip tests",
     "surface.DTDatum.to_json": "inverse of from_json, the datum file format",
 }
@@ -74,3 +76,23 @@ def test_every_definition_has_a_caller():
 def test_allowlist_names_exist():
     defined = {qual for qual, *_ in _definitions()}
     assert set(ALLOWED) <= defined
+
+
+def test_traced_benchmark_targets_exist():
+    # perfbench/tracing.py wraps module attributes by name, so a rename
+    # must fail here rather than in a traced run
+    tree = ast.parse((ROOT / "perfbench" / "tracing.py").read_text())
+    targets = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "TARGETS" for t in node.targets)
+    )
+    assert targets
+    for module, attr, _ in targets:
+        top = {
+            node.name
+            for node in ast.parse((PACKAGE / f"{module}.py").read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        }
+        assert attr in top, f"perfbench wraps {module}.{attr}, which is not defined there"
+    assert callable(qtrace._core_value.cache_info)

@@ -154,6 +154,18 @@ class TestDecompose:
         with pytest.raises(ValueError):
             decompose(1, (0, -2))
 
+    def test_raises_exactly_off_the_monoid(self):
+        # decompose decides membership by the loop counts, not by lambda_contains
+        for j in (1, 2, 3):
+            for n in itertools.product(range(-1, 5), repeat=j):
+                for t in itertools.product(range(-4, 5), repeat=j):
+                    coord = n + t
+                    if lambda_contains(j, coord):
+                        decompose(j, coord)
+                    else:
+                        with pytest.raises(ValueError):
+                            decompose(j, coord)
+
     def test_round_trip_box(self):
         for j in (1, 2, 3):
             for n in itertools.product(range(0, 9), repeat=j):

@@ -1,11 +1,18 @@
 import itertools
 import random
+from dataclasses import replace
+from functools import reduce
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from skeintor.pants import cross, lambda_contains, loop, return_arc, twist_apply
-from skeintor.qtorus import elem_mul, lead_term, reflection_normalize
+from skeintor.pants import ComponentSpec, cross, decompose, lambda_contains, loop, return_arc, twist_apply
+from skeintor.qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term, reflection_normalize
 from skeintor.qtrace import (
+    _component_power,
+    _component_product,
+    _core_value,
     check_thmbtr,
     grading_violation,
     lead_violation,
@@ -17,6 +24,7 @@ from skeintor.qtrace import (
     utr_coord_straight,
     weyl_u_mul,
 )
+from skeintor.ring import GroundRing
 
 
 t3 = trace_torus(3)
@@ -98,6 +106,98 @@ class TestCatalog:
             utr_component(t2, loop(3))
 
 
+def iterated_product(tt, comps):
+    """The component product one factor at a time: each component value
+    is multiplied in once per unit of its multiplicity.  The reference
+    the closed-form powers are compared against."""
+    out = tt.torus.one()
+    for c in comps:
+        value = utr_component(tt, replace(c, multiplicity=1))
+        for _ in range(c.multiplicity):
+            out = elem_mul(out, value)
+    return out
+
+
+def as_terms(e):
+    return {k: dict(c.terms) for k, c in e.terms.items()}
+
+
+@st.composite
+def twisted_components(draw):
+    """A pants type and one to three twisted standard curves on it, each
+    with a multiplicity."""
+    j = draw(st.sampled_from((1, 2, 3)))
+    boundary, twist, mult = st.integers(1, j), st.integers(-6, 6), st.integers(1, 10)
+    kinds = ("loop", "return", "cross") if j > 1 else ("loop", "return")
+    comps = []
+    for kind in draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=3)):
+        if kind == "loop":
+            comps.append(ComponentSpec("loop", (draw(boundary),), (), draw(mult)))
+        elif kind == "return":
+            comps.append(ComponentSpec("return", (draw(boundary),), (draw(twist),), draw(mult)))
+        else:
+            ends = draw(st.lists(boundary, min_size=2, max_size=2, unique=True))
+            comps.append(ComponentSpec("cross", tuple(ends), (draw(twist), draw(twist)), draw(mult)))
+    return trace_torus(j), tuple(comps)
+
+
+@st.composite
+def members(draw):
+    """A pants type and a member of its monoid with lengths and twists of
+    size at most 16."""
+    j = draw(st.sampled_from((1, 2, 3)))
+    n = draw(st.tuples(*[st.integers(0, 16)] * j).filter(lambda n: sum(n) % 2 == 0))
+    t = draw(st.tuples(*[st.integers(-16, 16)] * j).filter(lambda t: lambda_contains(j, n + t)))
+    return j, n + t
+
+
+@st.composite
+def binomials(draw):
+    """alpha x^a + beta x^b in a random rank-3 torus, with coefficients in
+    a puncture symbol and q^(1/2), and a power."""
+    ring = GroundRing(("v",))
+    entries = draw(st.tuples(*[st.integers(-3, 3)] * 3))
+    rows = [[0] * 3 for _ in range(3)]
+    for (i, k), e in zip(((0, 1), (0, 2), (1, 2)), entries):
+        rows[i][k], rows[k][i] = e, -e
+    torus = QuantumTorus(AntisymMatrix(tuple(map(tuple, rows))), ring)
+    exps = st.tuples(*[st.integers(-3, 3)] * 3)
+    a, b = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+    coeff = st.builds(
+        lambda k, h, c: ring.monomial((k,), h, c), st.integers(-2, 2), st.integers(-3, 3), st.integers(1, 3)
+    )
+    alpha, beta = draw(coeff), draw(coeff) + draw(coeff)
+    return torus.monomial(a, alpha) + torus.monomial(b, beta), draw(st.integers(1, 9))
+
+
+class TestComponentPower:
+    """The closed-form powers against the iterated product, term for term."""
+
+    @given(twisted_components())
+    @settings(max_examples=300, deadline=None)
+    def test_twisted_components(self, case):
+        tt, comps = case
+        assert as_terms(_component_product(tt, comps)) == as_terms(iterated_product(tt, comps))
+
+    @given(members())
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_decompositions(self, case):
+        j, coord = case
+        tt, comps = trace_torus(j), decompose(j, coord).components
+        assert as_terms(_component_product(tt, comps)) == as_terms(iterated_product(tt, comps))
+
+    @given(binomials())
+    @settings(max_examples=300, deadline=None)
+    def test_binomials_with_symbolic_coefficients(self, case):
+        value, m = case
+        assert as_terms(_component_power(value, m)) == as_terms(reduce(elem_mul, [value] * m))
+
+    def test_monomials_and_the_empty_product(self):
+        value = t2.monomial((1, 1, 2, -1)).scale(t2.ring.var("b3", 2))
+        assert _component_power(value, 5) == reduce(elem_mul, [value] * 5)
+        assert _component_product(t3, ()) == t3.torus.one()
+
+
 class TestUtrCoord:
     def test_examples(self):
         b = t1.ring.var("b2") * t1.ring.var("b3")
@@ -164,6 +264,10 @@ class TestUtrCoord:
         after = utr_coord(t3, coord)
         assert {k: dict(c.terms) for k, c in after.terms.items()} == before
         assert after == utr_coord_straight(t3, coord)
+
+    def test_core_cache_is_bounded(self):
+        # far above the misses of a check run or a benchmark episode
+        assert _core_value.cache_info().maxsize == 65536
 
     def test_reflection_invariance(self):
         rng = random.Random(8)
