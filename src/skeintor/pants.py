@@ -264,11 +264,12 @@ def canonical(j: int, coord: Coord) -> tuple[tuple[int, ...], tuple[int, ...], t
     near-boundary loops where the curve misses the boundary and the
     residual twist where it meets it.  Raises ValueError exactly when
     ``coord`` is not in ``Lambda_j``: at a missed boundary, the arcs'
-    own twist is the bound that :func:`lambda_contains` tests.
+    own twist is the bound that :func:`lambda_contains` tests.  ``j``
+    must be a pants type (:func:`decompose` checks it; a ``TraceTorus``
+    has one).
     """
-    _validate_type(j)
     n, t = split_nt(j, coord)
-    if min(n) < 0 or not parity_ok(j, n):
+    if min(n) < 0 or sum(n) % 2:
         raise ValueError(f"coordinate {coord} is not in Lambda_{j}")
     base = base_twists(j, n)
     loops, residual = [0] * j, [0] * j
@@ -282,11 +283,9 @@ def canonical(j: int, coord: Coord) -> tuple[tuple[int, ...], tuple[int, ...], t
     return n, tuple(loops), tuple(residual)
 
 
-@lru_cache(maxsize=65536)
 def components(j: int, n: tuple[int, ...], loops: tuple[int, ...]) -> tuple[ComponentSpec, ...]:
     """The canonical components: the untwisted arcs for the lengths
-    ``n``, then ``loops[i]`` loops at boundary i + 1.  Cached; the
-    tuple and its frozen components cannot be changed."""
+    ``n``, then ``loops[i]`` loops at boundary i + 1."""
     crosses, returns = arc_counts(j, n)
     return (
         *(ComponentSpec("cross", key, (0, 0), cnt) for key, cnt in sorted(crosses.items())),
@@ -298,5 +297,6 @@ def components(j: int, n: tuple[int, ...], loops: tuple[int, ...]) -> tuple[Comp
 def decompose(j: int, coord: Coord) -> Decomposition:
     """Canonical decomposition of an admissible coordinate (see
     :func:`canonical`); raises ValueError on any other coordinate."""
+    _validate_type(j)
     n, loops, residual = canonical(j, coord)
     return Decomposition(j, components(j, n, loops), residual)
