@@ -237,9 +237,13 @@ def even_sublattice(datum: DTDatum) -> LatticeBasis:
     """The even part of the span: vectors pairing into 4Z against the span.
 
     Lattice form of the statement that even diagrams are those with even
-    geometric intersection with every curve.
+    geometric intersection with every curve.  Built on first use and kept
+    on the datum instance next to its center data.
     """
-    return kernel_lattice(datum, 4)
+    even = vars(datum).get("_even")
+    if even is None:
+        even = vars(datum)["_even"] = kernel_lattice(datum, 4)
+    return even
 
 
 def kernel_target(root: RootOfUnity, span: LatticeBasis, even: LatticeBasis) -> LatticeBasis:

@@ -7,7 +7,9 @@ explicit seed and are reproducible.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 import random
 import time
 from dataclasses import dataclass, field
@@ -38,6 +40,7 @@ from .surface import (
     DTDatum,
     d_embed,
     lambda_global,
+    length_rule,
     phi_value,
     standard_datum,
     surface_torus,
@@ -95,23 +98,87 @@ def _pants_box(j: int, nmax: int, tmax: int):
                 yield c
 
 
-def _sample_pants(rng: random.Random, j: int, nmax: int, tmax: int):
-    while True:
-        n = tuple(rng.randint(0, nmax) for _ in range(j))
+class _BoxTable:
+    """The monoid points of a coordinate box as weighted rows, for exact
+    uniform draws.
+
+    The box holds the coordinates with lengths in [0, nmax] and twists in
+    [-tmax, tmax] on ``r`` curves.  ``floors_of(n)`` gives the lowest
+    admissible twist at each curve for the lengths ``n``, or None when
+    ``n`` itself is not admissible.  One row per admissible ``n`` keeps
+    those floors and the number of twist values from each floor up to
+    tmax; ``cum[i]`` counts the box coordinates in rows 0..i.
+    """
+
+    def __init__(self, r: int, nmax: int, tmax: int, floors_of):
+        self.rows: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
+        self.cum: list[int] = []
+        total = 0
+        for n in itertools.product(range(nmax + 1), repeat=r):
+            floors = floors_of(n)
+            if floors is None:
+                continue
+            floors = tuple(max(-tmax, f) for f in floors)
+            widths = tuple(tmax - f + 1 for f in floors)
+            if min(widths) <= 0:
+                continue
+            total += math.prod(widths)
+            self.rows.append((n, floors, widths))
+            self.cum.append(total)
+        self.total = total
+
+    def draw(self, rng: random.Random) -> tuple[int, ...]:
+        """One uniform box coordinate: a single integer draw, its row found
+        by bisection and the rest read as twists in mixed radix."""
+        k = rng.randrange(self.total)
+        i = bisect.bisect_right(self.cum, k)
+        if i:
+            k -= self.cum[i - 1]
+        n, floors, widths = self.rows[i]
+        t = []
+        for f, w in zip(floors, widths):
+            k, d = divmod(k, w)
+            t.append(f + d)
+        return n + tuple(t)
+
+
+def _pants_table(j: int, nmax: int, tmax: int) -> _BoxTable:
+    """The box of ``Lambda_j``: at a missed boundary the twist floor is the
+    canonical arcs' own twist (see :func:`pants.canonical`)."""
+    def floors_of(n):
         if sum(n) % 2:
-            continue
-        t = tuple(rng.randint(-tmax, tmax) for _ in range(j))
-        if lambda_contains(j, n + t):
-            return n + t
+            return None
+        base = pants.base_twists(j, n)
+        return tuple(base[i] if n[i] == 0 else -tmax for i in range(j))
+    return _BoxTable(j, nmax, tmax, floors_of)
 
 
-def _sample_global(rng: random.Random, datum: DTDatum, nmax: int, tmax: int):
-    r = datum.r
-    while True:
-        n = tuple(rng.randint(0, nmax) for _ in range(r))
-        t = tuple(rng.randint(-tmax, tmax) for _ in range(r))
-        if lambda_global(datum, n + t):
-            return n + t
+def _global_table(datum: DTDatum, nmax: int, tmax: int) -> _BoxTable:
+    """The box of the global monoid, by the rule :func:`length_rule` states."""
+    def floors_of(n):
+        odd, bounds2 = length_rule(datum, n)
+        if odd:
+            return None
+        return tuple(-tmax if b is None else -(-b // 2) for b in bounds2)
+    return _BoxTable(datum.r, nmax, tmax, floors_of)
+
+
+def _sample_pants(rng: random.Random, j: int, table: _BoxTable):
+    """A uniform point of ``table`` (built by :func:`_pants_table`), tested
+    once for membership in ``Lambda_j``."""
+    c = table.draw(rng)
+    if not lambda_contains(j, c):
+        raise AssertionError(f"pants sampler drew {c}, which is not in Lambda_{j}")
+    return c
+
+
+def _sample_global(rng: random.Random, datum: DTDatum, table: _BoxTable):
+    """A uniform point of ``table`` (built by :func:`_global_table`),
+    tested once for membership in the global monoid."""
+    c = table.draw(rng)
+    if not lambda_global(datum, c):
+        raise AssertionError(f"global sampler drew {c}, which is not in the monoid")
+    return c
 
 
 # ---------------------------------------------------------------------------
@@ -227,9 +294,10 @@ def check_product_top(
                 cache[c] = phi_value(datum, c)
             return cache[c]
 
+        table = _global_table(datum, 3, 3)
         for _ in range(pairs):
-            k = _sample_global(rng, datum, 3, 3)
-            l = _sample_global(rng, datum, 3, 3)
+            k = _sample_global(rng, datum, table)
+            l = _sample_global(rng, datum, table)
             p = qt.pairing(k, l)
             checked += 1
             if p % 2:
@@ -304,9 +372,10 @@ def check_monoid_closure(pairs: int = 10000, seed: int = 0, surfaces=LEAD_SURFAC
     rng = random.Random(seed)
     checked = 0
     for j in (1, 2, 3):
+        table = _pants_table(j, 10, 10)
         for _ in range(pairs):
-            a = _sample_pants(rng, j, 10, 10)
-            b = _sample_pants(rng, j, 10, 10)
+            a = _sample_pants(rng, j, table)
+            b = _sample_pants(rng, j, table)
             s = tuple(x + y for x, y in zip(a, b))
             checked += 1
             if not lambda_contains(j, s):
@@ -316,9 +385,10 @@ def check_monoid_closure(pairs: int = 10000, seed: int = 0, surfaces=LEAD_SURFAC
                 )
     for g, m in surfaces:
         datum = standard_datum(g, m)
+        table = _global_table(datum, 8, 8)
         for _ in range(pairs):
-            a = _sample_global(rng, datum, 8, 8)
-            b = _sample_global(rng, datum, 8, 8)
+            a = _sample_global(rng, datum, table)
+            b = _sample_global(rng, datum, table)
             s = tuple(x + y for x, y in zip(a, b))
             checked += 1
             if not lambda_global(datum, s):

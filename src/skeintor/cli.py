@@ -54,8 +54,9 @@ def _load_datum(args) -> DTDatum:
 
 
 def _parse_coord(text: str) -> tuple[int, ...]:
+    """The integers of a comma-separated list; an empty entry is an error."""
     try:
-        return tuple(int(x) for x in text.replace(" ", "").split(",") if x != "")
+        return tuple(int(x) for x in text.split(","))
     except ValueError:
         raise ValueError(f"cannot parse coordinate list {text!r}")
 

@@ -27,13 +27,13 @@ value costs one torus product per distinct component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
-from operator import add, mul
+from operator import add
 
 from . import pants
-from .pants import Coord, ComponentSpec, decompose, nu_of_component, split_nt, twist_apply
+from .pants import Coord, ComponentSpec, decompose, split_nt, twist_apply
 from .qtorus import (
     AntisymMatrix,
     QuantumTorus,
@@ -42,7 +42,7 @@ from .qtorus import (
     lead_term,
     reflection_normalize,
 )
-from .ring import GroundRing
+from .ring import GroundElem, GroundRing
 
 
 def _commutation_matrix(j: int) -> AntisymMatrix:
@@ -117,12 +117,18 @@ def utr_component(tt: TraceTorus, c: ComponentSpec) -> TorusElement:
     """Trace of a single standard curve, possibly twisted: the monomial
     at the curve's coordinates, plus its inverse for a loop and the
     monomial given by ``_RETURN_TAIL`` for a return arc."""
-    top = nu_of_component(tt.j, c)
+    if c.multiplicity != 1:
+        raise ValueError("utr_component expects multiplicity 1")
+    return _curve_value(tt, c.kind, c.boundaries, c.twists)
+
+
+def _curve_value(tt: TraceTorus, kind: str, boundaries: tuple[int, ...], twists: tuple[int, ...]) -> TorusElement:
+    top = pants._nu1(tt.j, kind, boundaries, twists)
     value = tt.monomial(top)
-    if c.kind == "loop":
+    if kind == "loop":
         return value + tt.monomial(tuple(-x for x in top))
-    if c.kind == "return":
-        shift, syms = _RETURN_TAIL[tt.j, c.boundaries[0]]
+    if kind == "return":
+        shift, syms = _RETURN_TAIL[tt.j, boundaries[0]]
         tail = tt.monomial(top[: tt.j] + tuple(map(add, top[tt.j :], shift)))
         for name, power in syms:
             tail = tail.scale(tt.ring.var(name, power))
@@ -145,11 +151,12 @@ def _component_power(value: TorusElement, m: int) -> TorusElement:
     """
     torus = value.torus
     (a, alpha), *rest = value.terms.items()
-    alphas = list(accumulate([alpha] * m, mul, initial=torus.ring.one()))
+    one = {(0,) * torus.ring.nsym + (0,): 1}
+    alphas = list(accumulate([alpha.terms] * m, _flat_mul, initial=one))
     if not rest:
-        return torus.monomial(tuple(m * x for x in a), alphas[m])
+        return torus.monomial(tuple(m * x for x in a), GroundElem(torus.ring, alphas[m]))
     (b, beta), = rest
-    betas = list(accumulate([beta] * m, mul, initial=torus.ring.one()))
+    betas = list(accumulate([beta.terms] * m, _flat_mul, initial=one))
     row = [[1]]  # [r choose j]_t for j = 0..r, by Pascal's rule [r-1, j-1] + t^j [r-1, j]
     for r in range(1, m + 1):
         pascal = (zip_longest(row[j - 1], [0] * j + row[j], fillvalue=0) for j in range(1, r))
@@ -159,16 +166,27 @@ def _component_power(value: TorusElement, m: int) -> TorusElement:
     for j, gauss in enumerate(row):
         acc = out[tuple(j * x + (m - j) * y for x, y in zip(a, b))] = {}
         top = p * j * (m - j)
-        for key, c in (alphas[j] * betas[m - j]).terms.items():
+        for key, c in _flat_mul(alphas[j], betas[m - j]).items():
             for s, g in enumerate(gauss):
                 k = key[:-1] + (key[-1] + top - 2 * p * s,)
                 acc[k] = acc.get(k, 0) + c * g
     return torus.from_flat(out)
 
 
+def _flat_mul(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The product of two coefficients given by their term dicts, as a
+    term dict (entries that cancel stay as zeros)."""
+    out: dict[tuple[int, ...], int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(map(add, ka, kb))
+            out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
 def _component_product(tt: TraceTorus, comps: tuple[ComponentSpec, ...]) -> TorusElement:
     powers = [
-        _component_power(utr_component(tt, replace(c, multiplicity=1)), c.multiplicity)
+        _component_power(_curve_value(tt, c.kind, c.boundaries, c.twists), c.multiplicity)
         for c in comps
     ]
     return reduce(elem_mul, powers) if powers else tt.torus.one()

@@ -366,24 +366,33 @@ def _face_lengths(tb: _Tables, n: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [tuple(n[c] for c in curves) for curves in tb.face_curves]
 
 
-def lambda_membership(datum: DTDatum, coord: Coord) -> tuple[bool, str]:
-    """Membership in the global coordinate monoid, with a witness reason."""
-    r = datum.r
-    n, t = split_nt(r, coord)
-    if any(x < 0 for x in n):
-        return False, "negative length coordinate"
+def length_rule(datum: DTDatum, n: tuple[int, ...]) -> tuple[str, tuple[int | None, ...]]:
+    """What the non-negative lengths ``n`` ask of a coordinate: the witness
+    of the first face with an odd boundary sum ("" when there is none),
+    and per curve twice the lower twist bound where ``n`` misses the
+    curve (the Add values of its two sides), None where it meets it."""
     tb = datum._tables
     lengths = _face_lengths(tb, n)
     for v, face_n in enumerate(lengths):
         if sum(face_n) % 2:
-            return False, f"odd boundary sum {face_n} at face {v}"
-    for c in range(r):
-        if n[c] == 0:
-            bound2 = 0
-            for v, s in tb.sides[c]:
-                bound2 += pants.add2(tb.face_types[v], s + 1, lengths[v])
-            if 2 * t[c] < bound2:
-                return False, f"twist {t[c]} at curve {c} below bound {bound2}/2"
+            return f"odd boundary sum {face_n} at face {v}", ()
+    return "", tuple(
+        None if n[c] else sum(pants.add2(tb.face_types[v], s + 1, lengths[v]) for v, s in tb.sides[c])
+        for c in range(datum.r)
+    )
+
+
+def lambda_membership(datum: DTDatum, coord: Coord) -> tuple[bool, str]:
+    """Membership in the global coordinate monoid, with a witness reason."""
+    n, t = split_nt(datum.r, coord)
+    if any(x < 0 for x in n):
+        return False, "negative length coordinate"
+    odd, bounds2 = length_rule(datum, n)
+    if odd:
+        return False, odd
+    for c, bound2 in enumerate(bounds2):
+        if bound2 is not None and 2 * t[c] < bound2:
+            return False, f"twist {t[c]} at curve {c} below bound {bound2}/2"
     return True, ""
 
 

@@ -399,6 +399,19 @@ class TestCachedLatticeData:
         assert kernel_lattice(datum, 6) == ker
         assert lattice_index(kernel_lattice(datum, 6), lambda_hat(datum)) == index
 
+    def test_even_sublattice_built_once(self, monkeypatch):
+        import skeintor.arith as arith
+
+        calls = []
+        real = arith.hnf_columns
+        monkeypatch.setattr(arith, "hnf_columns", lambda cols: calls.append(1) or real(cols))
+        datum = standard_datum(1, 3)
+        even = even_sublattice(datum)
+        built = len(calls)
+        assert all(even_sublattice(datum) is even for _ in range(5))
+        assert len(calls) == built
+        assert even == kernel_lattice(datum, 4)
+
     def test_kept_on_the_datum(self):
         datum = standard_datum(0, 6)
         span = lambda_hat(datum)

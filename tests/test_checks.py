@@ -1,4 +1,12 @@
+import math
+import random
+from collections import Counter
+
+import pytest
+
 from skeintor import checks
+from skeintor.pants import lambda_contains
+from skeintor.surface import lambda_global, standard_datum
 
 
 class TestGrid:
@@ -52,3 +60,73 @@ class TestNegativeControl:
         assert all(r.passed for r in results)
         names = [r.name for r in results]
         assert names[0] == "pi-degree grid" and "chebyshev oracle" in names
+
+
+class TestSamplers:
+    """The direct samplers against exhaustive enumeration of the box."""
+
+    @pytest.mark.parametrize("box", [2, 3])
+    @pytest.mark.parametrize("gm", checks.LEAD_SURFACES)
+    def test_global_table_counts_the_box(self, gm, box):
+        datum = standard_datum(*gm)
+        table = checks._global_table(datum, box, box)
+        assert table.total == sum(1 for _ in checks._lambda_box(datum, box, box))
+
+    @pytest.mark.parametrize("box", [2, 3])
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_pants_table_counts_the_box(self, j, box):
+        assert checks._pants_table(j, box, box).total == sum(1 for _ in checks._pants_box(j, box, box))
+
+    @staticmethod
+    def assert_uniform(points: set, draw, per_point: int = 200):
+        """``per_point * len(points)`` seeded draws: every draw is a box
+        point, every box point is drawn, and the counts pass two bounds
+        stated here.  Each count lies within 6 standard deviations of its
+        mean, and Pearson's chi-square statistic over the points lies
+        below df + 6 sqrt(2 df) for df = len(points) - 1 degrees of
+        freedom.  For a uniform sampler on the 11 to 89 points used here,
+        each bound fails with probability below 1e-4."""
+        size = len(points)
+        counts = Counter(draw() for _ in range(per_point * size))
+        assert set(counts) <= points, "drew a point outside box and monoid"
+        assert set(counts) == points, f"{size - len(counts)} box points never drawn"
+        p = 1 / size
+        sd = math.sqrt(per_point * size * p * (1 - p))
+        worst = max(abs(c - per_point) for c in counts.values())
+        assert worst <= 6 * sd, f"a count is {worst / sd:.1f} sd from its mean"
+        chi2 = sum((c - per_point) ** 2 for c in counts.values()) / per_point
+        df = size - 1
+        assert chi2 < df + 6 * math.sqrt(2 * df), f"chi-square {chi2:.1f} on {df} df"
+
+    @pytest.mark.parametrize("j, box", [(1, 3), (2, 2), (3, 1)])
+    def test_pants_sampler_uniform(self, j, box):
+        rng = random.Random(0)
+        table = checks._pants_table(j, box, box)
+        self.assert_uniform(set(checks._pants_box(j, box, box)), lambda: checks._sample_pants(rng, j, table))
+
+    @pytest.mark.parametrize("gm, box", [((0, 4), 3), ((0, 5), 2), ((2, 0), 1)])
+    def test_global_sampler_uniform(self, gm, box):
+        rng = random.Random(0)
+        datum = standard_datum(*gm)
+        table = checks._global_table(datum, box, box)
+        self.assert_uniform(set(checks._lambda_box(datum, box, box)),
+                            lambda: checks._sample_global(rng, datum, table))
+
+    def test_samples_are_members(self):
+        rng = random.Random(1)
+        for j in (1, 2, 3):
+            table = checks._pants_table(j, 10, 10)
+            assert all(lambda_contains(j, checks._sample_pants(rng, j, table)) for _ in range(2000))
+        for gm in checks.LEAD_SURFACES:
+            datum = standard_datum(*gm)
+            table = checks._global_table(datum, 8, 8)
+            assert all(lambda_global(datum, checks._sample_global(rng, datum, table)) for _ in range(2000))
+
+    def test_a_drawn_non_member_raises(self):
+        # a table that ignores the twist floors draws non-members, which
+        # the sampler's own membership test must catch
+        table = checks._BoxTable(3, 2, 2, lambda n: None if sum(n) % 2 else (-2, -2, -2))
+        rng = random.Random(0)
+        with pytest.raises(AssertionError, match="not in Lambda_3"):
+            for _ in range(1000):
+                checks._sample_pants(rng, 3, table)

@@ -86,6 +86,19 @@ class TestCoords:
         assert report["member"] is False
         assert "twist" in report["witness"]
 
+    @pytest.mark.parametrize("coord", ["2,,2,0,0", "2,2,0,0,", ",2,2,0,0", "2 2,0,0"])
+    def test_empty_or_joined_entry_is_an_error(self, capsys, coord):
+        code, out, err = run(capsys, "coords", "--genus", "0", "--punctures", "5", "--coord", coord)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot parse coordinate list")
+
+    def test_spaces_around_entries(self, capsys):
+        code, out, _ = run(
+            capsys, "coords", "--genus", "0", "--punctures", "5", "--coord", " 2, 2 ,0,0",
+            "--format", "json",
+        )
+        assert code == 0 and json.loads(out)["coord"] == [2, 2, 0, 0]
+
 
 class TestTrace:
     def test_pants_mode_return_arc(self, capsys):

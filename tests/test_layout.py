@@ -10,6 +10,7 @@ access only, so a local variable of the same name does not count.
 """
 
 import ast
+import importlib.util
 from pathlib import Path
 
 from skeintor import qtrace
@@ -21,6 +22,8 @@ PACKAGE = ROOT / "src" / "skeintor"
 ALLOWED = {
     "pants.Decomposition.nu": "inverse of decompose, checked by the round-trip tests",
     "surface.DTDatum.to_json": "inverse of from_json, the datum file format",
+    "qtrace.utr_component": "the exported one-curve trace; the pants trace builds the same "
+                            "value from a component's fields, without its checks",
 }
 
 
@@ -96,3 +99,35 @@ def test_traced_benchmark_targets_exist():
         }
         assert attr in top, f"perfbench wraps {module}.{attr}, which is not defined there"
     assert callable(qtrace._core_value.cache_info)
+
+
+# The membership test each sampler runs on its draw; the traced run reads
+# the sampler accept ratio from these calls.
+SAMPLER_MEMBERSHIP = {"_sample_global": "lambda_global", "_sample_pants": "lambda_contains"}
+
+
+def test_samplers_test_their_draws():
+    samplers = {
+        node.name: node
+        for node in ast.parse((PACKAGE / "checks.py").read_text()).body
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_sample_")
+    }
+    assert set(samplers) == set(SAMPLER_MEMBERSHIP)
+    for name, node in samplers.items():
+        called = {
+            call.func.id
+            for call in ast.walk(node)
+            if isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+        }
+        assert SAMPLER_MEMBERSHIP[name] in called, f"checks.{name} does not call {SAMPLER_MEMBERSHIP[name]}"
+
+
+def test_traced_battery_needs_the_accept_ratio():
+    # with no membership test under a sampler the ratio reads 0, and the
+    # traced battery run must stop on it
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    summary = {m: 1 for m, _ in tracing.METRICS}
+    summary.update({"bench.self_s": 0.0, "checks.sampler_accept_ratio": 0.0})
+    assert tracing.coverage_problems("battery", summary) == ["checks.sampler_accept_ratio is 0"]
