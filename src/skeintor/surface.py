@@ -363,10 +363,10 @@ def surface_torus(datum: DTDatum) -> QuantumTorus:
 
 
 def _face_lengths(tb: _Tables, n: tuple[int, ...]) -> list[tuple[int, ...]]:
-    return [tuple(n[c] for c in curves) for curves in tb.face_curves]
+    return [tuple(map(n.__getitem__, curves)) for curves in tb.face_curves]
 
 
-def length_rule(datum: DTDatum, n: tuple[int, ...]) -> tuple[str, tuple[int | None, ...]]:
+def length_rule(datum: DTDatum, n: tuple[int, ...]) -> tuple[str, list[int | None]]:
     """What the non-negative lengths ``n`` ask of a coordinate: the witness
     of the first face with an odd boundary sum ("" when there is none),
     and per curve twice the lower twist bound where ``n`` misses the
@@ -375,17 +375,22 @@ def length_rule(datum: DTDatum, n: tuple[int, ...]) -> tuple[str, tuple[int | No
     lengths = _face_lengths(tb, n)
     for v, face_n in enumerate(lengths):
         if sum(face_n) % 2:
-            return f"odd boundary sum {face_n} at face {v}", ()
-    return "", tuple(
-        None if n[c] else sum(pants.add2(tb.face_types[v], s + 1, lengths[v]) for v, s in tb.sides[c])
-        for c in range(datum.r)
-    )
+            return f"odd boundary sum {face_n} at face {v}", []
+    bounds2 = []
+    for c, x in enumerate(n):
+        if x:
+            bounds2.append(None)
+        else:
+            (v1, s1), (v2, s2) = tb.sides[c]
+            bounds2.append(pants.add2(tb.face_types[v1], s1 + 1, lengths[v1])
+                           + pants.add2(tb.face_types[v2], s2 + 1, lengths[v2]))
+    return "", bounds2
 
 
 def lambda_membership(datum: DTDatum, coord: Coord) -> tuple[bool, str]:
     """Membership in the global coordinate monoid, with a witness reason."""
     n, t = split_nt(datum.r, coord)
-    if any(x < 0 for x in n):
+    if min(n) < 0:
         return False, "negative length coordinate"
     odd, bounds2 = length_rule(datum, n)
     if odd:
