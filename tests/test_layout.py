@@ -1,5 +1,6 @@
-"""Every definition in the package has a caller outside the tests, and
-every entry point the traced benchmark wraps exists under its name.
+"""Every definition in the package has a caller outside the tests,
+every entry point the traced benchmark wraps exists under its name, and
+each sampler of the check suites tests its draws for membership.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -81,6 +82,11 @@ def test_allowlist_names_exist():
     assert set(ALLOWED) <= defined
 
 
+# The membership test each sampler runs on its draw; the traced run reads
+# the sampler accept ratio from these calls.
+SAMPLER_MEMBERSHIP = {"_sample_global": "lambda_global", "_sample_pants": "lambda_contains"}
+
+
 def test_traced_benchmark_targets_exist():
     # perfbench/tracing.py wraps module attributes by name, so a rename
     # must fail here rather than in a traced run
@@ -99,14 +105,6 @@ def test_traced_benchmark_targets_exist():
         }
         assert attr in top, f"perfbench wraps {module}.{attr}, which is not defined there"
     assert callable(qtrace._core_value.cache_info)
-
-
-# The membership test each sampler runs on its draw; the traced run reads
-# the sampler accept ratio from these calls.
-SAMPLER_MEMBERSHIP = {"_sample_global": "lambda_global", "_sample_pants": "lambda_contains"}
-
-
-def test_samplers_test_their_draws():
     samplers = {
         node.name: node
         for node in ast.parse((PACKAGE / "checks.py").read_text()).body
