@@ -144,12 +144,12 @@ class _BoxTable:
 
 def _pants_table(j: int, nmax: int, tmax: int) -> _BoxTable:
     """The box of ``Lambda_j``: at a missed boundary the twist floor is the
-    canonical arcs' own twist (see :func:`pants.canonical`)."""
+    bound :func:`pants.lambda_contains` tests, half of :func:`pants.add2`
+    (the canonical arcs' own twist there, without filling their caches)."""
     def floors_of(n):
         if sum(n) % 2:
             return None
-        base = pants.base_twists(j, n)
-        return tuple(base[i] if n[i] == 0 else -tmax for i in range(j))
+        return tuple(pants.add2(j, i, n) // 2 if n[i - 1] == 0 else -tmax for i in range(1, j + 1))
     return _BoxTable(j, nmax, tmax, floors_of)
 
 
@@ -332,8 +332,9 @@ def check_product_top(
 
 def check_trace_properties(box: int = 6, seed: int = 0, twist_samples: int = 4000) -> CheckResult:
     """Boundary grading and top term on every box coordinate; the twist
-    rule through the cache-free product path on every decomposition core
-    and a seeded sample of box coordinates."""
+    rule through the reference path (:func:`utr_coord_straight`, which
+    reads no core value) on every decomposition core and a seeded sample
+    of box coordinates."""
     t0 = time.time()
     rng = random.Random(seed)
     checked = 0

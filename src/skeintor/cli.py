@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import checks
@@ -53,12 +54,17 @@ def _load_datum(args) -> DTDatum:
     return standard_datum(args.genus, args.punctures)
 
 
+_ENTRY = re.compile(r"\s*[+-]?[0-9]+\s*")
+
+
 def _parse_coord(text: str) -> tuple[int, ...]:
-    """The integers of a comma-separated list; an empty entry is an error."""
-    try:
-        return tuple(int(x) for x in text.split(","))
-    except ValueError:
+    """The integers of a comma-separated list.  An entry is an optional
+    sign and ASCII digits, with spaces around it; anything else (an empty
+    entry, an underscore, another script's digits) is an error."""
+    entries = text.split(",")
+    if not all(_ENTRY.fullmatch(x) for x in entries):
         raise ValueError(f"cannot parse coordinate list {text!r}")
+    return tuple(int(x) for x in entries)
 
 
 def _format_coeff(c: GroundElem) -> str:

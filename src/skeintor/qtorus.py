@@ -88,10 +88,10 @@ class QuantumTorus:
             return self.zero()
         return TorusElement(self, {k: c})
 
-    def generator(self, i: int, power: int = 1) -> "TorusElement":
+    def generator(self, i: int, power: int = 1, coeff: GroundElem | None = None) -> "TorusElement":
         exps = [0] * self.rank
         exps[i] = power
-        return self.monomial(exps)
+        return self.monomial(exps, coeff)
 
     def from_flat(self, terms: dict[tuple[int, ...], dict[tuple[int, ...], int]]) -> "TorusElement":
         """The element with integer coefficients accumulated per exponent
@@ -297,7 +297,12 @@ def reflection_normalize(e: TorusElement) -> TorusElement:
                 shift = s // 2
             elif shift != s // 2:
                 raise ValueError("element is not reflection-normalizable (mixed centers)")
-    result = e.shift_q(shift) if shift else e
-    if result.reflect() != result:
-        raise ValueError("element is not reflection-normalizable")
-    return result
+    # invariance of the shifted element, read off the unshifted terms:
+    # q-exponent h lands on h + shift, and its mirror -(h + shift) comes
+    # from -h - 2 shift
+    for c in e.terms.values():
+        terms = c.terms
+        for key, v in terms.items():
+            if terms.get(key[:-1] + (-key[-1] - 2 * shift,)) != v:
+                raise ValueError("element is not reflection-normalizable")
+    return e.shift_q(shift) if shift else e

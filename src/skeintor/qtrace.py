@@ -75,8 +75,9 @@ class TraceTorus:
     def ring(self) -> GroundRing:
         return self.torus.ring
 
-    def u(self, i: int, power: int = 1) -> TorusElement:
-        return self.torus.generator(self.j + i - 1, power)
+    def u(self, i: int, power: int = 1, half_steps: int = 0) -> TorusElement:
+        """u_i to the ``power``, times q^(half_steps/2)."""
+        return self.torus.generator(self.j + i - 1, power, self.ring.q_half(half_steps))
 
     def monomial(self, coord: Coord) -> TorusElement:
         return self.torus.monomial(coord)
@@ -184,7 +185,17 @@ def _flat_mul(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> d
     return out
 
 
-def _component_product(tt: TraceTorus, comps: tuple[ComponentSpec, ...]) -> TorusElement:
+# One entry, the product of the last decomposition: a product is asked
+# for again back to back.  A twist at a boundary the curve meets changes
+# only the residual twist, so the two sides of the twist rule, and a
+# core-value miss followed by the reference path on the same coordinate,
+# have the same components.  More entries would hold what _core_value
+# holds, since a product and its normalized core differ by a power of q.
+@lru_cache(maxsize=1)
+def _component_product(j: int, comps: tuple[ComponentSpec, ...]) -> TorusElement:
+    """The untwisted product of the component values ``comps`` on pants
+    type ``j``, each raised to its multiplicity."""
+    tt = trace_torus(j)
     powers = [
         _component_power(_curve_value(tt, c.kind, c.boundaries, c.twists), c.multiplicity)
         for c in comps
@@ -197,7 +208,7 @@ def _core_value(j: int, n: tuple[int, ...], loops: tuple[int, ...]) -> TorusElem
     """Reflection-normalized trace of the untwisted canonical multiset
     for the length vector ``n`` together with ``loops[i]`` near-boundary
     loops at each missed boundary."""
-    return reflection_normalize(_component_product(trace_torus(j), pants.components(j, n, loops)))
+    return reflection_normalize(_component_product(j, pants.components(j, n, loops)))
 
 
 def utr_coord(tt: TraceTorus, coord: Coord) -> TorusElement:
@@ -214,17 +225,22 @@ def utr_coord(tt: TraceTorus, coord: Coord) -> TorusElement:
 
 
 def utr_coord_straight(tt: TraceTorus, coord: Coord) -> TorusElement:
-    """Cache-free reference path: multiply the residual twist in as a
-    monomial and renormalize.  Used to validate the translation shortcut."""
+    """Reference path: multiply the residual twist in as a monomial and
+    renormalize.  Used to validate the translation shortcut.
+
+    It shares no cached trace with :func:`utr_coord`: it never reads the
+    core values or translates.  What it shares is the untwisted component
+    product of the last decomposition, reused only for an equal component
+    tuple, which the two sides of a twist rule have."""
     dec = decompose(tt.j, coord)
     twist = tt.monomial((0,) * tt.j + dec.twists)
-    return reflection_normalize(elem_mul(twist, _component_product(tt, dec.components)))
+    return reflection_normalize(elem_mul(twist, _component_product(tt.j, dec.components)))
 
 
 def weyl_u_mul(tt: TraceTorus, i: int, value: TorusElement, x_degree: int) -> TorusElement:
     """The Weyl-normalized product of u_i with a value of x_i-degree k,
-    equal to q^{-k} u_i value."""
-    return elem_mul(tt.u(i), value).shift_q(-2 * x_degree)
+    equal to q^{-k} u_i value: one product with the monomial q^{-k} u_i."""
+    return elem_mul(tt.u(i, half_steps=-2 * x_degree), value)
 
 
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ from collections import Counter
 
 import pytest
 
-from skeintor import checks
+from skeintor import checks, pants
 from skeintor.pants import lambda_contains
 from skeintor.surface import lambda_global, standard_datum
 
@@ -76,6 +76,22 @@ class TestSamplers:
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_pants_table_counts_the_box(self, j, box):
         assert checks._pants_table(j, box, box).total == sum(1 for _ in checks._pants_box(j, box, box))
+
+    def test_pants_table_leaves_the_pants_caches_empty(self):
+        pants.arc_counts.cache_clear()
+        pants.base_twists.cache_clear()
+        tables = {j: checks._pants_table(j, 10, 10) for j in (1, 2, 3)}
+        assert pants.arc_counts.cache_info().currsize == 0
+        assert pants.base_twists.cache_info().currsize == 0
+        # the same rows as with the canonical arcs' own twist as the floor
+        for j, table in tables.items():
+            def floors_of(n, j=j):
+                if sum(n) % 2:
+                    return None
+                base = pants.base_twists(j, n)
+                return tuple(base[i] if n[i] == 0 else -10 for i in range(j))
+            reference = checks._BoxTable(j, 10, 10, floors_of)
+            assert table.rows == reference.rows and table.cum == reference.cum
 
     @staticmethod
     def assert_uniform(points: set, draw, per_point: int = 200):

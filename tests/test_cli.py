@@ -92,6 +92,13 @@ class TestCoords:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot parse coordinate list")
 
+    @pytest.mark.parametrize("coord", ["1_0,0", "\u0661,0", "2,\u0660"])
+    def test_only_ascii_digits(self, capsys, coord):
+        # int() reads "1_0" as 10 and accepts Arabic-Indic digits
+        code, out, err = run(capsys, "coords", "--genus", "0", "--punctures", "4", "--coord", coord)
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot parse coordinate list")
+
     def test_spaces_around_entries(self, capsys):
         code, out, _ = run(
             capsys, "coords", "--genus", "0", "--punctures", "5", "--coord", " 2, 2 ,0,0",

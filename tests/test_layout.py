@@ -1,6 +1,7 @@
 """Every definition in the package has a caller outside the tests,
-every entry point the traced benchmark wraps exists under its name, and
-each sampler of the check suites tests its draws for membership.
+every entry point the traced benchmark wraps exists under its name,
+each sampler of the check suites tests its draws for membership, and
+the README names every module-level cache with its size.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -129,3 +130,20 @@ def test_traced_battery_needs_the_accept_ratio():
     summary = {m: 1 for m, _ in tracing.METRICS}
     summary.update({"bench.self_s": 0.0, "checks.sampler_accept_ratio": 0.0})
     assert tracing.coverage_problems("battery", summary) == ["checks.sampler_accept_ratio is 0"]
+
+
+def test_every_module_cache_is_in_the_readme():
+    # the README's cache paragraph names each module-level lru_cache with
+    # its size, so a new cache or a resized one must be documented
+    readme = (ROOT / "README.md").read_text()
+    start = readme.index("The module-level caches")
+    paragraph = readme[start : readme.index("\n\n", start)]
+    caches = []
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"skeintor.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module.__name__:
+                caches.append(f"`{path.stem}.{name}` (`maxsize={value.cache_info().maxsize}`)")
+    assert "`qtrace._component_product` (`maxsize=1`)" in caches
+    missing = [c for c in caches if c not in paragraph]
+    assert not missing, f"not in the README's cache paragraph: {missing}"

@@ -275,3 +275,14 @@ class TestReflection:
         bad = t.monomial((1,), t.ring.q_half(1)) + t.monomial((-1,), t.ring.q_half(-3)) + t.monomial((0,))
         with pytest.raises(ValueError):
             reflection_normalize(bad)
+
+    def test_centered_but_not_invariant_raises(self):
+        # q + 2 q^-1 is centered at q^0 but not reflection invariant, so
+        # neither center check catches it
+        t = QuantumTorus(AntisymMatrix(((0,),)))
+        coeff = t.ring.monomial((), 2) + t.ring.monomial((), -2, 2)
+        bad = t.monomial((1,), coeff.shift_q(3))
+        with pytest.raises(ValueError, match="^element is not reflection-normalizable$"):
+            reflection_normalize(bad)
+        with pytest.raises(ValueError, match="^element is not reflection-normalizable$"):
+            reflection_normalize(t.monomial((0,)).shift_q(3) + bad)

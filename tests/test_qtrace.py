@@ -24,6 +24,7 @@ from skeintor.qtrace import (
     utr_coord_straight,
     weyl_u_mul,
 )
+from skeintor import qtrace
 from skeintor.ring import GroundRing
 
 
@@ -177,14 +178,14 @@ class TestComponentPower:
     @settings(max_examples=300, deadline=None)
     def test_twisted_components(self, case):
         tt, comps = case
-        assert as_terms(_component_product(tt, comps)) == as_terms(iterated_product(tt, comps))
+        assert as_terms(_component_product(tt.j, comps)) == as_terms(iterated_product(tt, comps))
 
     @given(members())
     @settings(max_examples=300, deadline=None)
     def test_canonical_decompositions(self, case):
         j, coord = case
         tt, comps = trace_torus(j), decompose(j, coord).components
-        assert as_terms(_component_product(tt, comps)) == as_terms(iterated_product(tt, comps))
+        assert as_terms(_component_product(tt.j, comps)) == as_terms(iterated_product(tt, comps))
 
     @given(binomials())
     @settings(max_examples=300, deadline=None)
@@ -195,7 +196,50 @@ class TestComponentPower:
     def test_monomials_and_the_empty_product(self):
         value = t2.monomial((1, 1, 2, -1)).scale(t2.ring.var("b3", 2))
         assert _component_power(value, 5) == reduce(elem_mul, [value] * 5)
-        assert _component_product(t3, ()) == t3.torus.one()
+        assert _component_product(3, ()) == t3.torus.one()
+
+
+class TestSharedProduct:
+    """The reference path reuses the component product of the last
+    decomposition, and only for an equal component tuple."""
+
+    def test_twisted_side_reuses_the_product(self, monkeypatch):
+        calls = []
+        real = qtrace._component_power
+
+        def counting(value, m):
+            calls.append(m)
+            return real(value, m)
+
+        monkeypatch.setattr(qtrace, "_component_power", counting)
+        for j, coord in ((3, (2, 4, 2, 1, -3, 2)), (2, (3, 1, 0, 2)), (1, (4, -1))):
+            tt = trace_torus(j)
+            value = utr_coord_straight(tt, coord)
+            for i in range(1, j + 1):
+                if coord[i - 1]:
+                    calls.clear()
+                    twisted = utr_coord_straight(tt, twist_apply(j, i, coord))
+                    assert calls == []
+                    assert twisted == weyl_u_mul(tt, i, value, coord[i - 1])
+        # a new decomposition is computed
+        utr_coord_straight(t3, (2, 2, 0, 0, 0, 3))
+        assert calls
+
+    @pytest.mark.parametrize("j, coords", [
+        (3, [(2, 0, 0, 0, 1, 0), (2, 0, 0, 0, 2, 0), (2, 0, 0, 0, 2, 3), (2, 0, 0, 0, 1, 0)]),
+        (2, [(2, 0, 0, 1), (2, 0, 0, 2), (2, 0, 1, 3), (2, 0, -1, 1)]),
+        (1, [(0, 1), (0, 3), (0, 2), (0, 0)]),
+    ])
+    def test_same_lengths_other_loops(self, j, coords):
+        tt = trace_torus(j)
+        for coord in coords:
+            dec = decompose(j, coord)
+            twist = tt.monomial((0,) * j + dec.twists)
+            want = reflection_normalize(elem_mul(twist, iterated_product(tt, dec.components)))
+            assert utr_coord_straight(tt, coord) == want
+
+    def test_one_entry(self):
+        assert _component_product.cache_info().maxsize == 1
 
 
 class TestUtrCoord:
