@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import sub
 
 from .intlinalg import (
@@ -111,7 +111,16 @@ def pi_degree(g: int, m: int, xi: RootOfUnity) -> int:
 class LatticeBasis:
     """A full-rank sublattice of Z^ambient given by ``ambient`` basis
     columns.  ``from_columns`` stores the canonical column Hermite normal
-    form, so that equality of such bases is lattice equality."""
+    form, so that equality of such bases is lattice equality.
+
+    Each instance keeps, on first use, what is read off its columns:
+    whether its matrix M is lower triangular, and then det M (the
+    product of the diagonal); whether it is already in Hermite normal
+    form; and the scaled inverse of M for ``lattice_index``.  Every
+    ``from_columns`` basis is in Hermite form, so ``scaled`` multiplies
+    its columns instead of computing a normal form again; a basis built
+    directly that is not in Hermite form is normalized as before.
+    """
 
     ambient: int
     columns: tuple[tuple[int, ...], ...]
@@ -134,17 +143,55 @@ class LatticeBasis:
         return [list(row) for row in zip(*self.columns)]
 
     def scaled(self, k: int) -> "LatticeBasis":
+        """The lattice k L.  |k| times a basis in Hermite form is again
+        lower triangular with a positive diagonal and each entry left of
+        a pivot in [0, pivot): the normal form of k L, taken as it is."""
         if k == 0:
             raise ValueError("scaling by zero collapses the lattice")
-        return LatticeBasis.from_columns(
-            self.ambient, [[k * x for x in col] for col in self.columns]
+        k = abs(k)
+        cols = [[k * x for x in col] for col in self.columns]
+        if self._hermite:
+            return LatticeBasis(self.ambient, cols)
+        return LatticeBasis.from_columns(self.ambient, cols)
+
+    @cached_property
+    def _triangular_det(self) -> int | None:
+        """det M for a lower triangular basis matrix M (column j zero
+        above row j), the product of its diagonal; None for any other."""
+        cols = self.columns
+        if any(any(col[:j]) for j, col in enumerate(cols)):
+            return None
+        return prod(col[j] for j, col in enumerate(cols))
+
+    @cached_property
+    def _hermite(self) -> bool:
+        """Whether the columns are the Hermite normal form that
+        ``from_columns`` stores: lower triangular, a positive diagonal,
+        and the entries left of each pivot in [0, pivot)."""
+        cols = self.columns
+        return self._triangular_det is not None and all(
+            cols[i][i] > 0 and all(0 <= cols[k][i] < cols[i][i] for k in range(i))
+            for i in range(self.ambient)
         )
 
     @cached_property
     def _scaled_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """``(d, d * M^-1)`` for the basis matrix M, d the least common
-        denominator of M^-1: one rational solve per instance."""
-        inv = solve_rational(self.matrix(), identity(self.ambient))
+        denominator of M^-1: one solve per instance.
+
+        For a lower triangular M with determinant D, D M^-1 is the
+        adjugate, an integer matrix that ``solve_rational`` finds by
+        forward substitution without a Fraction; then d = |D| / g for g
+        the gcd of D and the adjugate's entries.  Any other M is inverted
+        over the rationals and d is the lcm of the denominators.
+        """
+        det, n = self._triangular_det, self.ambient
+        if det is not None:
+            adj = solve_rational(self.matrix(), [[det * x for x in row] for row in identity(n)])
+            g = gcd(det, *(v for row in adj for v in row))
+            signed = g if det > 0 else -g
+            return abs(det) // g, tuple(tuple(v // signed for v in row) for row in adj)
+        inv = solve_rational(self.matrix(), identity(n))
         d = lcm(*(v.denominator for row in inv for v in row))
         return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in inv)
 
@@ -154,8 +201,10 @@ def lattice_index(sub: LatticeBasis, sup: LatticeBasis) -> int:
     ValueError when sub is not contained in sup.
 
     X is (d sup^-1) sub / d with the scaled inverse kept on ``sup``, so
-    each call is one integer product, a divisibility test and a
-    determinant.
+    each call is one integer product and a divisibility test.  When both
+    bases are lower triangular, as every ``from_columns`` basis is,
+    det X = det sub / det sup is read off their diagonals; otherwise it
+    is a Bareiss determinant of X.
     """
     if sub.ambient != sup.ambient:
         raise ValueError("ambient dimensions differ")
@@ -163,7 +212,10 @@ def lattice_index(sub: LatticeBasis, sup: LatticeBasis) -> int:
     coords = mat_mul(inv, sub.matrix())
     if any(v % d for row in coords for v in row):
         raise ValueError("first lattice is not contained in the second")
-    idx = abs(det_int([[v // d for v in row] for row in coords]))
+    if sub._triangular_det is not None and sup._triangular_det is not None:
+        idx = abs(sub._triangular_det // sup._triangular_det)
+    else:
+        idx = abs(det_int([[v // d for v in row] for row in coords]))
     if idx == 0:
         raise ValueError("degenerate sublattice")
     return idx

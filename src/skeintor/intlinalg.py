@@ -3,8 +3,11 @@
 Hand-rolled Hermite and Smith normal forms with transformation
 matrices.  The largest matrices in this package are the Gram matrices
 of the coordinate span, 2r x 2r (20 x 20 at r = 10), which the center
-lattices factor once per datum; at these sizes the naive algorithms
-with Python integers are exact and fast enough.
+lattices factor once per datum with the naive algorithms in Python
+integers.  The lattice bases they build are in Hermite normal form,
+hence lower triangular, and ``solve_rational`` solves a triangular
+matrix by forward substitution in integers rather than by elimination
+over Fractions.
 """
 
 from __future__ import annotations
@@ -252,11 +255,18 @@ def det_int(mat: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def solve_rational(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    """Solve a X = b exactly over the rationals (a square and invertible)."""
+def solve_rational(a: Matrix, b: Matrix) -> list[list[int | Fraction]]:
+    """Solve a X = b exactly over the rationals (a square and invertible).
+
+    A lower triangular a is solved by forward substitution, whose
+    entries stay ints wherever the division is exact; any other a by
+    Gauss-Jordan elimination, whose entries are all Fractions.
+    """
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve_rational needs a square matrix and a right-hand side of its height")
+    if not any(any(row[i + 1 :]) for i, row in enumerate(a)):
+        return _forward_substitution(a, b)
     aug = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(n)]
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
@@ -270,3 +280,24 @@ def solve_rational(a: Matrix, b: Matrix) -> list[list[Fraction]]:
                 f = aug[i][col]
                 aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
+
+
+def _forward_substitution(a: Matrix, b: Matrix) -> list[list[int | Fraction]]:
+    """X with a X = b for a lower triangular a, one row of X at a time:
+    row i is (b_i - sum over k < i of a_ik X_k) / a_ii.  A division that
+    leaves no remainder gives ints, so an integral X (a right-hand side
+    of det(a) times the identity gives the adjugate) needs no Fraction."""
+    if not all(row[i] for i, row in enumerate(a)):
+        raise ValueError("singular matrix")
+    x: list[list[int | Fraction]] = []
+    for i, row in enumerate(a):
+        acc = list(b[i])
+        for k in range(i):
+            c = row[k]
+            if c:
+                acc = [u - c * v for u, v in zip(acc, x[k])]
+        p = row[i]
+        if p != 1:
+            acc = [v // p if isinstance(v, int) and not v % p else Fraction(v, p) for v in acc]
+        x.append(acc)
+    return x

@@ -6,6 +6,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from skeintor.arith import (
     LatticeBasis,
@@ -368,6 +370,197 @@ class TestCenterReference:
             lattice_index(singular, LatticeBasis(2, ((1, 0), (0, 1))))
         with pytest.raises(ValueError):
             lattice_index(LatticeBasis(2, ((1, 0), (0, 1))), singular)
+
+
+class TestCenterDefinition:
+    def test_kernel_membership_is_the_pairing_condition(self):
+        # the kernel lattice at the level of its definition: a span vector
+        # k lies in kernel_lattice(datum, N) exactly when Q~(k, b) = 0 mod N
+        # for every span basis column b.  Membership is an exact solve
+        # against the kernel basis; the coefficients of k are multiples of
+        # divisors of N, so that both answers come up often
+        rng = random.Random(9)
+        seen = {True: 0, False: 0}
+        for g, m in grid_surfaces(6):
+            datum = standard_datum(g, m)
+            span = lambda_hat(datum)
+            tq = tilde_q(q_matrix(datum))
+            B = span.matrix()
+            for n in range(1, 25):
+                ker = kernel_lattice(datum, n).matrix()
+                divisors = [d for d in range(1, n + 1) if n % d == 0]
+                for _ in range(12):
+                    c = [rng.choice(divisors) * rng.randint(-3, 3) for _ in range(span.ambient)]
+                    k = [sum(a * x for a, x in zip(row, c)) for row in B]
+                    member = all(v.denominator == 1 for (v,) in solve_rational(ker, [[x] for x in k]))
+                    pairs = all(tq.pairing(k, b) % n == 0 for b in span.columns)
+                    assert member == pairs, (g, m, n, k)
+                    seen[member] += 1
+        assert min(seen.values()) > 500, seen
+
+
+# ---------------------------------------------------------------------------
+# the shortcuts read off triangular bases, against the general path that
+# directly built non-triangular bases take (det_int, from_columns and the
+# Gauss-Jordan solve)
+
+_entries = st.integers(-9, 9)
+
+
+@st.composite
+def _square(draw, n: int, triangular: bool, diagonal=_entries.filter(bool)) -> list[list[int]]:
+    """Columns of an n x n matrix with entries in [-9, 9], lower
+    triangular (column j zero above row j) on request."""
+    cols = [[draw(_entries) for _ in range(n)] for _ in range(n)]
+    if triangular:
+        for j, col in enumerate(cols):
+            col[:j] = [0] * j
+            col[j] = draw(diagonal)
+    return cols
+
+
+def _times(a_cols, x_cols) -> list[list[int]]:
+    """Columns of A X, from the columns of A and of X."""
+    return [[sum(a[i] * c for a, c in zip(a_cols, x)) for i in range(len(a_cols))] for x in x_cols]
+
+
+@st.composite
+def _index_pairs(draw):
+    """(sub, sup) with sub = sup X for an integer X, each of sup and X
+    triangular or not, X possibly singular; sometimes one entry of sub
+    is moved, which may take it off the lattice."""
+    n = draw(st.integers(1, 5))
+    sup = draw(_square(n, draw(st.booleans())))
+    x = draw(_square(n, draw(st.booleans()), diagonal=_entries))
+    sub = _times(sup, x)
+    if draw(st.booleans()):
+        sub[-1][-1] += 1
+    return LatticeBasis(n, sub), LatticeBasis(n, sup)
+
+
+@st.composite
+def _triangular_bases(draw, min_dim: int = 1):
+    """A directly built lower triangular basis, rarely in Hermite form."""
+    n = draw(st.integers(min_dim, 5))
+    return LatticeBasis(n, draw(_square(n, True)))
+
+
+class TestTriangularShortcuts:
+    @given(_index_pairs())
+    @settings(max_examples=400, deadline=None)
+    @example((LatticeBasis(2, ((2, 1), (0, 0))), LatticeBasis(2, ((1, 0), (0, 1)))))
+    @example((LatticeBasis(2, ((-2, 0), (0, 3))), LatticeBasis(2, ((1, 0), (0, -1)))))
+    @example((LatticeBasis(2, ((4, 0), (0, 4))), LatticeBasis(2, ((2, 1), (0, 2)))))
+    def test_index_against_reference(self, pair):
+        sub, sup = pair
+        try:
+            want = _reference_index(sub, sup)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match="singular" if "singular" in str(exc) else "not contained"):
+                lattice_index(sub, sup)
+            return
+        if want == 0:
+            with pytest.raises(ValueError, match="degenerate sublattice"):
+                lattice_index(sub, sup)
+        else:
+            assert lattice_index(sub, sup) == want
+
+    def test_index_edge_cases(self):
+        whole = LatticeBasis(2, ((1, 0), (0, 1)))
+        # a zero on the diagonal of a contained triangular basis
+        flat = LatticeBasis(2, ((2, 1), (0, 0)))
+        assert flat._triangular_det == 0
+        with pytest.raises(ValueError, match="degenerate sublattice"):
+            lattice_index(flat, whole)
+        # a singular larger lattice, triangular or not
+        for singular in (flat, LatticeBasis(2, ((0, 0), (1, 1))), LatticeBasis(2, ((1, 2), (2, 4)))):
+            with pytest.raises(ValueError, match="singular"):
+                lattice_index(whole, singular)
+        # negative diagonals: the index is |det X|
+        neg = LatticeBasis(2, ((-2, 0), (0, 3)))
+        flip = LatticeBasis(2, ((1, 0), (0, -1)))
+        assert neg._triangular_det == -6 and flip._triangular_det == -1
+        assert lattice_index(neg, flip) == lattice_index(neg, whole) == _reference_index(neg, flip) == 6
+        assert lattice_index(whole, flip) == lattice_index(flip, whole) == 1
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_scaled_against_from_columns(self, data):
+        triangular = data.draw(_triangular_bases())
+        n = triangular.ambient
+        hermite = LatticeBasis.from_columns(n, triangular.columns)
+        assert hermite._hermite
+        for basis in (hermite, triangular):
+            for k in (*range(-9, 0), *range(1, 10)):
+                want = LatticeBasis.from_columns(n, [[k * x for x in col] for col in basis.columns])
+                assert basis.scaled(k) == want
+
+    def test_scaled_examples(self):
+        cases = {
+            ((2, 1), (0, 2)): True,
+            ((1, 0, 0), (0, 3, 2), (0, 0, 5)): True,
+            ((1, 5), (0, 2)): False,  # 5 left of the pivot 2
+            ((2, 2), (0, 2)): False,  # equal to the pivot
+            ((2, -1), (0, 2)): False,  # negative
+            ((-1, 0), (0, 1)): False,  # negative pivot
+            ((1, 1), (1, 2)): False,  # not triangular
+        }
+        for cols, hermite in cases.items():
+            basis = LatticeBasis(len(cols), cols)
+            assert basis._hermite == hermite
+            for k in (-9, -2, -1, 1, 3, 9):
+                want = LatticeBasis.from_columns(basis.ambient, [[k * x for x in c] for c in cols])
+                assert basis.scaled(k) == want
+
+    def test_scaled_hermite_needs_no_normal_form(self, monkeypatch):
+        import skeintor.arith as arith
+
+        span = lambda_hat(standard_datum(1, 3))
+        calls = []
+        real = arith.hnf_columns
+        monkeypatch.setattr(arith, "hnf_columns", lambda cols: calls.append(1) or real(cols))
+        scaled = span.scaled(-6)
+        assert not calls
+        assert scaled == LatticeBasis.from_columns(span.ambient, [[6 * x for x in c] for c in span.columns])
+        assert calls == [1]
+
+    @given(_triangular_bases(min_dim=2), st.booleans())
+    @settings(max_examples=300, deadline=None)
+    @example(LatticeBasis(2, ((2, 0), (0, 2))), False)
+    def test_inverse_against_fraction_solve(self, basis, normalize):
+        # reversing the columns gives the same lattice through a basis that
+        # is not triangular, whose inverse is the Gauss-Jordan one with its
+        # rows reversed
+        if normalize:
+            basis = LatticeBasis.from_columns(basis.ambient, basis.columns)
+        loose = LatticeBasis(basis.ambient, basis.columns[::-1])
+        assert basis._triangular_det is not None and loose._triangular_det is None
+        d, inv = basis._scaled_inverse
+        assert (d, inv[::-1]) == loose._scaled_inverse
+        n = basis.ambient
+        assert mat_mul([list(r) for r in inv], basis.matrix()) == [[d * (i == j) for j in range(n)] for i in range(n)]
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_forward_substitution(self, data):
+        n = data.draw(st.integers(1, 5))
+        a = transpose(data.draw(_square(n, True)))
+        m = data.draw(st.integers(1, 3))
+        b = [[data.draw(_entries) for _ in range(m)] for _ in range(n)]
+        x = solve_rational(a, b)
+        assert [[sum(a[i][k] * x[k][j] for k in range(n)) for j in range(len(b[0]))] for i in range(n)] == b
+        # the same system through columns in reverse order, which is not
+        # triangular, solved by Gauss-Jordan
+        if n > 1:
+            assert solve_rational([row[::-1] for row in a], b) == x[::-1]
+        # a right-hand side of det(a) times the identity gives the
+        # adjugate, in ints
+        det = det_int(a)
+        adj = solve_rational(a, [[det * (i == j) for j in range(n)] for i in range(n)])
+        assert all(type(v) is int for row in adj for v in row)
+        a[-1][-1] = 0
+        with pytest.raises(ValueError, match="singular"):
+            solve_rational(a, b)
 
 
 class TestCachedLatticeData:
