@@ -115,11 +115,9 @@ class LatticeBasis:
 
     Each instance keeps, on first use, what is read off its columns:
     whether its matrix M is lower triangular, and then det M (the
-    product of the diagonal); whether it is already in Hermite normal
-    form; and the scaled inverse of M for ``lattice_index``.  Every
-    ``from_columns`` basis is in Hermite form, so ``scaled`` multiplies
-    its columns instead of computing a normal form again; a basis built
-    directly that is not in Hermite form is normalized as before.
+    product of the diagonal); and the scaled inverse of M for
+    ``lattice_index``.  Every ``from_columns`` basis is in Hermite form,
+    hence lower triangular.
     """
 
     ambient: int
@@ -133,7 +131,7 @@ class LatticeBasis:
 
     @staticmethod
     def from_columns(ambient: int, columns) -> "LatticeBasis":
-        cols = hnf_columns([list(c) for c in columns])
+        cols = hnf_columns(columns)
         if len(cols) != ambient:
             raise ValueError("columns do not span a full-rank sublattice")
         return LatticeBasis(ambient, cols)
@@ -143,16 +141,12 @@ class LatticeBasis:
         return [list(row) for row in zip(*self.columns)]
 
     def scaled(self, k: int) -> "LatticeBasis":
-        """The lattice k L.  |k| times a basis in Hermite form is again
-        lower triangular with a positive diagonal and each entry left of
-        a pivot in [0, pivot): the normal form of k L, taken as it is."""
+        """The lattice k L in Hermite form.  The scaled columns are made
+        as ``hnf_columns`` copies its input; on a basis in Hermite form
+        they are already reduced, so the normal form eliminates nothing."""
         if k == 0:
             raise ValueError("scaling by zero collapses the lattice")
-        k = abs(k)
-        cols = [[k * x for x in col] for col in self.columns]
-        if self._hermite:
-            return LatticeBasis(self.ambient, cols)
-        return LatticeBasis.from_columns(self.ambient, cols)
+        return LatticeBasis.from_columns(self.ambient, ([k * x for x in col] for col in self.columns))
 
     @cached_property
     def _triangular_det(self) -> int | None:
@@ -164,34 +158,10 @@ class LatticeBasis:
         return prod(col[j] for j, col in enumerate(cols))
 
     @cached_property
-    def _hermite(self) -> bool:
-        """Whether the columns are the Hermite normal form that
-        ``from_columns`` stores: lower triangular, a positive diagonal,
-        and the entries left of each pivot in [0, pivot)."""
-        cols = self.columns
-        return self._triangular_det is not None and all(
-            cols[i][i] > 0 and all(0 <= cols[k][i] < cols[i][i] for k in range(i))
-            for i in range(self.ambient)
-        )
-
-    @cached_property
     def _scaled_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
         """``(d, d * M^-1)`` for the basis matrix M, d the least common
-        denominator of M^-1: one solve per instance.
-
-        For a lower triangular M with determinant D, D M^-1 is the
-        adjugate, an integer matrix that ``solve_rational`` finds by
-        forward substitution without a Fraction; then d = |D| / g for g
-        the gcd of D and the adjugate's entries.  Any other M is inverted
-        over the rationals and d is the lcm of the denominators.
-        """
-        det, n = self._triangular_det, self.ambient
-        if det is not None:
-            adj = solve_rational(self.matrix(), [[det * x for x in row] for row in identity(n)])
-            g = gcd(det, *(v for row in adj for v in row))
-            signed = g if det > 0 else -g
-            return abs(det) // g, tuple(tuple(v // signed for v in row) for row in adj)
-        inv = solve_rational(self.matrix(), identity(n))
+        denominator of M^-1: one rational solve per instance."""
+        inv = solve_rational(self.matrix(), identity(self.ambient))
         d = lcm(*(v.denominator for row in inv for v in row))
         return d, tuple(tuple(v.numerator * (d // v.denominator) for v in row) for row in inv)
 

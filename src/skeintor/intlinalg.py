@@ -1,13 +1,13 @@
 """Small exact integer matrix utilities.
 
 Hand-rolled Hermite and Smith normal forms with transformation
-matrices.  The largest matrices in this package are the Gram matrices
-of the coordinate span, 2r x 2r (20 x 20 at r = 10), which the center
-lattices factor once per datum with the naive algorithms in Python
-integers.  The lattice bases they build are in Hermite normal form,
-hence lower triangular, and ``solve_rational`` solves a triangular
-matrix by forward substitution in integers rather than by elimination
-over Fractions.
+matrices, by the naive algorithms in Python integers.  The largest
+matrices in this package are the Gram matrices of the coordinate span,
+2r x 2r (20 x 20 at r = 10), whose Smith form the center lattices take
+once per datum.  What each center lattice costs after that is one
+Hermite normal form: the form is lower triangular, so callers read a
+determinant off its diagonal instead of eliminating again (see
+``arith.lattice_index``).
 """
 
 from __future__ import annotations
@@ -43,18 +43,21 @@ def transpose(a: Matrix) -> Matrix:
     return [list(row) for row in zip(*a)] if a else []
 
 
-def hnf_columns(columns: list[list[int]]) -> list[list[int]]:
+def hnf_columns(columns) -> list[list[int]]:
     """Canonical column Hermite normal form of the spanned lattice.
 
-    Input and output are lists of column vectors.  The output basis is
-    in column echelon form with positive pivots and the entries to the
-    left of each pivot reduced into [0, pivot); it depends only on the
-    spanned lattice, so it serves as the canonical representative.
+    The input is any iterable of column vectors, each copied once; the
+    output is a list of column vectors.  The output basis is in column
+    echelon form with positive pivots and the entries to the left of
+    each pivot reduced into [0, pivot); it depends only on the spanned
+    lattice, so it serves as the canonical representative.  Input that
+    is already in this form comes back unchanged after one pass over the
+    rows, with no elimination step.
     """
-    if not columns:
-        return []
-    rows = len(columns[0])
     cols = [list(c) for c in columns]
+    if not cols:
+        return []
+    rows = len(cols[0])
     piv = 0
     for i in range(rows):
         while True:
@@ -255,18 +258,11 @@ def det_int(mat: Matrix) -> int:
     return sign * m[n - 1][n - 1]
 
 
-def solve_rational(a: Matrix, b: Matrix) -> list[list[int | Fraction]]:
-    """Solve a X = b exactly over the rationals (a square and invertible).
-
-    A lower triangular a is solved by forward substitution, whose
-    entries stay ints wherever the division is exact; any other a by
-    Gauss-Jordan elimination, whose entries are all Fractions.
-    """
+def solve_rational(a: Matrix, b: Matrix) -> list[list[Fraction]]:
+    """Solve a X = b exactly over the rationals (a square and invertible)."""
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve_rational needs a square matrix and a right-hand side of its height")
-    if not any(any(row[i + 1 :]) for i, row in enumerate(a)):
-        return _forward_substitution(a, b)
     aug = [[Fraction(x) for x in a[i]] + [Fraction(x) for x in b[i]] for i in range(n)]
     for col in range(n):
         piv = next((i for i in range(col, n) if aug[i][col]), None)
@@ -280,24 +276,3 @@ def solve_rational(a: Matrix, b: Matrix) -> list[list[int | Fraction]]:
                 f = aug[i][col]
                 aug[i] = [v - f * w for v, w in zip(aug[i], aug[col])]
     return [row[n:] for row in aug]
-
-
-def _forward_substitution(a: Matrix, b: Matrix) -> list[list[int | Fraction]]:
-    """X with a X = b for a lower triangular a, one row of X at a time:
-    row i is (b_i - sum over k < i of a_ik X_k) / a_ii.  A division that
-    leaves no remainder gives ints, so an integral X (a right-hand side
-    of det(a) times the identity gives the adjugate) needs no Fraction."""
-    if not all(row[i] for i, row in enumerate(a)):
-        raise ValueError("singular matrix")
-    x: list[list[int | Fraction]] = []
-    for i, row in enumerate(a):
-        acc = list(b[i])
-        for k in range(i):
-            c = row[k]
-            if c:
-                acc = [u - c * v for u, v in zip(acc, x[k])]
-        p = row[i]
-        if p != 1:
-            acc = [v // p if isinstance(v, int) and not v % p else Fraction(v, p) for v in acc]
-        x.append(acc)
-    return x

@@ -138,13 +138,7 @@ class GroundElem:
         return GroundElem(self.ring, {k[:-1] + (-k[-1],): c for k, c in self.terms.items()})
 
     def shift_q(self, half_steps: int) -> "GroundElem":
-        """Multiply by q^{half_steps/2}.  A shift keeps every coefficient
-        and sends distinct keys to distinct keys, so the shifted terms go
-        straight into the read-only dict, without ``__init__``'s zero scan."""
-        out = object.__new__(GroundElem)
-        _set_ring(out, self.ring)
-        _set_terms(out, _ReadOnlyTerms({k[:-1] + (k[-1] + half_steps,): c for k, c in self.terms.items()}))
-        return out
+        return GroundElem(self.ring, {k[:-1] + (k[-1] + half_steps,): c for k, c in self.terms.items()})
 
     def __repr__(self):
         return f"GroundElem({self.terms!r})"

@@ -400,9 +400,9 @@ class TestCenterDefinition:
 
 
 # ---------------------------------------------------------------------------
-# the shortcuts read off triangular bases, against the general path that
-# directly built non-triangular bases take (det_int, from_columns and the
-# Gauss-Jordan solve)
+# the index read off triangular bases, against the Bareiss determinant
+# that directly built non-triangular bases take; scaling, against a normal
+# form taken afresh
 
 _entries = st.integers(-9, 9)
 
@@ -439,13 +439,13 @@ def _index_pairs(draw):
 
 
 @st.composite
-def _triangular_bases(draw, min_dim: int = 1):
+def _triangular_bases(draw):
     """A directly built lower triangular basis, rarely in Hermite form."""
-    n = draw(st.integers(min_dim, 5))
+    n = draw(st.integers(1, 5))
     return LatticeBasis(n, draw(_square(n, True)))
 
 
-class TestTriangularShortcuts:
+class TestTriangularBases:
     @given(_index_pairs())
     @settings(max_examples=400, deadline=None)
     @example((LatticeBasis(2, ((2, 1), (0, 0))), LatticeBasis(2, ((1, 0), (0, 1)))))
@@ -489,78 +489,31 @@ class TestTriangularShortcuts:
         triangular = data.draw(_triangular_bases())
         n = triangular.ambient
         hermite = LatticeBasis.from_columns(n, triangular.columns)
-        assert hermite._hermite
-        for basis in (hermite, triangular):
-            for k in (*range(-9, 0), *range(1, 10)):
+        for k in (*range(-9, 0), *range(1, 10)):
+            for basis in (hermite, triangular):
                 want = LatticeBasis.from_columns(n, [[k * x for x in col] for col in basis.columns])
                 assert basis.scaled(k) == want
+            # |k| times a Hermite basis is the Hermite form of k L
+            assert hermite.scaled(k).columns == tuple(tuple(abs(k) * x for x in c) for c in hermite.columns)
 
     def test_scaled_examples(self):
-        cases = {
-            ((2, 1), (0, 2)): True,
-            ((1, 0, 0), (0, 3, 2), (0, 0, 5)): True,
-            ((1, 5), (0, 2)): False,  # 5 left of the pivot 2
-            ((2, 2), (0, 2)): False,  # equal to the pivot
-            ((2, -1), (0, 2)): False,  # negative
-            ((-1, 0), (0, 1)): False,  # negative pivot
-            ((1, 1), (1, 2)): False,  # not triangular
-        }
-        for cols, hermite in cases.items():
+        cases = (
+            ((2, 1), (0, 2)),
+            ((1, 0, 0), (0, 3, 2), (0, 0, 5)),
+            ((1, 5), (0, 2)),  # 5 left of the pivot 2
+            ((2, 2), (0, 2)),  # equal to the pivot
+            ((2, -1), (0, 2)),  # negative
+            ((-1, 0), (0, 1)),  # negative pivot
+            ((1, 1), (1, 2)),  # not triangular
+        )
+        for cols in cases:
             basis = LatticeBasis(len(cols), cols)
-            assert basis._hermite == hermite
+            hermite = LatticeBasis.from_columns(basis.ambient, cols)
+            assert (hermite == basis) == (cols in cases[:2])
             for k in (-9, -2, -1, 1, 3, 9):
                 want = LatticeBasis.from_columns(basis.ambient, [[k * x for x in c] for c in cols])
-                assert basis.scaled(k) == want
-
-    def test_scaled_hermite_needs_no_normal_form(self, monkeypatch):
-        import skeintor.arith as arith
-
-        span = lambda_hat(standard_datum(1, 3))
-        calls = []
-        real = arith.hnf_columns
-        monkeypatch.setattr(arith, "hnf_columns", lambda cols: calls.append(1) or real(cols))
-        scaled = span.scaled(-6)
-        assert not calls
-        assert scaled == LatticeBasis.from_columns(span.ambient, [[6 * x for x in c] for c in span.columns])
-        assert calls == [1]
-
-    @given(_triangular_bases(min_dim=2), st.booleans())
-    @settings(max_examples=300, deadline=None)
-    @example(LatticeBasis(2, ((2, 0), (0, 2))), False)
-    def test_inverse_against_fraction_solve(self, basis, normalize):
-        # reversing the columns gives the same lattice through a basis that
-        # is not triangular, whose inverse is the Gauss-Jordan one with its
-        # rows reversed
-        if normalize:
-            basis = LatticeBasis.from_columns(basis.ambient, basis.columns)
-        loose = LatticeBasis(basis.ambient, basis.columns[::-1])
-        assert basis._triangular_det is not None and loose._triangular_det is None
-        d, inv = basis._scaled_inverse
-        assert (d, inv[::-1]) == loose._scaled_inverse
-        n = basis.ambient
-        assert mat_mul([list(r) for r in inv], basis.matrix()) == [[d * (i == j) for j in range(n)] for i in range(n)]
-
-    @given(st.data())
-    @settings(max_examples=200, deadline=None)
-    def test_forward_substitution(self, data):
-        n = data.draw(st.integers(1, 5))
-        a = transpose(data.draw(_square(n, True)))
-        m = data.draw(st.integers(1, 3))
-        b = [[data.draw(_entries) for _ in range(m)] for _ in range(n)]
-        x = solve_rational(a, b)
-        assert [[sum(a[i][k] * x[k][j] for k in range(n)) for j in range(len(b[0]))] for i in range(n)] == b
-        # the same system through columns in reverse order, which is not
-        # triangular, solved by Gauss-Jordan
-        if n > 1:
-            assert solve_rational([row[::-1] for row in a], b) == x[::-1]
-        # a right-hand side of det(a) times the identity gives the
-        # adjugate, in ints
-        det = det_int(a)
-        adj = solve_rational(a, [[det * (i == j) for j in range(n)] for i in range(n)])
-        assert all(type(v) is int for row in adj for v in row)
-        a[-1][-1] = 0
-        with pytest.raises(ValueError, match="singular"):
-            solve_rational(a, b)
+                assert basis.scaled(k) == hermite.scaled(k) == want
+                assert want.columns == tuple(tuple(abs(k) * x for x in c) for c in hermite.columns)
 
 
 class TestCachedLatticeData:
