@@ -287,13 +287,6 @@ def check_product_top(
             rows[-1][0] -= 1
             qt = AntisymMatrix(tuple(tuple(r) for r in rows))
         order_key = lambda k: d_embed(datum, k)
-        cache: dict[tuple, object] = {}
-
-        def phi_cached(c):
-            if c not in cache:
-                cache[c] = phi_value(datum, c)
-            return cache[c]
-
         table = _global_table(datum, 3, 3)
         for _ in range(pairs):
             k = _sample_global(rng, datum, table)
@@ -306,7 +299,7 @@ def check_product_top(
                     {"surface": (g, m), "pair": (k, l), "pairing": p,
                      "reason": "odd pairing"},
                 )
-            prod = elem_mul(phi_cached(k), phi_cached(l))
+            prod = elem_mul(phi_value(datum, k), phi_value(datum, l))
             leads = lead_term(prod, order_key)
             total = tuple(a + b for a, b in zip(k, l))
             want_coeff = torus.ring.q_half(p)

@@ -31,6 +31,9 @@ from .ring import GroundElem, GroundRing
 
 _EXCLUDED = {(1, 0), (1, 1)}
 
+# Entries a dict kept on a datum holds at most, as the module caches.
+_KEPT_MAX = 65536
+
 
 def surface_excluded(g: int, m: int) -> bool:
     return g < 0 or m < 0 or (g, m) in _EXCLUDED or (g == 0 and m <= 3)
@@ -163,6 +166,16 @@ class DTDatum:
     @cached_property
     def _torus(self) -> QuantumTorus:
         return QuantumTorus(tilde_q(q_matrix(self)), GroundRing(self._tables.symbols))
+
+    # the glued core traces behind phi_value, and the twist vectors and
+    # coefficients they share; plain dicts, which hold nothing of the datum
+    @cached_property
+    def _cores(self) -> dict[Coord, tuple]:
+        return {}
+
+    @cached_property
+    def _core_parts(self) -> dict:
+        return {}
 
     def to_dict(self) -> dict:
         return {
@@ -477,22 +490,21 @@ def _inject_coeff(
     return out
 
 
-def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> TorusElement:
-    """Glue the per-face traces and project onto the surface torus.
+def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
+    """The glued trace of ``coord`` by twist exponent: for each, its
+    integer coefficients accumulated under their coefficient keys.
 
     Per-face values are matched (their boundary degrees equal the global
     lengths), so every tensor monomial projects: the u-exponents of the
     two sides of each curve add up to the global twist exponent, and the
-    paired x-degrees become the length exponent.  Coefficients
-    accumulate as integers under their coefficient keys, as in
+    paired x-degrees become the length exponent, which is the lengths of
+    ``coord`` on every term.  Coefficients accumulate as integers, as in
     ``elem_mul``.
     """
-    splits = face_split(datum, coord, secondary=secondary_split)
+    splits = face_split(datum, coord, secondary=secondary)
     r = datum.r
-    n, _ = split_nt(r, coord)
     tb = datum._tables
-    torus = surface_torus(datum)
-    nsym = torus.ring.nsym
+    nsym = surface_torus(datum).ring.nsym
 
     acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(0,) * r: {(0,) * (nsym + 1): 1}}
     for v, (j, face_coord) in enumerate(splits):
@@ -519,7 +531,60 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
                         kc = tuple(map(add, ka, kb))
                         bucket[kc] = bucket.get(kc, 0) + ca * cb
         acc = new
-    return torus.from_flat({n + tvec: c for tvec, c in acc.items()})
+    return acc
+
+
+def _keep(kept: dict, key, value):
+    """Store ``value`` under ``key`` in a dict kept on a datum, evicting
+    the oldest entry at ``_KEPT_MAX`` entries; returns ``value``."""
+    if len(kept) >= _KEPT_MAX:
+        del kept[next(iter(kept))]
+    kept[key] = value
+    return value
+
+
+def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> TorusElement:
+    """Glue the per-face traces and project onto the surface torus.
+
+    The datum keeps the glued trace of each core: the lengths together
+    with the twists at the curves of length 0, the twists at the other
+    curves set to 0.  A core is always in the monoid, since a curve the
+    multicurve meets has no twist bound.  Every other coordinate is its
+    core translated by its twists at the curves it meets, and that is
+    exact: ``face_split`` puts such a twist on the primary face, where
+    ``utr_coord`` applies it as a translation of the face's u-exponents,
+    and gluing adds the faces' u-exponents, so the glued value moves by
+    the same vector.  A core is kept as a flat tuple of twist vectors
+    and coefficients, each shared among the cores of the datum, since
+    the cores repeat few distinct ones; its lengths are the key's.
+
+    Membership is tested on every call.  ``secondary_split`` glues the
+    opposite twist placement from scratch and keeps nothing: it is the
+    placement-independence reference.
+    """
+    r = datum.r
+    torus = surface_torus(datum)
+    n, t = split_nt(r, coord)
+    if secondary_split:
+        return torus.from_flat({n + tvec: c for tvec, c in _glue(datum, coord, True).items()})
+    ok, why = lambda_membership(datum, coord)
+    if not ok:
+        raise ValueError(f"coordinate not in the monoid: {why}")
+    shift = tuple(y if x else 0 for x, y in zip(n, t))
+    core = n + tuple(0 if x else y for x, y in zip(n, t))
+    kept = datum._cores.get(core)
+    if kept is None:
+        shared = datum._core_parts
+        parts = []
+        for tvec, acc in _glue(datum, core, False).items():
+            c = GroundElem(torus.ring, acc)
+            if c.terms:
+                parts += (shared.get(x) or _keep(shared, x, x) for x in (tvec, c))
+        kept = _keep(datum._cores, core, tuple(parts))
+    pairs = iter(kept)  # (twist vector, coefficient) in turn
+    if any(shift):
+        return TorusElement(torus, {n + tuple(map(add, tvec, shift)): c for tvec, c in zip(pairs, pairs)})
+    return TorusElement(torus, {n + tvec: c for tvec, c in zip(pairs, pairs)})
 
 
 def phi_lead(datum: DTDatum, coord: Coord) -> tuple[Coord, TorusElement]:

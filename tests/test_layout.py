@@ -1,7 +1,8 @@
 """Every definition in the package has a caller outside the tests,
 every entry point the traced benchmark wraps exists under its name,
 each sampler of the check suites tests its draws for membership, and
-the README names every module-level cache with its size.
+the README names every module-level cache with its size and every
+datum-kept value.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -13,9 +14,11 @@ access only, so a local variable of the same name does not count.
 
 import ast
 import importlib.util
+from functools import cached_property
 from pathlib import Path
 
 from skeintor import qtrace
+from skeintor.surface import DTDatum
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "skeintor"
@@ -132,12 +135,17 @@ def test_traced_battery_needs_the_accept_ratio():
     assert tracing.coverage_problems("battery", summary) == ["checks.sampler_accept_ratio is 0"]
 
 
+def _paragraph(readme: str, opening: str) -> str:
+    return readme[readme.index(opening) :].split("\n\n", 1)[0]
+
+
 def test_every_module_cache_is_in_the_readme():
     # the README's cache paragraph names each module-level lru_cache with
-    # its size, so a new cache or a resized one must be documented
+    # its size, and its paragraph on data kept on a datum names each
+    # cached_property of DTDatum, so a new cache, a resized one or a new
+    # kept value must be documented
     readme = (ROOT / "README.md").read_text()
-    start = readme.index("The module-level caches")
-    paragraph = readme[start : readme.index("\n\n", start)]
+    paragraph = _paragraph(readme, "The module-level caches")
     caches = []
     for path in sorted(PACKAGE.glob("[!_]*.py")):
         module = importlib.import_module(f"skeintor.{path.stem}")
@@ -147,3 +155,8 @@ def test_every_module_cache_is_in_the_readme():
     assert "`qtrace._component_product` (`maxsize=1`)" in caches
     missing = [c for c in caches if c not in paragraph]
     assert not missing, f"not in the README's cache paragraph: {missing}"
+    kept = [f"`DTDatum.{name}`" for name, value in vars(DTDatum).items() if isinstance(value, cached_property)]
+    assert "`DTDatum._cores`" in kept
+    paragraph = _paragraph(readme, "Data derived from a datum")
+    missing = [k for k in kept if k not in paragraph]
+    assert not missing, f"not in the README's paragraph on data kept on a datum: {missing}"

@@ -6,7 +6,9 @@ import weakref
 
 import pytest
 
-from skeintor.qtorus import elem_mul, lead_term
+from skeintor import surface
+from skeintor.qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term
+from skeintor.qtrace import _commutation_matrix, trace_torus, utr_coord_straight
 from skeintor.surface import (
     DTDatum,
     FatGraph,
@@ -293,23 +295,27 @@ class TestPhi:
         assert val == want
 
     def test_returned_value_is_read_only(self):
-        before = phi_value(d05, (2, 2, 1, 1))
-        v = phi_value(d05, (2, 2, 1, 1))
-        k = next(iter(v.terms))
-        with pytest.raises(AttributeError):
-            v.terms.clear()
-        with pytest.raises(TypeError):
-            v.terms[k] = v.torus.ring.one()
-        c = v.terms[k]
-        with pytest.raises(TypeError):
-            c.terms[next(iter(c.terms))] = 5
-        with pytest.raises(AttributeError):
-            v.terms = {}
-        with pytest.raises(AttributeError):
-            v.torus = None
-        with pytest.raises(AttributeError):
-            c.terms = {}
-        assert phi_value(d05, (2, 2, 1, 1)) == before
+        # (2, 2, -3, 2) translates the core of (2, 2, 1, 1), whose
+        # coefficient objects both values hold
+        coords = [(2, 2, 1, 1), (2, 2, -3, 2)]
+        before = [phi_value(d05, c) for c in coords]
+        for v in [phi_value(d05, c) for c in coords]:
+            k = next(iter(v.terms))
+            with pytest.raises(AttributeError):
+                v.terms.clear()
+            with pytest.raises(TypeError):
+                v.terms[k] = v.torus.ring.one()
+            c = v.terms[k]
+            with pytest.raises(TypeError):
+                c.terms[next(iter(c.terms))] = 5
+            with pytest.raises(AttributeError):
+                v.terms = {}
+            with pytest.raises(AttributeError):
+                v.torus = None
+            with pytest.raises(AttributeError):
+                c.terms = {}
+        assert [phi_value(d05, c) for c in coords] == before
+        assert before == [unkept_glue(d05, c) for c in coords]
 
     def test_loop_value(self):
         lead, val = phi_lead(d04, (0, 1))
@@ -362,6 +368,149 @@ class TestPhi:
                 leads = lead_term(phi_value(datum, coord), lambda k: d_embed(datum, k))
                 assert len(leads) == 1
                 assert leads[0][1] == torus.ring.one()
+
+
+def unkept_glue(datum, coord):
+    """The glued trace of ``coord`` at the same twist placement as
+    ``phi_value``, computed from its faces with nothing kept."""
+    n = coord[: datum.r]
+    return surface_torus(datum).from_flat({n + t: c for t, c in surface._glue(datum, coord, False).items()})
+
+
+class TestKeptCores:
+    """phi_value keeps one glued trace per core on the datum and translates
+    it by the twists at the curves the coordinate meets; the reference is
+    the same gluing with nothing kept."""
+
+    @pytest.mark.parametrize("gm", [(0, 4), (0, 5), (1, 2), (2, 0)])
+    def test_box_matches_the_unkept_glue(self, gm):
+        # every member of the box, so every core is met cold, then warm
+        # with each of its translations in the box
+        datum = standard_datum(*gm)
+        coords = list(box(datum, 3, 3))
+        for c in coords:
+            assert phi_value(datum, c) == unkept_glue(datum, c), c
+        assert len(datum._cores) < len(coords)
+
+    @pytest.mark.parametrize("gm", [(0, 7), (1, 4)])
+    def test_punctured_sample_matches_the_unkept_glue(self, gm):
+        datum = standard_datum(*gm)
+        rng = random.Random(sum(gm))
+        hits = 0
+        r = datum.r
+        for _ in range(60):
+            coord = sample_member(rng, datum, nmax=2, tmax=2)
+            # three more coordinates with its core: the twists at the
+            # curves of positive length redrawn
+            n, t = coord[:r], coord[r:]
+            twins = [n + tuple(rng.randint(-2, 2) if x else y for x, y in zip(n, t)) for _ in range(3)]
+            for c in [coord, *twins]:
+                kept = len(datum._cores)
+                assert phi_value(datum, c) == unkept_glue(datum, c), c
+                hits += len(datum._cores) == kept
+        # so most calls translate a kept core
+        assert hits >= 3 * 60
+
+    def test_membership_is_tested_on_a_warm_core(self, monkeypatch):
+        datum = standard_datum(0, 5)
+        coord = (2, 2, 1, 1)
+        value = phi_value(datum, coord)
+        with pytest.raises(ValueError, match="not in the monoid"):
+            phi_value(datum, (2, 1, 1, 1))
+        with pytest.raises(ValueError):
+            phi_value(datum, (2, 2, 1))
+        # the test goes through the module attribute on every call, hit
+        # or miss, so it rejects a coordinate whose core is kept
+        monkeypatch.setattr(surface, "lambda_membership", lambda d, c: (False, "rejected"))
+        with pytest.raises(ValueError, match="rejected"):
+            phi_value(datum, coord)
+        monkeypatch.undo()
+        assert phi_value(datum, coord) == value
+
+    def test_non_members_keep_nothing(self):
+        datum = standard_datum(0, 4)
+        phi_value(datum, (0, 0))
+        for bad in ((0, -1), (1, 0), (-2, 0)):
+            with pytest.raises(ValueError):
+                phi_value(datum, bad)
+        assert list(datum._cores) == [(0, 0)]
+
+    def test_bounded_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(surface, "_KEPT_MAX", 3)
+        datum = standard_datum(0, 4)
+        coords = [(2 * k, 0) for k in range(6)]
+        for c in coords:
+            assert phi_value(datum, c) == unkept_glue(datum, c)
+            assert len(datum._cores) <= 3 and len(datum._core_parts) <= 3
+        assert list(datum._cores) == coords[-3:]
+        # an evicted core is glued again, to the same value
+        assert phi_value(datum, (0, 0)) == unkept_glue(datum, (0, 0))
+
+    def test_dropped_datum_goes_without_a_collection(self):
+        # the kept dicts hold nothing of the datum, so no cycle keeps it
+        gc.disable()
+        try:
+            datum = standard_datum(0, 5)
+            phi_value(datum, (2, 2, 1, 1))
+            phi_value(datum, (2, 2, 0, 1))
+            ref = weakref.ref(datum)
+            del datum
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def oracle_glue(datum, coord):
+    """An independent glued trace: lift each face's reference trace
+    (``utr_coord_straight``) into the tensor-product torus of the faces,
+    multiply the lifts there, then project each monomial onto the surface
+    torus by adding the u-exponents of the two sides of every curve."""
+    r = datum.r
+    torus = surface_torus(datum)
+    splits = face_split(datum, coord)
+    offsets = list(itertools.accumulate((2 * j for j, _ in splits), initial=0))
+    rows = [[0] * offsets[-1] for _ in range(offsets[-1])]
+    for (j, _), off in zip(splits, offsets):
+        for a, row in enumerate(_commutation_matrix(j).rows):
+            rows[off + a][off : off + 2 * j] = row
+    tensor = QuantumTorus(AntisymMatrix(tuple(map(tuple, rows))), torus.ring)
+    # the surface's puncture symbols follow the sorted leg ids, and a
+    # face's i-th symbol is the puncture of its i-th leg
+    legs = sorted(datum.graph.legs)
+    curves = [[datum.graph.he_curve[h] for h in datum.slots[v][:j]] for v, (j, _) in enumerate(splits)]
+    product = tensor.one()
+    for v, ((j, face_coord), off) in enumerate(zip(splits, offsets)):
+        positions = [legs.index(h) for h in datum.slots[v][j:]]
+        lifted = tensor.zero()
+        for k, c in utr_coord_straight(trace_torus(j), face_coord).terms.items():
+            coeff = tensor.ring.zero()
+            for key, a in c.terms.items():
+                exps = [0] * len(legs)
+                for pos, e in zip(positions, key[:-1]):
+                    exps[pos] += e
+                coeff = coeff + tensor.ring.monomial(tuple(exps), key[-1], a)
+            exponent = [0] * offsets[-1]
+            exponent[off : off + 2 * j] = k
+            lifted = lifted + tensor.monomial(exponent, coeff)
+        product = elem_mul(product, lifted)
+    out = torus.zero()
+    for k, c in product.terms.items():
+        lengths, twists = [None] * r, [0] * r
+        for v, ((j, _), off) in enumerate(zip(splits, offsets)):
+            for s, curve in enumerate(curves[v]):
+                assert lengths[curve] in (None, k[off + s])
+                lengths[curve] = k[off + s]
+                twists[curve] += k[off + j + s]
+        out = out + torus.monomial(tuple(lengths) + tuple(twists), c)
+    return out
+
+
+class TestGlueOracle:
+    @pytest.mark.parametrize("gm", [(0, 4), (0, 5), (1, 2), (2, 0)])
+    def test_matches_phi_value_on_the_box(self, gm):
+        datum = standard_datum(*gm)
+        for coord in box(datum, 3, 3):
+            assert dict(phi_value(datum, coord).terms) == dict(oracle_glue(datum, coord).terms), coord
 
 
 class TestGradedMul:
