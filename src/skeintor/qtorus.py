@@ -10,7 +10,10 @@ quantum parameter, which makes every operation closed-form.
 Products accumulate flat: each output exponent collects plain integer
 coefficients under their coefficient keys, the pairing's half-steps
 are added to the left coefficient key, and each output coefficient
-becomes a ``GroundElem`` once, at the end.
+becomes a ``GroundElem`` once, at the end.  A left factor that is one
+monomial with a one-term coefficient (in the pants trace, a twist
+monomial or ``u_i`` times a power of q) only shifts the keys of the
+right coefficients, so that product skips the accumulation.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
-from .ring import GroundElem, GroundRing
+from .ring import GroundElem, GroundRing, _nonzero
 
 
 @dataclass(frozen=True)
@@ -209,6 +212,10 @@ def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
     """Bilinear extension of the normalized-monomial product."""
     e1._check(e2)
     torus = e1.torus
+    if len(e1.terms) == 1:
+        (k, c), = e1.terms.items()
+        if len(c.terms) == 1:
+            return _monomial_mul(torus, k, c, e2)
     pairing_row = torus.matrix.pairing_row
     right = [(l, d.terms.items()) for l, d in e2.terms.items()]
     out: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
@@ -227,6 +234,30 @@ def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
                     kc = tuple(map(add, shifted, kb))
                     acc[kc] = acc.get(kc, 0) + ca * cb
     return torus.from_flat(out)
+
+
+def _monomial_mul(torus: QuantumTorus, k: tuple[int, ...], c: GroundElem, e2: TorusElement) -> TorusElement:
+    """The product of the monomial ``c x^k``, whose coefficient ``c`` is
+    one term ``ca`` at key ``ka``, with ``e2``.
+
+    Each output coefficient is a right coefficient with its keys shifted
+    by ``ka`` plus the pairing and its integers times ``ca``: no two
+    terms meet and none becomes zero, so there is nothing to accumulate
+    and no zero to drop.  When ``c`` is a power of q, that is a q-shift.
+    """
+    (ka, ca), = c.terms.items()
+    head, h = ka[:-1], ka[-1]
+    row = torus.matrix.pairing_row(k)
+    out = {}
+    if ca == 1 and not any(head):
+        for l, d in e2.terms.items():
+            out[tuple(map(add, k, l))] = d.shift_q(h + sum(map(mul, row, l)))
+    else:
+        for l, d in e2.terms.items():
+            shift = head + (h + sum(map(mul, row, l)),)
+            terms = {tuple(map(add, shift, kb)): ca * cb for kb, cb in d.terms.items()}
+            out[tuple(map(add, k, l))] = _nonzero(torus.ring, terms)
+    return TorusElement(torus, out)
 
 
 def weyl_normalize(torus: QuantumTorus, seq: Iterable[tuple[int, int]]) -> TorusElement:
@@ -279,30 +310,37 @@ def reflection_normalize(e: TorusElement) -> TorusElement:
     """Rescale by the unique half-power of the quantum parameter making
     the element reflection invariant.
 
+    The shift is read off one symbol group, the q-exponents that share
+    the symbol exponents of the first coefficient's first key: their
+    center must be the reflection point.  One pass then checks, term by
+    term, that the shifted element is invariant and builds each shifted
+    coefficient; invariance implies that every other group has the same
+    center.  An element whose shift is 0 is returned as it is.
+
     Raises ValueError when no such power exists; for products of
     quantum-trace values of disjoint curves it always does.
     """
     if e.is_zero():
         return e
-    shift = None
-    for c in e.terms.values():
-        groups: dict[tuple[int, ...], list[int]] = {}
-        for key in c.terms:
-            groups.setdefault(key[:-1], []).append(key[-1])
-        for qs in groups.values():
-            s = -(max(qs) + min(qs))
-            if s % 2:
-                raise ValueError("element is not reflection-normalizable (odd center)")
-            if shift is None:
-                shift = s // 2
-            elif shift != s // 2:
-                raise ValueError("element is not reflection-normalizable (mixed centers)")
+    first = next(iter(e.terms.values())).terms
+    group = next(iter(first))[:-1]
+    qs = [key[-1] for key in first if key[:-1] == group]
+    twice = -(max(qs) + min(qs))
+    if twice % 2:
+        raise ValueError("element is not reflection-normalizable (odd center)")
+    shift = twice // 2
     # invariance of the shifted element, read off the unshifted terms:
     # q-exponent h lands on h + shift, and its mirror -(h + shift) comes
     # from -h - 2 shift
-    for c in e.terms.values():
+    ring = e.torus.ring
+    out = {}
+    for x, c in e.terms.items():
         terms = c.terms
+        shifted = {}
         for key, v in terms.items():
-            if terms.get(key[:-1] + (-key[-1] - 2 * shift,)) != v:
+            head, h = key[:-1], key[-1]
+            if terms.get(head + (-h - twice,)) != v:
                 raise ValueError("element is not reflection-normalizable")
-    return e.shift_q(shift) if shift else e
+            shifted[head + (h + shift,)] = v
+        out[x] = _nonzero(ring, shifted)
+    return TorusElement(e.torus, out) if shift else e

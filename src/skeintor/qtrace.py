@@ -185,13 +185,14 @@ def _flat_mul(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> d
     return out
 
 
-# One entry, the product of the last decomposition: a product is asked
-# for again back to back.  A twist at a boundary the curve meets changes
-# only the residual twist, so the two sides of the twist rule, and a
-# core-value miss followed by the reference path on the same coordinate,
-# have the same components.  More entries would hold what _core_value
-# holds, since a product and its normalized core differ by a power of q.
-@lru_cache(maxsize=1)
+# Bounded like _core_value: the reference path multiplies out each
+# decomposition's components once per process, not once per call.  A
+# twist at a boundary the curve meets changes only the residual twist,
+# so every coordinate with the same lengths and loop counts, on either
+# side of a twist rule, has the same components.  A product is the very
+# object _core_value keeps when its reflection shift is 0 (216 of the
+# 1008 products of a pants-traces episode); the others are held twice.
+@lru_cache(maxsize=65536)
 def _component_product(j: int, comps: tuple[ComponentSpec, ...]) -> TorusElement:
     """The untwisted product of the component values ``comps`` on pants
     type ``j``, each raised to its multiplicity."""
@@ -229,9 +230,9 @@ def utr_coord_straight(tt: TraceTorus, coord: Coord) -> TorusElement:
     renormalize.  Used to validate the translation shortcut.
 
     It shares no cached trace with :func:`utr_coord`: it never reads the
-    core values or translates.  What it shares is the untwisted component
-    product of the last decomposition, reused only for an equal component
-    tuple, which the two sides of a twist rule have."""
+    core values or translates.  What it shares is the cached untwisted
+    component product of each decomposition, computed once per component
+    tuple; :func:`_core_value` normalizes the same product."""
     dec = decompose(tt.j, coord)
     twist = tt.monomial((0,) * tt.j + dec.twists)
     return reflection_normalize(elem_mul(twist, _component_product(tt.j, dec.components)))

@@ -138,7 +138,7 @@ class GroundElem:
         return GroundElem(self.ring, {k[:-1] + (-k[-1],): c for k, c in self.terms.items()})
 
     def shift_q(self, half_steps: int) -> "GroundElem":
-        return GroundElem(self.ring, {k[:-1] + (k[-1] + half_steps,): c for k, c in self.terms.items()})
+        return _nonzero(self.ring, {k[:-1] + (k[-1] + half_steps,): c for k, c in self.terms.items()})
 
     def __repr__(self):
         return f"GroundElem({self.terms!r})"
@@ -149,3 +149,16 @@ class GroundElem:
 _set_ring = GroundElem.ring.__set__
 _set_terms = GroundElem.terms.__set__
 
+
+def _nonzero(ring: GroundRing, terms: dict[tuple[int, ...], int]) -> GroundElem:
+    """The element with ``terms``, which must hold no zero coefficient,
+    built without the zero scan of ``GroundElem.__init__``.
+
+    For terms that cannot cancel: those of one nonzero element with
+    every key shifted by one vector and every coefficient multiplied by
+    one nonzero integer.
+    """
+    e = object.__new__(GroundElem)
+    _set_ring(e, ring)
+    _set_terms(e, _ReadOnlyTerms(terms))
+    return e

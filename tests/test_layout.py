@@ -1,7 +1,8 @@
 """Every definition in the package has a caller outside the tests,
 every entry point the traced benchmark wraps exists under its name,
-each sampler of the check suites tests its draws for membership, and
-the README names every module-level cache with its size and every
+each sampler of the check suites tests its draws for membership,
+every module-level cache but the trace tori has a bound, and the
+README names every module-level cache with its size and every
 datum-kept value.
 
 A module-level function or class, or a public method, counts as used
@@ -139,6 +140,26 @@ def _paragraph(readme: str, opening: str) -> str:
     return readme[readme.index(opening) :].split("\n\n", 1)[0]
 
 
+def _module_caches() -> list[tuple[str, int | None]]:
+    """(module.name, maxsize) of every module-level lru_cache."""
+    caches = []
+    for path in sorted(PACKAGE.glob("[!_]*.py")):
+        module = importlib.import_module(f"skeintor.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module.__name__:
+                caches.append((f"{path.stem}.{name}", value.cache_info().maxsize))
+    return caches
+
+
+def test_module_caches_are_bounded():
+    # the README promises caches of fixed size; only the three trace tori
+    # are kept without a bound
+    caches = dict(_module_caches())
+    assert caches.pop("qtrace.trace_torus") is None
+    unbounded = [name for name, maxsize in caches.items() if maxsize is None]
+    assert caches and not unbounded, f"module-level caches without a maxsize: {unbounded}"
+
+
 def test_every_module_cache_is_in_the_readme():
     # the README's cache paragraph names each module-level lru_cache with
     # its size, and its paragraph on data kept on a datum names each
@@ -146,13 +167,8 @@ def test_every_module_cache_is_in_the_readme():
     # kept value must be documented
     readme = (ROOT / "README.md").read_text()
     paragraph = _paragraph(readme, "The module-level caches")
-    caches = []
-    for path in sorted(PACKAGE.glob("[!_]*.py")):
-        module = importlib.import_module(f"skeintor.{path.stem}")
-        for name, value in vars(module).items():
-            if hasattr(value, "cache_info") and getattr(value, "__module__", None) == module.__name__:
-                caches.append(f"`{path.stem}.{name}` (`maxsize={value.cache_info().maxsize}`)")
-    assert "`qtrace._component_product` (`maxsize=1`)" in caches
+    caches = [f"`{name}` (`maxsize={maxsize}`)" for name, maxsize in _module_caches()]
+    assert "`qtrace._component_product` (`maxsize=65536`)" in caches
     missing = [c for c in caches if c not in paragraph]
     assert not missing, f"not in the README's cache paragraph: {missing}"
     kept = [f"`DTDatum.{name}`" for name, value in vars(DTDatum).items() if isinstance(value, cached_property)]

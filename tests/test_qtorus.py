@@ -190,6 +190,152 @@ class TestElemMulReference:
         assert elem_mul(c, d) == reference_mul(t, c, d) == t.monomial((1, 0), SYM.one() - v1 * v1)
 
 
+Q_ONLY = GroundRing(())
+
+
+def coeffs(ring, max_size=3):
+    """Coefficients of ``ring`` over narrow key ranges."""
+    keys = st.tuples(*[st.integers(-1, 1)] * ring.nsym, st.integers(-3, 3))
+    terms = st.dictionaries(keys, st.integers(-3, 3), max_size=max_size)
+    return terms.map(lambda terms: GroundElem(ring, terms))
+
+
+@st.composite
+def monomial_and_element(draw):
+    """A one-term element whose coefficient is one term (a power of q,
+    or a symbol-bearing term, with any nonzero integer factor) and an
+    element of the same torus, possibly zero."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-3, 3))
+            rows[j][i] = -rows[i][j]
+    ring = draw(st.sampled_from([Q_ONLY, SYM]))
+    t = QuantumTorus(AntisymMatrix(tuple(tuple(r) for r in rows)), ring)
+    exps = st.tuples(*[st.integers(-2, 2)] * n)
+    sym = draw(st.tuples(*[st.integers(-2, 2)] * ring.nsym))
+    factor = draw(st.integers(-4, 4).filter(bool))
+    left = t.monomial(draw(exps), ring.monomial(sym, draw(st.integers(-4, 4)), factor))
+    right = st.dictionaries(exps, coeffs(ring), max_size=4).map(
+        lambda terms: sum((t.monomial(k, c) for k, c in terms.items()), t.zero())
+    )
+    return t, left, draw(right)
+
+
+class TestMonomialProduct:
+    """A left factor of one term with a one-term coefficient shifts the
+    keys of the right coefficients; the general product is the reference."""
+
+    @given(monomial_and_element())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_reference(self, case):
+        t, a, b = case
+        prod = elem_mul(a, b)
+        assert prod == reference_mul(t, a, b)
+        assert all(not c.is_zero() for c in prod.terms.values())
+        assert len(prod.terms) == len(b.terms)
+
+    def test_examples(self):
+        t = QuantumTorus(AntisymMatrix(((0, 2), (-2, 0))), SYM)
+        v1, v2 = SYM.var("v1"), SYM.var("v2")
+        right = t.monomial((0, 1), v1 + SYM.q_half(3)) + t.monomial((1, -1), SYM.q_half(-1) - v2)
+        # x_1 x_2 = q x_(1,1) and x_1 x_(1,-1) = q^-1 x_(2,-1)
+        for c in (SYM.q_half(2), SYM.monomial((1, -1), -1, 3), SYM.monomial((0, 0), 0, -1)):
+            assert elem_mul(t.monomial((1, 0), c), right) == (
+                t.monomial((1, 1), c * SYM.q_half(2) * (v1 + SYM.q_half(3)))
+                + t.monomial((2, -1), c * SYM.q_half(-2) * (SYM.q_half(-1) - v2))
+            )
+        assert elem_mul(t.monomial((1, 0), v1), t.zero()) == t.zero()
+
+
+def reference_normalize(e):
+    """The three-pass normalization: the shift from the centers of all
+    symbol groups, the invariance of the shifted element, then the
+    shift.  The reference reflection_normalize is compared against."""
+    if e.is_zero():
+        return e
+    shift = None
+    for c in e.terms.values():
+        groups = {}
+        for key in c.terms:
+            groups.setdefault(key[:-1], []).append(key[-1])
+        for qs in groups.values():
+            s = -(max(qs) + min(qs))
+            if s % 2:
+                raise ValueError("element is not reflection-normalizable (odd center)")
+            if shift is None:
+                shift = s // 2
+            elif shift != s // 2:
+                raise ValueError("element is not reflection-normalizable (mixed centers)")
+    for c in e.terms.values():
+        terms = c.terms
+        for key, v in terms.items():
+            if terms.get(key[:-1] + (-key[-1] - 2 * shift,)) != v:
+                raise ValueError("element is not reflection-normalizable")
+    return e.shift_q(shift) if shift else e
+
+
+def outcome(normalize, e):
+    try:
+        return normalize(e)
+    except ValueError:
+        return ValueError
+
+
+@st.composite
+def invariant_element(draw):
+    """A reflection-invariant element of a rank-2 torus over SYM: each
+    coefficient is a sum of c sym^a (q^(h/2) + q^(-h/2))."""
+    t = QuantumTorus(AntisymMatrix(((0, 1), (-1, 0))), SYM)
+    e = t.zero()
+    for k in draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)), max_size=4)):
+        for a, h, c in draw(st.lists(st.tuples(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                                               st.integers(0, 4), st.integers(-3, 3).filter(bool)),
+                                     min_size=1, max_size=3)):
+            e = e + t.monomial(k, SYM.monomial(a, h, c) + SYM.monomial(a, -h, c))
+    return e
+
+
+class TestReflectionNormalizeReference:
+    @given(invariant_element(), st.integers(-6, 6))
+    @settings(max_examples=300, deadline=None)
+    def test_invariant_times_a_power_of_q(self, e, s):
+        assert e.reflect() == e
+        shifted = e.shift_q(s)
+        got = reflection_normalize(shifted)
+        assert got == reference_normalize(shifted) == e
+        assert all(not c.is_zero() for c in got.terms.values())
+        # an element already invariant comes back as the same object
+        assert reflection_normalize(e) is e
+
+    @given(st.dictionaries(st.tuples(st.integers(-1, 1), st.integers(-1, 1)), coeffs(SYM), max_size=3))
+    @settings(max_examples=300, deadline=None)
+    def test_random_elements(self, terms):
+        t = QuantumTorus(AntisymMatrix(((0, 1), (-1, 0))), SYM)
+        e = sum((t.monomial(k, c) for k, c in terms.items()), t.zero())
+        assert outcome(reflection_normalize, e) == outcome(reference_normalize, e)
+
+    @pytest.mark.parametrize("coeffs_by_exponent", [
+        [[((0, 0), 1, 1), ((0, 0), 0, 1)]],                        # odd center
+        [[((0, 0), 2, 1), ((0, 0), -2, 1)], [((0, 0), 4, 1)]],     # two centers
+        [[((0, 0), 2, 1), ((1, 0), 4, 1)]],                        # two centers in one coefficient
+        [[((0, 0), 5, 1), ((0, 0), 1, 2)]],                        # centered, not invariant
+        [[((0, 0), 2, 1), ((0, 0), -2, -1)]],                      # centered, not invariant
+        [[((1, 0), 3, 1), ((1, 0), 1, 1), ((1, 0), -1, 2)]],       # centered, not invariant
+    ])
+    def test_both_raise(self, coeffs_by_exponent):
+        t = QuantumTorus(AntisymMatrix(((0, 1), (-1, 0))), SYM)
+        e = t.zero()
+        for i, terms in enumerate(coeffs_by_exponent):
+            c = sum((SYM.monomial(a, h, v) for a, h, v in terms), SYM.zero())
+            e = e + t.monomial((i, 0), c)
+        for s in (0, 1, -3):
+            for normalize in (reflection_normalize, reference_normalize):
+                with pytest.raises(ValueError):
+                    normalize(e.shift_q(s))
+
+
 class TestWeyl:
     def test_single_generator(self):
         t = random_torus(random.Random(3), 4)

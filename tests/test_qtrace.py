@@ -8,7 +8,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from skeintor.pants import ComponentSpec, cross, decompose, lambda_contains, loop, return_arc, twist_apply
-from skeintor.qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term, reflection_normalize
+from skeintor.qtorus import (
+    AntisymMatrix,
+    QuantumTorus,
+    TorusElement,
+    elem_mul,
+    lead_term,
+    reflection_normalize,
+)
 from skeintor.qtrace import (
     _component_power,
     _component_product,
@@ -199,31 +206,76 @@ class TestComponentPower:
         assert _component_product(3, ()) == t3.torus.one()
 
 
+def straight_reference(tt, coord):
+    """The reference path with nothing cached: the twist monomial times
+    the iterated component product, renormalized."""
+    dec = decompose(tt.j, coord)
+    twist = tt.monomial((0,) * tt.j + dec.twists)
+    return reflection_normalize(elem_mul(twist, iterated_product(tt, dec.components)))
+
+
+@pytest.fixture
+def power_calls(monkeypatch):
+    """The multiplicities of the component powers computed, with the
+    product cache cleared first."""
+    calls = []
+    real = qtrace._component_power
+
+    def counting(value, m):
+        calls.append(m)
+        return real(value, m)
+
+    _component_product.cache_clear()
+    monkeypatch.setattr(qtrace, "_component_power", counting)
+    return calls
+
+
 class TestSharedProduct:
-    """The reference path reuses the component product of the last
-    decomposition, and only for an equal component tuple."""
+    """The reference path multiplies out each component tuple once per
+    process, reuses it only for an equal tuple, and reads no core value."""
 
-    def test_twisted_side_reuses_the_product(self, monkeypatch):
-        calls = []
-        real = qtrace._component_power
-
-        def counting(value, m):
-            calls.append(m)
-            return real(value, m)
-
-        monkeypatch.setattr(qtrace, "_component_power", counting)
+    def test_twisted_side_reuses_the_product(self, power_calls):
         for j, coord in ((3, (2, 4, 2, 1, -3, 2)), (2, (3, 1, 0, 2)), (1, (4, -1))):
             tt = trace_torus(j)
             value = utr_coord_straight(tt, coord)
             for i in range(1, j + 1):
                 if coord[i - 1]:
-                    calls.clear()
+                    power_calls.clear()
                     twisted = utr_coord_straight(tt, twist_apply(j, i, coord))
-                    assert calls == []
+                    assert power_calls == []
                     assert twisted == weyl_u_mul(tt, i, value, coord[i - 1])
         # a new decomposition is computed
         utr_coord_straight(t3, (2, 2, 0, 0, 0, 3))
-        assert calls
+        assert power_calls
+
+    def test_repeated_core_computes_its_product_once(self, power_calls):
+        a, b = (2, 4, 2, 1, -3, 2), (2, 2, 0, 0, 0, 3)
+        assert utr_coord_straight(t3, a) == straight_reference(t3, a)
+        first = len(power_calls)
+        # another core in between, then a and twists of a at boundaries
+        # it meets: the same components, not asked for back to back
+        assert utr_coord_straight(t3, b) == straight_reference(t3, b)
+        power_calls.clear()
+        for coord in (a, twist_apply(3, 1, a), twist_apply(3, 2, twist_apply(3, 3, a)), a):
+            assert utr_coord_straight(t3, coord) == straight_reference(t3, coord)
+        assert power_calls == []
+        assert first and _component_product.cache_info().misses == 2
+
+    def test_reads_no_core_value(self, power_calls, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("the reference path read a core value or translated")
+
+        monkeypatch.setattr(qtrace, "_core_value", refuse)
+        monkeypatch.setattr(TorusElement, "translate", refuse)
+        coords = [(3, (2, 4, 2, 1, -3, 2)), (3, (2, 2, 0, 0, 0, 3)), (2, (3, 1, 0, 2)),
+                  (2, (2, 0, -1, 1)), (1, (4, -1)), (1, (0, 3))]
+        cold = [utr_coord_straight(trace_torus(j), c) for j, c in coords]
+        assert power_calls
+        power_calls.clear()
+        warm = [utr_coord_straight(trace_torus(j), c) for j, c in coords]
+        assert power_calls == []
+        monkeypatch.undo()
+        assert cold == warm == [utr_coord(trace_torus(j), c) for j, c in coords]
 
     @pytest.mark.parametrize("j, coords", [
         (3, [(2, 0, 0, 0, 1, 0), (2, 0, 0, 0, 2, 0), (2, 0, 0, 0, 2, 3), (2, 0, 0, 0, 1, 0)]),
@@ -233,13 +285,10 @@ class TestSharedProduct:
     def test_same_lengths_other_loops(self, j, coords):
         tt = trace_torus(j)
         for coord in coords:
-            dec = decompose(j, coord)
-            twist = tt.monomial((0,) * j + dec.twists)
-            want = reflection_normalize(elem_mul(twist, iterated_product(tt, dec.components)))
-            assert utr_coord_straight(tt, coord) == want
+            assert utr_coord_straight(tt, coord) == straight_reference(tt, coord)
 
-    def test_one_entry(self):
-        assert _component_product.cache_info().maxsize == 1
+    def test_bounded_like_the_core_cache(self):
+        assert _component_product.cache_info().maxsize == _core_value.cache_info().maxsize == 65536
 
 
 class TestUtrCoord:
@@ -278,33 +327,40 @@ class TestUtrCoord:
 
     def test_returned_value_is_read_only(self):
         # the untwisted value is the cached core itself; a caller must not
-        # be able to change what later calls return
+        # be able to change what later calls return.  Shifted values, the
+        # normalized reference value and a monomial product, whose
+        # coefficients are built without the zero scan, are read-only too
         coord = (2, 0, 0, 0, 1, 0)
         v = utr_coord(t3, coord)
         before = {k: dict(c.terms) for k, c in v.terms.items()}
-        k = next(iter(v.terms))
-        with pytest.raises(AttributeError):
-            v.terms.clear()
-        with pytest.raises(TypeError):
-            v.terms[k] = t3.ring.one()
-        with pytest.raises(TypeError):
-            del v.terms[k]
-        c = v.terms[k]
-        with pytest.raises(TypeError):
-            c.terms[next(iter(c.terms))] = 5
-        with pytest.raises(TypeError):
-            c.terms.clear()
-        with pytest.raises(TypeError):
-            c.terms.update({})
-        # rebinding or deleting an attribute is refused as well
-        with pytest.raises(AttributeError):
-            v.terms = {}
-        with pytest.raises(AttributeError):
-            del v.terms
-        with pytest.raises(AttributeError):
-            c.terms = {}
-        with pytest.raises(AttributeError):
-            c.ring = t3.ring
+        straight = utr_coord_straight(t3, (2, 4, 2, 1, -3, 2))
+        elements = [v, v.shift_q(3), straight, weyl_u_mul(t3, 1, straight, 2)]
+        coefficients = [e.terms[next(iter(e.terms))] for e in elements]
+        coefficients.append(coefficients[0].shift_q(-1))
+        for e in elements:
+            k = next(iter(e.terms))
+            with pytest.raises(AttributeError):
+                e.terms.clear()
+            with pytest.raises(TypeError):
+                e.terms[k] = t3.ring.one()
+            with pytest.raises(TypeError):
+                del e.terms[k]
+            # rebinding or deleting an attribute is refused as well
+            with pytest.raises(AttributeError):
+                e.terms = {}
+            with pytest.raises(AttributeError):
+                del e.terms
+        for c in coefficients:
+            with pytest.raises(TypeError):
+                c.terms[next(iter(c.terms))] = 5
+            with pytest.raises(TypeError):
+                c.terms.clear()
+            with pytest.raises(TypeError):
+                c.terms.update({})
+            with pytest.raises(AttributeError):
+                c.terms = {}
+            with pytest.raises(AttributeError):
+                c.ring = t3.ring
         after = utr_coord(t3, coord)
         assert {k: dict(c.terms) for k, c in after.terms.items()} == before
         assert after == utr_coord_straight(t3, coord)
