@@ -11,9 +11,9 @@ Products accumulate flat: each output exponent collects plain integer
 coefficients under their coefficient keys, the pairing's half-steps
 are added to the left coefficient key, and each output coefficient
 becomes a ``GroundElem`` once, at the end.  A left factor that is one
-monomial with a one-term coefficient (in the pants trace, a twist
-monomial or ``u_i`` times a power of q) only shifts the keys of the
-right coefficients, so that product skips the accumulation.
+monomial times a power of q (in the pants trace, a twist monomial or
+``u_i``) only shifts the q-exponents of the right coefficients, so
+that product skips the accumulation.
 """
 
 from __future__ import annotations
@@ -215,7 +215,9 @@ def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
     if len(e1.terms) == 1:
         (k, c), = e1.terms.items()
         if len(c.terms) == 1:
-            return _monomial_mul(torus, k, c, e2)
+            (ka, ca), = c.terms.items()
+            if ca == 1 and not any(ka[:-1]):
+                return _q_monomial_mul(torus, k, ka[-1], e2)
     pairing_row = torus.matrix.pairing_row
     right = [(l, d.terms.items()) for l, d in e2.terms.items()]
     out: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
@@ -236,27 +238,17 @@ def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
     return torus.from_flat(out)
 
 
-def _monomial_mul(torus: QuantumTorus, k: tuple[int, ...], c: GroundElem, e2: TorusElement) -> TorusElement:
-    """The product of the monomial ``c x^k``, whose coefficient ``c`` is
-    one term ``ca`` at key ``ka``, with ``e2``.
+def _q_monomial_mul(torus: QuantumTorus, k: tuple[int, ...], h: int, e2: TorusElement) -> TorusElement:
+    """The product of the monomial ``q^(h/2) x^k`` with ``e2``.
 
-    Each output coefficient is a right coefficient with its keys shifted
-    by ``ka`` plus the pairing and its integers times ``ca``: no two
-    terms meet and none becomes zero, so there is nothing to accumulate
-    and no zero to drop.  When ``c`` is a power of q, that is a q-shift.
+    Each output coefficient is a right coefficient shifted by ``h`` plus
+    the pairing half-steps: no two terms meet and none becomes zero, so
+    there is nothing to accumulate and no zero to drop.
     """
-    (ka, ca), = c.terms.items()
-    head, h = ka[:-1], ka[-1]
     row = torus.matrix.pairing_row(k)
     out = {}
-    if ca == 1 and not any(head):
-        for l, d in e2.terms.items():
-            out[tuple(map(add, k, l))] = d.shift_q(h + sum(map(mul, row, l)))
-    else:
-        for l, d in e2.terms.items():
-            shift = head + (h + sum(map(mul, row, l)),)
-            terms = {tuple(map(add, shift, kb)): ca * cb for kb, cb in d.terms.items()}
-            out[tuple(map(add, k, l))] = _nonzero(torus.ring, terms)
+    for l, d in e2.terms.items():
+        out[tuple(map(add, k, l))] = d.shift_q(h + sum(map(mul, row, l)))
     return TorusElement(torus, out)
 
 
@@ -315,7 +307,8 @@ def reflection_normalize(e: TorusElement) -> TorusElement:
     center must be the reflection point.  One pass then checks, term by
     term, that the shifted element is invariant and builds each shifted
     coefficient; invariance implies that every other group has the same
-    center.  An element whose shift is 0 is returned as it is.
+    center.  An element whose shift is 0 is only checked, and returned
+    as it is.
 
     Raises ValueError when no such power exists; for products of
     quantum-trace values of disjoint curves it always does.
@@ -329,6 +322,13 @@ def reflection_normalize(e: TorusElement) -> TorusElement:
     if twice % 2:
         raise ValueError("element is not reflection-normalizable (odd center)")
     shift = twice // 2
+    if not shift:
+        for c in e.terms.values():
+            terms = c.terms
+            for key, v in terms.items():
+                if terms.get(key[:-1] + (-key[-1],)) != v:
+                    raise ValueError("element is not reflection-normalizable")
+        return e
     # invariance of the shifted element, read off the unshifted terms:
     # q-exponent h lands on h + shift, and its mirror -(h + shift) comes
     # from -h - 2 shift
@@ -343,4 +343,4 @@ def reflection_normalize(e: TorusElement) -> TorusElement:
                 raise ValueError("element is not reflection-normalizable")
             shifted[head + (h + shift,)] = v
         out[x] = _nonzero(ring, shifted)
-    return TorusElement(e.torus, out) if shift else e
+    return TorusElement(e.torus, out)

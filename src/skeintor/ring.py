@@ -154,9 +154,8 @@ def _nonzero(ring: GroundRing, terms: dict[tuple[int, ...], int]) -> GroundElem:
     """The element with ``terms``, which must hold no zero coefficient,
     built without the zero scan of ``GroundElem.__init__``.
 
-    For terms that cannot cancel: those of one nonzero element with
-    every key shifted by one vector and every coefficient multiplied by
-    one nonzero integer.
+    For terms that cannot cancel: those of one element with every
+    q-exponent shifted by one amount.
     """
     e = object.__new__(GroundElem)
     _set_ring(e, ring)

@@ -202,9 +202,9 @@ def coeffs(ring, max_size=3):
 
 @st.composite
 def monomial_and_element(draw):
-    """A one-term element whose coefficient is one term (a power of q,
-    or a symbol-bearing term, with any nonzero integer factor) and an
-    element of the same torus, possibly zero."""
+    """A one-term element whose coefficient is one term (half the time
+    a power of q, otherwise a symbol-bearing term with any nonzero
+    integer factor) and an element of the same torus, possibly zero."""
     n = draw(st.integers(min_value=1, max_value=4))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
@@ -214,8 +214,11 @@ def monomial_and_element(draw):
     ring = draw(st.sampled_from([Q_ONLY, SYM]))
     t = QuantumTorus(AntisymMatrix(tuple(tuple(r) for r in rows)), ring)
     exps = st.tuples(*[st.integers(-2, 2)] * n)
-    sym = draw(st.tuples(*[st.integers(-2, 2)] * ring.nsym))
-    factor = draw(st.integers(-4, 4).filter(bool))
+    if draw(st.booleans()):
+        sym, factor = (0,) * ring.nsym, 1
+    else:
+        sym = draw(st.tuples(*[st.integers(-2, 2)] * ring.nsym))
+        factor = draw(st.integers(-4, 4).filter(bool))
     left = t.monomial(draw(exps), ring.monomial(sym, draw(st.integers(-4, 4)), factor))
     right = st.dictionaries(exps, coeffs(ring), max_size=4).map(
         lambda terms: sum((t.monomial(k, c) for k, c in terms.items()), t.zero())
@@ -224,8 +227,9 @@ def monomial_and_element(draw):
 
 
 class TestMonomialProduct:
-    """A left factor of one term with a one-term coefficient shifts the
-    keys of the right coefficients; the general product is the reference."""
+    """A left factor of one term times a power of q shifts the
+    q-exponents of the right coefficients; other one-term coefficients
+    take the general product.  The per-pair product is the reference."""
 
     @given(monomial_and_element())
     @settings(max_examples=400, deadline=None)
