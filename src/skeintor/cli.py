@@ -266,13 +266,15 @@ _GRID_KEYS = {"rmax": "rmax", "nmax": "nmax", "leadbox": "lead_box", "tracebox":
 
 def _parse_grid(spec: str) -> dict[str, int]:
     """run_all keyword arguments from a ``key=value,...`` grid; unknown
-    keys and sizes below 1 are errors."""
+    or repeated keys and sizes below 1 are errors."""
     out: dict[str, int] = {}
     for piece in filter(None, spec.split(",")):
         key, _, val = piece.partition("=")
         key = key.strip()
         if key not in _GRID_KEYS:
             raise ValueError(f"unknown grid key {key!r}; known keys: {', '.join(_GRID_KEYS)}")
+        if _GRID_KEYS[key] in out:
+            raise ValueError(f"grid key {key!r} given more than once")
         try:
             value = int(val)
         except ValueError:

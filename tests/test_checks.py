@@ -1,3 +1,5 @@
+import inspect
+import itertools
 import math
 import random
 from collections import Counter
@@ -7,6 +9,27 @@ import pytest
 from skeintor import checks, pants
 from skeintor.pants import lambda_contains
 from skeintor.surface import lambda_global, standard_datum
+
+
+def _lambda_box(datum, nmax, tmax):
+    """The global monoid points of a box, by filtering the whole box."""
+    r = datum.r
+    for n in itertools.product(range(0, nmax + 1), repeat=r):
+        for t in itertools.product(range(-tmax, tmax + 1), repeat=r):
+            c = n + t
+            if lambda_global(datum, c):
+                yield c
+
+
+def _pants_box(j, nmax, tmax):
+    """The points of ``Lambda_j`` in a box, by filtering the whole box."""
+    for n in itertools.product(range(0, nmax + 1), repeat=j):
+        if sum(n) % 2:
+            continue
+        for t in itertools.product(range(-tmax, tmax + 1), repeat=j):
+            c = n + t
+            if lambda_contains(j, c):
+                yield c
 
 
 class TestGrid:
@@ -46,6 +69,65 @@ class TestNothingChecked:
         assert r.summary(timings=False).startswith("[FAIL]")
 
 
+class TestSuiteHarness:
+    """``checks._suite`` on toy suites."""
+
+    def test_counts_the_checks_before_the_failure(self):
+        @checks._suite("toy")
+        def toy(fail_at):
+            for i in range(10):
+                yield
+                if i == fail_at:
+                    yield {"i": i}
+
+        r = toy(3)
+        assert (r.name, r.passed, r.checked, r.detail) == ("toy", False, 4, {"i": 3})
+        r = toy(None)
+        assert (r.passed, r.checked, r.detail) == (True, 10, {})
+
+    def test_code_after_a_failure_never_runs(self):
+        ran = []
+
+        @checks._suite("toy")
+        def toy():
+            yield
+            yield {"reason": "first"}
+            ran.append("after the failure")
+            yield
+
+        r = toy()
+        assert (r.passed, r.checked, r.detail) == (False, 1, {"reason": "first"})
+        assert ran == []
+
+    def test_zero_checks_fail(self):
+        @checks._suite("toy")
+        def toy():
+            yield from ()
+
+        r = toy()
+        assert (r.passed, r.checked, r.detail) == (False, 0, {"reason": "no checks ran"})
+        assert r.summary(timings=False) == "[FAIL] toy: 0 checks {'reason': 'no checks ran'}"
+
+    def test_an_exception_propagates_unchanged(self):
+        error = KeyError("inside the suite")
+
+        @checks._suite("toy")
+        def toy():
+            yield
+            raise error
+
+        with pytest.raises(KeyError) as info:
+            toy()
+        assert info.value is error
+
+    def test_suites_keep_name_and_signature(self):
+        suite = checks.check_product_top
+        assert suite.__name__ == "check_product_top"
+        assert list(inspect.signature(suite).parameters) == ["pairs", "seed", "surfaces", "corrupt_qtilde"]
+        assert suite.__annotations__["return"] == "CheckResult"
+        assert isinstance(checks.check_dt_catalog(), checks.CheckResult)
+
+
 class TestNegativeControl:
     def test_corrupted_form_detected(self):
         r = checks.check_product_top(pairs=300, seed=1, corrupt_qtilde=True)
@@ -70,12 +152,27 @@ class TestSamplers:
     def test_global_table_counts_the_box(self, gm, box):
         datum = standard_datum(*gm)
         table = checks._global_table(datum, box, box)
-        assert table.total == sum(1 for _ in checks._lambda_box(datum, box, box))
+        assert table.total == sum(1 for _ in _lambda_box(datum, box, box))
 
     @pytest.mark.parametrize("box", [2, 3])
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_pants_table_counts_the_box(self, j, box):
-        assert checks._pants_table(j, box, box).total == sum(1 for _ in checks._pants_box(j, box, box))
+        assert checks._pants_table(j, box, box).total == sum(1 for _ in _pants_box(j, box, box))
+
+    # the trace-properties suite samples indices into the enumerated list,
+    # so the tables must list the box in the filter's order
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_pants_table_lists_the_box_in_order(self, j):
+        for box in range(7):
+            got = list(checks._pants_table(j, box, box).points())
+            assert got == list(_pants_box(j, box, box)), f"box {box}"
+
+    @pytest.mark.parametrize("gm", checks.LEAD_SURFACES)
+    def test_global_table_lists_the_box_in_order(self, gm):
+        datum = standard_datum(*gm)
+        for box in range(5):
+            got = list(checks._global_table(datum, box, box).points())
+            assert got == list(_lambda_box(datum, box, box)), f"box {box}"
 
     def test_pants_table_leaves_the_pants_caches_empty(self):
         pants.arc_counts.cache_clear()
@@ -118,14 +215,14 @@ class TestSamplers:
     def test_pants_sampler_uniform(self, j, box):
         rng = random.Random(0)
         table = checks._pants_table(j, box, box)
-        self.assert_uniform(set(checks._pants_box(j, box, box)), lambda: checks._sample_pants(rng, j, table))
+        self.assert_uniform(set(_pants_box(j, box, box)), lambda: checks._sample_pants(rng, j, table))
 
     @pytest.mark.parametrize("gm, box", [((0, 4), 3), ((0, 5), 2), ((2, 0), 1)])
     def test_global_sampler_uniform(self, gm, box):
         rng = random.Random(0)
         datum = standard_datum(*gm)
         table = checks._global_table(datum, box, box)
-        self.assert_uniform(set(checks._lambda_box(datum, box, box)),
+        self.assert_uniform(set(_lambda_box(datum, box, box)),
                             lambda: checks._sample_global(rng, datum, table))
 
     def test_samples_are_members(self):

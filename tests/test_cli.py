@@ -194,6 +194,13 @@ class TestCheck:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and grid.partition("=")[0] in err
 
+    def test_repeated_grid_key_is_an_error(self, capsys):
+        # a repeated key used to run silently with its last value
+        grid = "rmax=1,rmax=2,nmax=2,pairs=5,leadbox=1,tracebox=1,monopairs=5"
+        code, out, err = run(capsys, "check", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and "'rmax' given more than once" in err
+
 
 class TestMalformedDatum:
     @pytest.mark.parametrize("text, named", [

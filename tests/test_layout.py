@@ -1,7 +1,8 @@
 """Every definition in the package has a caller outside the tests,
 every entry point the traced benchmark wraps exists under its name,
 each sampler of the check suites tests its draws for membership,
-every module-level cache but the trace tori has a bound, and the
+every check suite runs under the one suite harness, every
+module-level cache but the trace tori has a bound, and the
 README names every module-level cache with its size and every
 datum-kept value.
 
@@ -134,6 +135,28 @@ def test_traced_battery_needs_the_accept_ratio():
     summary = {m: 1 for m, _ in tracing.METRICS}
     summary.update({"bench.self_s": 0.0, "checks.sampler_accept_ratio": 0.0})
     assert tracing.coverage_problems("battery", summary) == ["checks.sampler_accept_ratio is 0"]
+
+
+def test_check_suites_go_through_the_harness():
+    # checks._suite is the one place that times a suite, counts its checks
+    # and builds its CheckResult; a suite that does so itself must fail here
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    suites = [node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name.startswith("check_")]
+    assert len(suites) == 10
+    bare = [
+        node.name
+        for node in suites
+        if not any(isinstance(d, ast.Call) and getattr(d.func, "id", None) == "_suite" for d in node.decorator_list)
+    ]
+    assert not bare, f"check suites not decorated with _suite: {bare}"
+    harness = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "_suite")
+    allowed = set(map(id, ast.walk(harness)))
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(tree if path.name == "checks.py" else ast.parse(path.read_text())):
+            if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult" and id(node) not in allowed:
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, f"CheckResult built outside checks._suite: {stray}"
 
 
 def _paragraph(readme: str, opening: str) -> str:
