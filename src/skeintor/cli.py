@@ -54,17 +54,28 @@ def _load_datum(args) -> DTDatum:
     return standard_datum(args.genus, args.punctures)
 
 
+# An integer on the command line: an optional sign and ASCII digits, with
+# spaces around it.  int() alone also reads underscores and other scripts'
+# digits, so every integer the CLI takes is matched against this first.
 _ENTRY = re.compile(r"\s*[+-]?[0-9]+\s*")
 
 
 def _parse_coord(text: str) -> tuple[int, ...]:
-    """The integers of a comma-separated list.  An entry is an optional
-    sign and ASCII digits, with spaces around it; anything else (an empty
-    entry, an underscore, another script's digits) is an error."""
+    """The integers of a comma-separated list; an entry that is not an
+    ``_ENTRY`` (an empty one, an underscore, another script's digits) is
+    an error."""
     entries = text.split(",")
     if not all(_ENTRY.fullmatch(x) for x in entries):
         raise ValueError(f"cannot parse coordinate list {text!r}")
     return tuple(int(x) for x in entries)
+
+
+def _int_option(text: str) -> int:
+    """The value of an integer option, by the ``_ENTRY`` rule; argparse
+    turns the error into its usage message and exit code 2."""
+    if not _ENTRY.fullmatch(text):
+        raise argparse.ArgumentTypeError(f"cannot parse integer {text!r}")
+    return int(text)
 
 
 def _format_coeff(c: GroundElem) -> str:
@@ -266,7 +277,8 @@ _GRID_KEYS = {"rmax": "rmax", "nmax": "nmax", "leadbox": "lead_box", "tracebox":
 
 def _parse_grid(spec: str) -> dict[str, int]:
     """run_all keyword arguments from a ``key=value,...`` grid; unknown
-    or repeated keys and sizes below 1 are errors."""
+    or repeated keys, a value that is not an ``_ENTRY`` and sizes below 1
+    are errors."""
     out: dict[str, int] = {}
     for piece in filter(None, spec.split(",")):
         key, _, val = piece.partition("=")
@@ -275,10 +287,9 @@ def _parse_grid(spec: str) -> dict[str, int]:
             raise ValueError(f"unknown grid key {key!r}; known keys: {', '.join(_GRID_KEYS)}")
         if _GRID_KEYS[key] in out:
             raise ValueError(f"grid key {key!r} given more than once")
-        try:
-            value = int(val)
-        except ValueError:
-            raise ValueError(f"cannot parse grid entry {piece!r}") from None
+        if not _ENTRY.fullmatch(val):
+            raise ValueError(f"cannot parse grid entry {piece!r}")
+        value = int(val)
         if value < 1:
             raise ValueError(f"grid entry {piece!r} must be at least 1")
         out[_GRID_KEYS[key]] = value
@@ -316,12 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, need_xi=False):
-        p.add_argument("--genus", type=int, default=None)
-        p.add_argument("--punctures", type=int, default=None)
+        p.add_argument("--genus", type=_int_option, default=None)
+        p.add_argument("--punctures", type=_int_option, default=None)
         p.add_argument("--datum", type=str, default=None, help="JSON datum file")
         p.add_argument("--format", choices=("json", "text"), default="text")
         if need_xi:
-            p.add_argument("--xi-order", type=int, required=True, dest="xi_order")
+            p.add_argument("--xi-order", type=_int_option, required=True, dest="xi_order")
 
     p = sub.add_parser("analyze", help="center and PI-degree lattice report")
     common(p, need_xi=True)
@@ -335,14 +346,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("trace", help="quantum trace values and property checks")
     common(p)
     p.add_argument("--coord", type=str, required=True)
-    p.add_argument("--pants", type=int, choices=(1, 2, 3), default=None,
+    p.add_argument("--pants", type=_int_option, choices=(1, 2, 3), default=None,
                    help="single pants mode: trace on the given pants type")
     p.set_defaults(func=cmd_trace)
 
     p = sub.add_parser("check", help="run the verification suites")
     p.add_argument("--grid", type=str, default="",
                    help='e.g. "rmax=4,nmax=12,pairs=10000,leadbox=4,tracebox=6"')
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_int_option, default=0)
     p.add_argument("--format", choices=("json", "text"), default="text")
     p.add_argument("--corrupt-qtilde", action="store_true", dest="corrupt_qtilde",
                    help="negative control: corrupt the doubled form and expect a failure")

@@ -177,6 +177,11 @@ class DTDatum:
     def _core_parts(self) -> dict:
         return {}
 
+    # the row of each length vector (see length_rule), a plain dict as well
+    @cached_property
+    def _rows(self) -> dict[tuple[int, ...], tuple[str, tuple[int | None, ...]]]:
+        return {}
+
     def to_dict(self) -> dict:
         return {
             "vertices": [list(v) for v in self.graph.vertices],
@@ -379,16 +384,22 @@ def _face_lengths(tb: _Tables, n: tuple[int, ...]) -> list[tuple[int, ...]]:
     return [tuple(map(n.__getitem__, curves)) for curves in tb.face_curves]
 
 
-def length_rule(datum: DTDatum, n: tuple[int, ...]) -> tuple[str, list[int | None]]:
-    """What the non-negative lengths ``n`` ask of a coordinate: the witness
-    of the first face with an odd boundary sum ("" when there is none),
-    and per curve twice the lower twist bound where ``n`` misses the
-    curve (the Add values of its two sides), None where it meets it."""
+def length_rule(datum: DTDatum, n: tuple[int, ...]) -> tuple[str, tuple[int | None, ...]]:
+    """The row of the non-negative lengths ``n``, what they ask of a
+    coordinate: the witness of the first face with an odd boundary sum
+    ("" when there is none), and a tuple of twice the lower twist bound
+    per curve where ``n`` misses it (the Add values of its two sides),
+    None where it meets it, empty when a face is odd.  The datum keeps
+    the row (``DTDatum._rows``), so a later call returns the same pair;
+    this is the one reader and filler of the rows."""
+    row = datum._rows.get(n)
+    if row is not None:
+        return row
     tb = datum._tables
     lengths = _face_lengths(tb, n)
     for v, face_n in enumerate(lengths):
         if sum(face_n) % 2:
-            return f"odd boundary sum {face_n} at face {v}", []
+            return _keep(datum._rows, n, (f"odd boundary sum {face_n} at face {v}", ()))
     bounds2 = []
     for c, x in enumerate(n):
         if x:
@@ -397,20 +408,25 @@ def length_rule(datum: DTDatum, n: tuple[int, ...]) -> tuple[str, list[int | Non
             (v1, s1), (v2, s2) = tb.sides[c]
             bounds2.append(pants.add2(tb.face_types[v1], s1 + 1, lengths[v1])
                            + pants.add2(tb.face_types[v2], s2 + 1, lengths[v2]))
-    return "", bounds2
+    return _keep(datum._rows, n, ("", tuple(bounds2)))
 
 
 def lambda_membership(datum: DTDatum, coord: Coord) -> tuple[bool, str]:
-    """Membership in the global coordinate monoid, with a witness reason."""
-    n, t = split_nt(datum.r, coord)
+    """Membership in the global coordinate monoid, with a witness reason;
+    the face parities and twist bounds are read from the row of the
+    lengths (:func:`length_rule`)."""
+    r = datum.r
+    if len(coord) != 2 * r:
+        raise ValueError(f"coordinate must have length {2 * r}")
+    n = tuple(coord[:r])
     if min(n) < 0:
         return False, "negative length coordinate"
     odd, bounds2 = length_rule(datum, n)
     if odd:
         return False, odd
     for c, bound2 in enumerate(bounds2):
-        if bound2 is not None and 2 * t[c] < bound2:
-            return False, f"twist {t[c]} at curve {c} below bound {bound2}/2"
+        if bound2 is not None and 2 * coord[r + c] < bound2:
+            return False, f"twist {coord[r + c]} at curve {c} below bound {bound2}/2"
     return True, ""
 
 
@@ -424,8 +440,11 @@ def d_embed(datum: DTDatum, coord: Coord) -> tuple[int, ...]:
     Total length and twist first, then all but the last twist and all
     but the last length; compared lexicographically.
     """
-    n, t = split_nt(datum.r, coord)
-    return (sum(n), sum(t)) + t[:-1] + n[:-1]
+    r = datum.r
+    if len(coord) != 2 * r:
+        raise ValueError(f"coordinate must have length {2 * r}")
+    n, t = coord[:r], coord[r:]
+    return (sum(n), sum(t), *t[:-1], *n[:-1])
 
 
 # ---------------------------------------------------------------------------
@@ -558,20 +577,36 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
     and coefficients, each shared among the cores of the datum, since
     the cores repeat few distinct ones; its lengths are the key's.
 
-    Membership is tested on every call.  ``secondary_split`` glues the
-    opposite twist placement from scratch and keeps nothing: it is the
+    Membership is tested on every call, reading the row of the lengths
+    (:func:`length_rule`).  ``secondary_split`` glues the opposite twist
+    placement from scratch and keeps nothing: it is the
     placement-independence reference.
     """
     r = datum.r
     torus = surface_torus(datum)
-    n, t = split_nt(r, coord)
     if secondary_split:
+        n = split_nt(r, coord)[0]
         return torus.from_flat({n + tvec: c for tvec, c in _glue(datum, coord, True).items()})
     ok, why = lambda_membership(datum, coord)
     if not ok:
         raise ValueError(f"coordinate not in the monoid: {why}")
-    shift = tuple(y if x else 0 for x, y in zip(n, t))
-    core = n + tuple(0 if x else y for x, y in zip(n, t))
+    n, t = tuple(coord[:r]), tuple(coord[r:])
+    # the core key and the translation in one pass; with every length
+    # positive the core has no twists, with none it is the coordinate
+    if 0 not in n:
+        core, shift = n + (0,) * r, t
+    elif any(n):
+        core_t, shift = [], []
+        for x, y in zip(n, t):
+            if x:
+                core_t.append(0)
+                shift.append(y)
+            else:
+                core_t.append(y)
+                shift.append(0)
+        core = n + tuple(core_t)
+    else:
+        core, shift = n + t, ()
     kept = datum._cores.get(core)
     if kept is None:
         shared = datum._core_parts

@@ -202,6 +202,39 @@ class TestCheck:
         assert err.startswith("error: ") and "'rmax' given more than once" in err
 
 
+class TestIntegerOptions:
+    """Every integer the command line takes is an optional sign and ASCII
+    digits; int() alone reads "1_0" as 10 and accepts other scripts'
+    digits, so "--grid pairs=1_0" used to run 10 pairs."""
+
+    @pytest.mark.parametrize("grid", ["pairs=1_0", "rmax=\u0662"])
+    def test_grid_value(self, capsys, grid):
+        code, out, err = run(capsys, "check", "--grid", grid)
+        assert code == 2 and out == ""
+        assert err == f"error: cannot parse grid entry {grid!r}\n"
+
+    @pytest.mark.parametrize("option, argv", [
+        ("--genus", ("analyze", "--genus", "\u0660", "--punctures", "4", "--xi-order", "5")),
+        ("--punctures", ("analyze", "--genus", "0", "--punctures", "\u0664", "--xi-order", "5")),
+        ("--xi-order", ("analyze", "--genus", "0", "--punctures", "4", "--xi-order", "1_2")),
+        ("--seed", ("check", "--seed", "1_0", "--grid", SMALL_GRID)),
+        ("--pants", ("trace", "--pants", "\u0663", "--coord", "2,0,0,0,1,0")),
+    ])
+    def test_option_value(self, capsys, option, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        out = capsys.readouterr()
+        assert exc.value.code == 2 and out.out == ""
+        bad = argv[argv.index(option) + 1]
+        assert f"error: argument {option}: cannot parse integer {bad!r}" in out.err
+        assert "Traceback" not in out.err
+
+    def test_signs_and_spaces_still_read(self, capsys):
+        code, out, _ = run(capsys, "analyze", "--genus", " +0", "--punctures", "4 ",
+                           "--xi-order", "5", "--format", "json")
+        assert code == 0 and json.loads(out)["pi_degree"] == 5
+
+
 class TestMalformedDatum:
     @pytest.mark.parametrize("text, named", [
         ("{}", "'vertices'"),

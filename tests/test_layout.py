@@ -2,7 +2,8 @@
 every entry point the traced benchmark wraps exists under its name,
 each sampler of the check suites tests its draws for membership,
 every check suite runs under the one suite harness, every
-module-level cache but the trace tori has a bound, and the
+module-level cache but the trace tori has a bound, every dict kept on
+a datum is written only through its bounded store, and the
 README names every module-level cache with its size and every
 datum-kept value.
 
@@ -20,7 +21,7 @@ from functools import cached_property
 from pathlib import Path
 
 from skeintor import qtrace
-from skeintor.surface import DTDatum
+from skeintor.surface import DTDatum, standard_datum
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "skeintor"
@@ -181,6 +182,61 @@ def test_module_caches_are_bounded():
     assert caches.pop("qtrace.trace_torus") is None
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]
     assert caches and not unbounded, f"module-level caches without a maxsize: {unbounded}"
+
+
+def _kept_dicts() -> set[str]:
+    """The cached_property dicts of DTDatum."""
+    datum = standard_datum(0, 4)
+    return {
+        name for name, value in vars(DTDatum).items()
+        if isinstance(value, cached_property) and isinstance(getattr(datum, name), dict)
+    }
+
+
+def _unbounded_kept_uses(tree: ast.AST, kept: set[str]) -> list[int]:
+    """Lines where a kept dict, read as ``<x>.<name>`` or through a name
+    bound to one, is used other than by a read (``.get``, a subscript
+    load), as the first argument of ``_keep`` or in such a binding."""
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    aliases = {
+        target.id
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr in kept
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in kept or isinstance(node, ast.Name) and node.id in aliases:
+            if not isinstance(node.ctx, ast.Load):
+                continue
+            up = parents[node]
+            if (
+                isinstance(up, ast.Attribute) and up.attr == "get"
+                or isinstance(up, ast.Subscript) and up.value is node and isinstance(up.ctx, ast.Load)
+                or isinstance(up, ast.Call) and getattr(up.func, "id", None) == "_keep" and up.args[:1] == [node]
+                or isinstance(up, ast.Assign) and up.value is node and all(isinstance(t, ast.Name) for t in up.targets)
+            ):
+                continue
+            lines.append(node.lineno)
+    return lines
+
+
+def test_kept_dicts_are_written_through_keep():
+    # surface._keep bounds every dict kept on a datum and evicts its
+    # oldest entry; a direct store, setdefault or update would let one
+    # grow without the bound
+    kept = _kept_dicts()
+    assert kept == {"_cores", "_core_parts", "_rows"}
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        stray += [f"{path.name}:{line}" for line in _unbounded_kept_uses(ast.parse(path.read_text()), kept)]
+    assert not stray, f"a dict kept on a datum is written other than through surface._keep: {stray}"
+    # the scan itself sees a direct store, an update and an aliased store
+    for bad in ("datum._rows[n] = row", "datum._cores.setdefault(k, v)",
+                "def f(d):\n    shared = d._core_parts\n    shared.update(x)",
+                "def f(d):\n    shared = d._core_parts\n    shared[x] = x"):
+        assert _unbounded_kept_uses(ast.parse(bad), kept), bad
 
 
 def test_every_module_cache_is_in_the_readme():

@@ -73,6 +73,46 @@ class TestPairing:
             assert q.pairing(a, b) == -q.pairing(b, a)
 
 
+@st.composite
+def matrix_and_vectors(draw):
+    """An antisymmetric matrix of dimension 1-8 and two vectors, zero
+    vectors and zero entries drawn often."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-5, 5))
+            rows[j][i] = -rows[i][j]
+    vector = st.one_of(st.just((0,) * n), st.tuples(*[st.integers(-4, 4)] * n))
+    return AntisymMatrix(tuple(map(tuple, rows))), draw(vector), draw(vector)
+
+
+class TestPairingReference:
+    """``pairing`` takes one dot product of a row with l per nonzero entry
+    of k; the reference is the double sum over every entry."""
+
+    @given(matrix_and_vectors())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_double_sum(self, case):
+        q, k, l = case
+        n = q.dim
+        want = sum(q.rows[i][j] * k[i] * l[j] for i in range(n) for j in range(n))
+        assert q.pairing(k, l) == want
+        assert q.pairing(list(k), list(l)) == want
+
+    def test_reads_the_rows_not_the_columns(self):
+        # on an antisymmetric matrix the transpose flips the sign
+        q = AntisymMatrix(((0, 3, 0), (-3, 0, 1), (0, -1, 0)))
+        assert q.pairing((1, 0, 0), (0, 1, 0)) == 3
+        assert q.pairing((0, 2, 0), (0, 0, 5)) == 10
+        assert q.pairing((1, 1, 1), (1, -1, 2)) == -3 + (-3 + 2) + 1
+
+    @pytest.mark.parametrize("k, l", [((1, 0, 0), (0, 1)), ((1, 0), (0, 1, 0)), ((0, 0), (0,))])
+    def test_wrong_length_raises(self, k, l):
+        with pytest.raises(ValueError, match="matrix dimension"):
+            AntisymMatrix(((0, 1), (-1, 0))).pairing(k, l)
+
+
 class TestMonoMul:
     def test_u_times_x(self):
         # one-holed pants torus: u x = q^2 x u in exponent order (x, u)

@@ -6,7 +6,7 @@ import weakref
 
 import pytest
 
-from skeintor import surface
+from skeintor import pants, surface
 from skeintor.qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term
 from skeintor.qtrace import _commutation_matrix, trace_torus, utr_coord_straight
 from skeintor.surface import (
@@ -16,6 +16,7 @@ from skeintor.surface import (
     face_split,
     lambda_global,
     lambda_membership,
+    length_rule,
     phi_lead,
     phi_value,
     q_matrix,
@@ -236,10 +237,135 @@ class TestLambdaGlobal:
                 assert lambda_global(datum, tuple(x + y for x, y in zip(a, b)))
 
 
+def reference_length_rule(datum, n):
+    """The row of ``n`` built afresh from the face lengths, as
+    ``length_rule`` did before rows were kept: the odd-face witness and
+    the doubled twist bounds as a list, empty when a face is odd."""
+    tb = datum._tables
+    lengths = [tuple(n[c] for c in curves) for curves in tb.face_curves]
+    for v, face_n in enumerate(lengths):
+        if sum(face_n) % 2:
+            return f"odd boundary sum {face_n} at face {v}", []
+    bounds2 = []
+    for c, x in enumerate(n):
+        if x:
+            bounds2.append(None)
+        else:
+            (v1, s1), (v2, s2) = tb.sides[c]
+            bounds2.append(pants.add2(tb.face_types[v1], s1 + 1, lengths[v1])
+                           + pants.add2(tb.face_types[v2], s2 + 1, lengths[v2]))
+    return "", bounds2
+
+
+def alternate_datum():
+    return TestAlternateDatum().build()
+
+
+class TestLengthRows:
+    """length_rule keeps one row per length vector on the datum; the
+    reference builds it afresh from the face lengths."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: standard_datum(0, 4), lambda: standard_datum(0, 5),
+        lambda: standard_datum(1, 2), lambda: standard_datum(2, 0), alternate_datum,
+    ], ids=["0,4", "0,5", "1,2", "2,0", "alternate"])
+    def test_rows_match_the_reference(self, make):
+        datum = make()
+        lengths = list(itertools.product(range(7), repeat=datum.r))
+        for n in lengths:
+            odd, bounds2 = reference_length_rule(datum, n)
+            assert length_rule(datum, n) == (odd, tuple(bounds2)), n
+        # warm, every row is read back as kept
+        assert len(datum._rows) == len(lengths)
+        for n in lengths:
+            odd, bounds2 = reference_length_rule(datum, n)
+            assert length_rule(datum, n) is datum._rows[n] == (odd, tuple(bounds2)), n
+
+    def test_row_is_immutable_and_kept(self):
+        datum = standard_datum(0, 5)
+        row = length_rule(datum, (2, 0))
+        assert row == ("", (None, -2))
+        assert length_rule(datum, (2, 0)) is row
+        with pytest.raises(TypeError):
+            row[1][1] = 0
+        with pytest.raises(TypeError):
+            row[0] = "odd"
+        odd = length_rule(datum, (1, 2))
+        assert odd == ("odd boundary sum (1,) at face 0", ()) and length_rule(datum, (1, 2)) is odd
+
+    def test_membership_fills_rows_of_non_negative_lengths_only(self):
+        datum = standard_datum(0, 5)
+        for c in ((2, 0, 0, 0), (2, 0, 5, -1), (1, 2, 0, 0), (-1, 2, 0, 0), (0, -2, 0, 0)):
+            lambda_membership(datum, c)
+        assert list(datum._rows) == [(2, 0), (1, 2)]
+
+    def test_bounded_oldest_first(self, monkeypatch):
+        monkeypatch.setattr(surface, "_KEPT_MAX", 3)
+        datum = standard_datum(1, 2)
+        lengths = [(k, 0) for k in range(6)]
+        for n in lengths:
+            length_rule(datum, n)
+            assert len(datum._rows) <= 3
+        assert list(datum._rows) == lengths[-3:]
+        # an evicted row is built again, to the same value
+        assert length_rule(datum, (0, 0)) == ("", (0, 0))
+        assert list(datum._rows) == lengths[-2:] + [(0, 0)]
+
+    def test_dropped_datum_goes_without_a_collection(self):
+        gc.disable()
+        try:
+            datum = standard_datum(2, 0)
+            for n in itertools.product(range(3), repeat=3):
+                lambda_membership(datum, n + (0, 0, 0))
+            assert datum._rows
+            ref = weakref.ref(datum)
+            del datum
+            assert ref() is None
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("datum, coord, why", [
+        (d05, (1, 2, 0, 0), "odd boundary sum (1,) at face 0"),
+        (d05, (2, 1, 0, 0), "odd boundary sum (1, 2) at face 1"),
+        (d20, (1, 0, 0, 0, 0, 0), "odd boundary sum (1, 0, 0) at face 0"),
+        (d05, (-1, 2, 0, 0), "negative length coordinate"),
+        (d05, (-1, 1, 0, 0), "negative length coordinate"),
+        (d04, (0, -1), "twist -1 at curve 0 below bound 0/2"),
+        (d05, (2, 0, 0, -2), "twist -2 at curve 1 below bound -2/2"),
+        (d20, (2, 2, 0, 0, 0, -1), "twist -1 at curve 2 below bound 0/2"),
+        (d12, (0, 2, -1, 5), "twist -1 at curve 0 below bound 4/2"),
+    ])
+    def test_witnesses_unchanged(self, datum, coord, why):
+        # each twice: from a fresh row, then from the kept one
+        assert lambda_membership(datum, coord) == (False, why)
+        assert lambda_membership(datum, coord) == (False, why)
+        assert lambda_membership(datum, list(coord)) == (False, why)
+
+    def test_wrong_length_raises(self):
+        with pytest.raises(ValueError, match="must have length 4"):
+            lambda_membership(d05, (2, 2, 0))
+
+
 class TestDEmbed:
     def test_examples(self):
         assert d_embed(d04, (2, 2)) == (2, 2)
         assert d_embed(d05, (1, 3, 0, -1)) == (4, -1, 0, 1)
+
+    def test_matches_the_split_formula(self):
+        rng = random.Random(7)
+        for datum in (d04, d05, d12, d20, standard_datum(2, 3)):
+            r = datum.r
+            for _ in range(200):
+                c = tuple(rng.randint(-6, 6) for _ in range(2 * r))
+                n, t = tuple(c[:r]), tuple(c[r:])
+                want = (sum(n), sum(t)) + t[:-1] + n[:-1]
+                assert d_embed(datum, c) == want
+                assert d_embed(datum, list(c)) == want
+
+    @pytest.mark.parametrize("coord", [(2, 2, 0), (2,), (), (1, 2, 3, 4, 5)])
+    def test_wrong_length_raises(self, coord):
+        with pytest.raises(ValueError, match="must have length 4"):
+            d_embed(d05, coord)
 
     def test_injective(self):
         rng = random.Random(2)
@@ -339,6 +465,25 @@ class TestPhi:
             assert lead == coord
             count += 1
         assert count > 500
+
+    @pytest.mark.parametrize("datum, coords", [
+        # every length positive: the core has no twists
+        (d20, [(2, 2, 2, 1, -1, 3), (1, 1, 2, 0, 0, 0), (2, 4, 2, -3, 2, 1)]),
+        (d05, [(2, 2, 1, 1), (2, 2, -3, 2), (4, 2, 0, 0)]),
+        # every length 0: the coordinate is its own core
+        (d20, [(0, 0, 0, 0, 0, 0), (0, 0, 0, 1, 1, 1), (0, 0, 0, 2, 0, 1)]),
+        (d12, [(0, 0, 0, 0), (0, 0, 3, 1)]),
+        # mixed, with and without a twist at a met curve
+        (d20, [(2, 0, 2, 0, 1, 1), (2, 0, 2, -2, 1, 0), (0, 2, 2, 1, 3, -1)]),
+        (d05, [(2, 0, 1, 0), (2, 0, -2, 1), (0, 2, 2, -1)]),
+        (d12, [(2, 0, -1, 1), (0, 2, 2, 1)]),
+    ])
+    def test_direct_cases_match_the_secondary_split(self, datum, coords):
+        for coord in coords:
+            want = phi_value(datum, coord, secondary_split=True)
+            assert phi_value(datum, coord) == want, coord
+            assert phi_value(datum, coord) == want, coord
+            assert phi_value(datum, list(coord)) == want, coord
 
     def test_twist_move_invariance(self):
         rng = random.Random(4)
