@@ -47,14 +47,14 @@ class AntisymMatrix:
         return len(self.rows)
 
     def pairing(self, k: Sequence[int], l: Sequence[int]) -> int:
-        """The bilinear form sum_{ij} Q_ij k_i l_j: one dot product of a
-        row with ``l`` per nonzero entry of ``k``."""
+        """The bilinear form sum_{ij} Q_ij k_i l_j."""
         if len(k) != self.dim or len(l) != self.dim:
             raise ValueError("vector length must equal the matrix dimension")
         total = 0
-        for ki, row in zip(k, self.rows):
+        for i, ki in enumerate(k):
             if ki:
-                total += ki * sum(map(mul, row, l))
+                row = self.rows[i]
+                total += ki * sum(row[j] * lj for j, lj in enumerate(l) if lj)
         return total
 
     def pairing_row(self, k: Sequence[int]) -> tuple[int, ...]:

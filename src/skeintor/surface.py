@@ -415,18 +415,15 @@ def lambda_membership(datum: DTDatum, coord: Coord) -> tuple[bool, str]:
     """Membership in the global coordinate monoid, with a witness reason;
     the face parities and twist bounds are read from the row of the
     lengths (:func:`length_rule`)."""
-    r = datum.r
-    if len(coord) != 2 * r:
-        raise ValueError(f"coordinate must have length {2 * r}")
-    n = tuple(coord[:r])
+    n, t = split_nt(datum.r, coord)
     if min(n) < 0:
         return False, "negative length coordinate"
     odd, bounds2 = length_rule(datum, n)
     if odd:
         return False, odd
     for c, bound2 in enumerate(bounds2):
-        if bound2 is not None and 2 * coord[r + c] < bound2:
-            return False, f"twist {coord[r + c]} at curve {c} below bound {bound2}/2"
+        if bound2 is not None and 2 * t[c] < bound2:
+            return False, f"twist {t[c]} at curve {c} below bound {bound2}/2"
     return True, ""
 
 
@@ -440,11 +437,8 @@ def d_embed(datum: DTDatum, coord: Coord) -> tuple[int, ...]:
     Total length and twist first, then all but the last twist and all
     but the last length; compared lexicographically.
     """
-    r = datum.r
-    if len(coord) != 2 * r:
-        raise ValueError(f"coordinate must have length {2 * r}")
-    n, t = coord[:r], coord[r:]
-    return (sum(n), sum(t), *t[:-1], *n[:-1])
+    n, t = split_nt(datum.r, coord)
+    return (sum(n), sum(t)) + t[:-1] + n[:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -584,29 +578,14 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
     """
     r = datum.r
     torus = surface_torus(datum)
+    n, t = split_nt(r, coord)
     if secondary_split:
-        n = split_nt(r, coord)[0]
         return torus.from_flat({n + tvec: c for tvec, c in _glue(datum, coord, True).items()})
     ok, why = lambda_membership(datum, coord)
     if not ok:
         raise ValueError(f"coordinate not in the monoid: {why}")
-    n, t = tuple(coord[:r]), tuple(coord[r:])
-    # the core key and the translation in one pass; with every length
-    # positive the core has no twists, with none it is the coordinate
-    if 0 not in n:
-        core, shift = n + (0,) * r, t
-    elif any(n):
-        core_t, shift = [], []
-        for x, y in zip(n, t):
-            if x:
-                core_t.append(0)
-                shift.append(y)
-            else:
-                core_t.append(y)
-                shift.append(0)
-        core = n + tuple(core_t)
-    else:
-        core, shift = n + t, ()
+    shift = tuple(y if x else 0 for x, y in zip(n, t))
+    core = n + tuple(0 if x else y for x, y in zip(n, t))
     kept = datum._cores.get(core)
     if kept is None:
         shared = datum._core_parts

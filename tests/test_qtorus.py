@@ -88,8 +88,7 @@ def matrix_and_vectors(draw):
 
 
 class TestPairingReference:
-    """``pairing`` takes one dot product of a row with l per nonzero entry
-    of k; the reference is the double sum over every entry."""
+    """``pairing`` against the double sum over every entry of the matrix."""
 
     @given(matrix_and_vectors())
     @settings(max_examples=400, deadline=None)

@@ -478,7 +478,7 @@ class TestPhi:
         (d05, [(2, 0, 1, 0), (2, 0, -2, 1), (0, 2, 2, -1)]),
         (d12, [(2, 0, -1, 1), (0, 2, 2, 1)]),
     ])
-    def test_direct_cases_match_the_secondary_split(self, datum, coords):
+    def test_length_patterns_match_the_secondary_split(self, datum, coords):
         for coord in coords:
             want = phi_value(datum, coord, secondary_split=True)
             assert phi_value(datum, coord) == want, coord
