@@ -8,12 +8,17 @@ again a normalized monomial up to an explicit half-integer power of the
 quantum parameter, which makes every operation closed-form.
 
 Products accumulate flat: each output exponent collects plain integer
-coefficients under their coefficient keys, the pairing's half-steps
-are added to the left coefficient key, and each output coefficient
-becomes a ``GroundElem`` once, at the end.  A left factor that is one
-monomial times a power of q (in the pants trace, a twist monomial or
-``u_i``) only shifts the q-exponents of the right coefficients, so
-that product skips the accumulation.
+coefficients under their coefficient keys, and each output coefficient
+becomes a ``GroundElem`` once, at the end.  The factors the program
+multiplies are graded: the terms of a glued trace share their lengths
+and those of a pants value their x-degrees, and the twist (u) block of
+both commutation matrices is zero.  So the pairing of a term pair
+splits into a part of the left term and a part of the right one, each
+factor's coefficient keys take their part of the q-shift once, and
+the pair loop only adds keys (see :func:`elem_mul`).  A left factor
+that is one monomial times a power of q (in the pants trace, a twist
+monomial or ``u_i``) only shifts the q-exponents of the right
+coefficients, so that product skips the accumulation.
 """
 
 from __future__ import annotations
@@ -90,11 +95,6 @@ class QuantumTorus:
         if c.is_zero():
             return self.zero()
         return TorusElement(self, {k: c})
-
-    def generator(self, i: int, power: int = 1, coeff: GroundElem | None = None) -> "TorusElement":
-        exps = [0] * self.rank
-        exps[i] = power
-        return self.monomial(exps, coeff)
 
     def from_flat(self, terms: dict[tuple[int, ...], dict[tuple[int, ...], int]]) -> "TorusElement":
         """The element with integer coefficients accumulated per exponent
@@ -209,33 +209,74 @@ _set_terms = TorusElement.terms.__set__
 
 
 def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
-    """Bilinear extension of the normalized-monomial product."""
+    """Bilinear extension of the normalized-monomial product.
+
+    The term pair (k, l) carries q^(pairing(k, l)/2).  When the left
+    factor's exponents differ only at a set A of positions, the right
+    factor's only at a set B, and the matrix vanishes on A x B, the
+    pairing splits at the first terms k0 and l0 of the two factors:
+
+        pairing(k, l) = (pairing(k, l0) - pairing(k0, l0)) + pairing(k0, l)
+
+    So each left coefficient takes the first part and each right one
+    the second, once per term: one pairing row per factor and no dot
+    product per term pair, and the pair loop only adds keys.  The test
+    reads the columns of the two exponent sets, O(terms), and a factor
+    of one term skips it.  When it fails, each left term is a graded
+    group of its own, multiplied the same way.
+    """
     e1._check(e2)
     torus = e1.torus
-    if len(e1.terms) == 1:
-        (k, c), = e1.terms.items()
+    terms1, terms2 = e1.terms, e2.terms
+    if len(terms1) == 1:
+        (k, c), = terms1.items()
         if len(c.terms) == 1:
             (ka, ca), = c.terms.items()
             if ca == 1 and not any(ka[:-1]):
                 return _q_monomial_mul(torus, k, ka[-1], e2)
-    pairing_row = torus.matrix.pairing_row
-    right = [(l, d.terms.items()) for l, d in e2.terms.items()]
+    if not terms1 or not terms2:
+        return torus.zero()
+    rows = torus.matrix.rows
+    groups = [terms1.items()]
+    if len(terms1) > 1 and len(terms2) > 1:
+        b = _varying(terms2)
+        for i, col in enumerate(zip(*terms1)):
+            if col.count(col[0]) != len(col) and any(map(rows[i].__getitem__, b)):
+                groups = [((k, c),) for k, c in terms1.items()]
+                break
     out: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-    for k, c in e1.terms.items():
-        row = pairing_row(k)
-        left = c.terms.items()
-        for l, dterms in right:
-            p = sum(map(mul, row, l))
-            key = tuple(map(add, k, l))
-            acc = out.get(key)
-            if acc is None:
-                acc = out[key] = {}
-            for ka, ca in left:
-                shifted = ka[:-1] + (ka[-1] + p,)
-                for kb, cb in dterms:
-                    kc = tuple(map(add, shifted, kb))
-                    acc[kc] = acc.get(kc, 0) + ca * cb
+    for group in groups:
+        (k0, c0), *rest = group
+        row = [-sum(map(mul, q, k0)) for q in rows]  # k0^T Q
+        right = []
+        for l, d in terms2.items():
+            h, terms = sum(map(mul, row, l)), d.terms.items()
+            right.append((l, [(kb[:-1] + (kb[-1] + h,), cb) for kb, cb in terms] if h else terms))
+        left = [(k0, c0.terms.items())]
+        if rest:
+            l0 = next(iter(terms2))
+            base = sum(map(mul, row, l0))
+            col = [sum(map(mul, q, l0)) for q in rows]  # Q l0
+            for k, c in rest:
+                h, terms = sum(map(mul, col, k)) - base, c.terms.items()
+                left.append((k, [(ka[:-1] + (ka[-1] + h,), ca) for ka, ca in terms] if h else terms))
+        for k, lterms in left:
+            for l, rterms in right:
+                key = tuple(map(add, k, l))
+                acc = out.get(key)
+                if acc is None:
+                    acc = out[key] = {}
+                for ka, ca in lterms:
+                    for kb, cb in rterms:
+                        kc = tuple(map(add, ka, kb))
+                        acc[kc] = acc.get(kc, 0) + ca * cb
     return torus.from_flat(out)
+
+
+def _varying(terms) -> list[int]:
+    """The positions at which the exponents of ``terms`` do not all agree
+    (``elem_mul`` scans the left factor's columns the same way)."""
+    return [i for i, col in enumerate(zip(*terms)) if col.count(col[0]) != len(col)]
 
 
 def _q_monomial_mul(torus: QuantumTorus, k: tuple[int, ...], h: int, e2: TorusElement) -> TorusElement:

@@ -42,7 +42,7 @@ from .qtorus import (
     lead_term,
     reflection_normalize,
 )
-from .ring import GroundElem, GroundRing
+from .ring import GroundElem, GroundRing, _nonzero
 
 
 def _commutation_matrix(j: int) -> AntisymMatrix:
@@ -76,8 +76,12 @@ class TraceTorus:
         return self.torus.ring
 
     def u(self, i: int, power: int = 1, half_steps: int = 0) -> TorusElement:
-        """u_i to the ``power``, times q^(half_steps/2)."""
-        return self.torus.generator(self.j + i - 1, power, self.ring.q_half(half_steps))
+        """u_i to the ``power``, times q^(half_steps/2), built in one step."""
+        exponent = [0] * (2 * self.j)
+        exponent[self.j + i - 1] = power
+        ring = self.torus.ring
+        coeff = _nonzero(ring, {(0,) * ring.nsym + (half_steps,): 1})
+        return TorusElement(self.torus, {tuple(exponent): coeff})
 
     def monomial(self, coord: Coord) -> TorusElement:
         return self.torus.monomial(coord)

@@ -148,8 +148,10 @@ class DTDatum:
                         f"precede curve {c1} at the first"
                     )
 
-    @property
+    @cached_property
     def r(self) -> int:
+        """The number of curves, kept on the instance: every coordinate
+        split and degree vector reads it."""
         return self.graph.r
 
     def face_type(self, v: int) -> int:

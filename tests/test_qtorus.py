@@ -1,9 +1,12 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from skeintor import qtrace
+from skeintor.pants import decompose, lambda_contains
 from skeintor.qtorus import (
     AntisymMatrix,
     QuantumTorus,
@@ -13,6 +16,9 @@ from skeintor.qtorus import (
     weyl_normalize,
 )
 from skeintor.ring import GroundElem, GroundRing
+from skeintor.surface import phi_value, standard_datum
+
+import test_surface
 
 
 def mono_mul(torus, a, b):
@@ -290,6 +296,151 @@ class TestMonomialProduct:
                 + t.monomial((2, -1), c * SYM.q_half(-2) * (SYM.q_half(-1) - v2))
             )
         assert elem_mul(t.monomial((1, 0), v1), t.zero()) == t.zero()
+
+
+def graded(a, b):
+    """Whether the matrix vanishes on the positions where the exponents
+    of ``a`` vary times those where the exponents of ``b`` vary: the
+    condition under which elem_mul splits the pairing between the
+    factors."""
+    rows, n = a.torus.matrix.rows, a.torus.rank
+    varying = [[i for i in range(n) if len({k[i] for k in e.terms}) > 1] for e in (a, b)]
+    return not any(rows[i][j] for i in varying[0] for j in varying[1])
+
+
+@st.composite
+def graded_pair(draw):
+    """Two elements of a torus on an x block and a twist block whose
+    twist block of the matrix is zero (isotropic), each element's terms
+    sharing one x-part: the shape of glued traces and pants values."""
+    nx, nt = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    n = nx + nt
+    rows = [[0] * n for _ in range(n)]
+    for i in range(nx):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-3, 3))
+            rows[j][i] = -rows[i][j]
+    t = QuantumTorus(AntisymMatrix(tuple(tuple(r) for r in rows)), SYM)
+
+    def element():
+        x = draw(st.tuples(*[st.integers(-2, 2)] * nx))
+        terms = draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * nt), sym_coeffs, max_size=5))
+        return sum((t.monomial(x + u, c) for u, c in terms.items()), t.zero())
+
+    return t, element(), element()
+
+
+@st.composite
+def non_graded_pair(draw):
+    """Two elements of at least two terms each whose exponents vary at
+    positions i and j with a nonzero matrix entry, over SYM."""
+    n = draw(st.integers(2, 4))
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows[i][j] = draw(st.integers(-3, 3))
+            rows[j][i] = -rows[i][j]
+    rows[0][1] = draw(st.sampled_from([-2, -1, 1, 2]))
+    rows[1][0] = -rows[0][1]
+    t = QuantumTorus(AntisymMatrix(tuple(tuple(r) for r in rows)), SYM)
+    exps = st.tuples(*[st.integers(-1, 1)] * n)
+    coeffs = st.dictionaries(
+        st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-3, 3)),
+        st.sampled_from([-3, -2, -1, 1, 2, 3]),
+        min_size=1,
+        max_size=3,
+    ).map(lambda terms: GroundElem(SYM, terms))
+    element = st.dictionaries(exps, coeffs, min_size=2, max_size=4).map(
+        lambda terms: sum((t.monomial(k, c) for k, c in terms.items()), t.zero())
+    )
+    return t, draw(element), draw(element)
+
+
+class TestGradedProduct:
+    """elem_mul splits the q-shift between graded factors and falls back
+    to one group per left term otherwise; the per-pair product is the
+    reference either way."""
+
+    @given(graded_pair())
+    @settings(max_examples=400, deadline=None)
+    def test_graded_pairs_match_reference(self, case):
+        t, a, b = case
+        assert graded(a, b)
+        prod = elem_mul(a, b)
+        assert prod == reference_mul(t, a, b)
+        assert all(not c.is_zero() for c in prod.terms.values())
+
+    @given(non_graded_pair())
+    @settings(max_examples=300, deadline=None)
+    def test_non_graded_pairs_match_reference(self, case):
+        t, a, b = case
+        assume(len(a.terms) > 1 and len(b.terms) > 1 and not graded(a, b))
+        assert elem_mul(a, b) == reference_mul(t, a, b)
+
+    def test_examples(self):
+        # Q = [[0, 1, 2], [-1, 0, 0], [-2, 0, 0]]: positions 1 and 2 commute
+        t = QuantumTorus(AntisymMatrix(((0, 1, 2), (-1, 0, 0), (-2, 0, 0))), SYM)
+        v1 = SYM.var("v1")
+        a = t.monomial((1, 0, 1), v1) + t.monomial((1, 1, 0), SYM.q_half(1))
+        b = t.monomial((2, 1, 0)) + t.monomial((2, 0, 1), v1 + SYM.one())
+        assert graded(a, b) and graded(b, a)
+        assert elem_mul(a, b) == reference_mul(t, a, b)
+        assert elem_mul(b, a) == reference_mul(t, b, a)
+        # varying at position 0 against position 1, where Q is 1
+        c = t.monomial((0, 1, 0)) + t.monomial((1, 1, 0), v1)
+        assert not graded(c, a)
+        assert elem_mul(c, a) == reference_mul(t, c, a)
+        assert elem_mul(a, c) == reference_mul(t, a, c)
+
+    def test_zero_factor(self):
+        t = QuantumTorus(AntisymMatrix(((0, 1, 2), (-1, 0, 0), (-2, 0, 0))), SYM)
+        v1 = SYM.var("v1")
+        for e in (t.monomial((1, 0, 1), v1) + t.monomial((1, 2, 0), SYM.q_half(1)),
+                  t.monomial((1, 0, 1), v1), t.one(), t.zero()):
+            assert elem_mul(t.zero(), e) == t.zero()
+            assert elem_mul(e, t.zero()) == t.zero()
+
+
+def _recorded_products(module, monkeypatch):
+    """Patch ``module.elem_mul`` to record its argument pairs."""
+    seen = []
+
+    def record(a, b):
+        seen.append((a, b))
+        return elem_mul(a, b)
+
+    monkeypatch.setattr(module, "elem_mul", record)
+    return seen
+
+
+class TestProgramProductsAreGraded:
+    """The products the program computes take the graded path: glued
+    traces on the four reference surfaces, the tensor-torus products of
+    the glue oracle, and the component products of the pants traces (a
+    one-holed pants curve has one component, so type 1 multiplies none)."""
+
+    @pytest.mark.parametrize("gm", [(0, 4), (0, 5), (1, 2), (2, 0)])
+    def test_glue_and_oracle_products(self, gm, monkeypatch):
+        datum = standard_datum(*gm)
+        coords = list(test_surface.box(datum, 3, 3))
+        rng = random.Random(15)
+        for k, l in zip(rng.choices(coords, k=60), rng.choices(coords, k=60)):
+            a, b = phi_value(datum, k), phi_value(datum, l)
+            assert graded(a, b), (k, l)
+            assert elem_mul(a, b) == reference_mul(a.torus, a, b)
+        seen = _recorded_products(test_surface, monkeypatch)
+        for coord in rng.choices(coords, k=20):
+            test_surface.oracle_glue(datum, coord)
+        assert seen and all(graded(a, b) for a, b in seen)
+
+    @pytest.mark.parametrize("j", [2, 3])
+    def test_pants_component_products(self, j, monkeypatch):
+        seen = _recorded_products(qtrace, monkeypatch)
+        for coord in itertools.product(range(5), repeat=j):
+            for t in itertools.product(range(-2, 3), repeat=j):
+                if lambda_contains(j, coord + t):
+                    qtrace._component_product.__wrapped__(j, decompose(j, coord + t).components)
+        assert seen and all(graded(a, b) for a, b in seen)
 
 
 def reference_normalize(e):

@@ -291,6 +291,20 @@ class TestSharedProduct:
         assert _component_product.cache_info().maxsize == _core_value.cache_info().maxsize == 65536
 
 
+class TestTraceTorusU:
+    def test_matches_the_monomial(self):
+        # u_i is generator j + i - 1; its coefficient the power of q
+        for j in (1, 2, 3):
+            tt = trace_torus(j)
+            for i in range(1, j + 1):
+                for power, h in ((1, 0), (1, -6), (2, 3), (-1, 1), (0, 2)):
+                    exponent = [0] * (2 * j)
+                    exponent[j + i - 1] = power
+                    want = tt.torus.monomial(exponent, tt.ring.q_half(h))
+                    got = tt.u(i, power, h)
+                    assert got == want and list(got.terms) == list(want.terms)
+
+
 class TestUtrCoord:
     def test_examples(self):
         b = t1.ring.var("b2") * t1.ring.var("b3")
