@@ -24,7 +24,8 @@ coefficients, so that product skips the accumulation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import add, mul
+from itertools import chain
+from operator import add, mul, neg
 from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
@@ -38,14 +39,14 @@ class AntisymMatrix:
     rows: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
-        n = len(self.rows)
-        for row in self.rows:
+        rows = self.rows
+        n = len(rows)
+        for row in rows:
             if len(row) != n:
                 raise ValueError("matrix must be square")
-        for i in range(n):
-            for j in range(n):
-                if self.rows[i][j] != -self.rows[j][i]:
-                    raise ValueError("matrix must be antisymmetric")
+        # Q^T = -Q in one pass, both read in row-major order
+        if [*chain.from_iterable(zip(*rows))] != [*map(neg, chain.from_iterable(rows))]:
+            raise ValueError("matrix must be antisymmetric")
 
     @property
     def dim(self) -> int:
@@ -53,21 +54,14 @@ class AntisymMatrix:
 
     def pairing(self, k: Sequence[int], l: Sequence[int]) -> int:
         """The bilinear form sum_{ij} Q_ij k_i l_j."""
-        if len(k) != self.dim or len(l) != self.dim:
+        rows = self.rows
+        if len(k) != len(rows) or len(l) != len(rows):
             raise ValueError("vector length must equal the matrix dimension")
         total = 0
-        for i, ki in enumerate(k):
+        for row, ki in zip(rows, k):
             if ki:
-                row = self.rows[i]
-                total += ki * sum(row[j] * lj for j, lj in enumerate(l) if lj)
+                total += ki * sum(map(mul, row, l))  # one dot product per nonzero k_i
         return total
-
-    def pairing_row(self, k: Sequence[int]) -> tuple[int, ...]:
-        """The row vector k^T Q, so pairing(k, l) = dot(pairing_row(k), l).
-
-        By antisymmetry k^T Q = -Q k, which is one dot product per row.
-        """
-        return tuple(-sum(map(mul, row, k)) for row in self.rows)
 
 
 @dataclass(frozen=True)
@@ -191,9 +185,7 @@ class TorusElement:
         v = tuple(vector)
         if not any(v):
             return self
-        return TorusElement(
-            self.torus, {tuple(a + b for a, b in zip(k, v)): c for k, c in self.terms.items()}
-        )
+        return TorusElement(self.torus, {tuple(map(add, k, v)): c for k, c in self.terms.items()})
 
     def reflect(self) -> "TorusElement":
         """Coefficientwise reflection; fixes every normalized monomial."""
@@ -219,11 +211,12 @@ def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
         pairing(k, l) = (pairing(k, l0) - pairing(k0, l0)) + pairing(k0, l)
 
     So each left coefficient takes the first part and each right one
-    the second, once per term: one pairing row per factor and no dot
-    product per term pair, and the pair loop only adds keys.  The test
-    reads the columns of the two exponent sets, O(terms), and a factor
-    of one term skips it.  When it fails, each left term is a graded
-    group of its own, multiplied the same way.
+    the second, once per term: one row per factor (k0^T Q and Q l0, dot
+    products with the matrix rows) and no dot product per term pair,
+    and the pair loop only adds keys.  The test reads the columns of
+    the two exponent sets, O(terms), and a factor of one term skips it.
+    When it fails, each left term is a graded group of its own,
+    multiplied the same way.
     """
     e1._check(e2)
     torus = e1.torus
@@ -283,10 +276,10 @@ def _q_monomial_mul(torus: QuantumTorus, k: tuple[int, ...], h: int, e2: TorusEl
     """The product of the monomial ``q^(h/2) x^k`` with ``e2``.
 
     Each output coefficient is a right coefficient shifted by ``h`` plus
-    the pairing half-steps: no two terms meet and none becomes zero, so
-    there is nothing to accumulate and no zero to drop.
+    the pairing half-steps, a dot product with the row k^T Q: no two
+    terms meet and none becomes zero, so nothing is accumulated or dropped.
     """
-    row = torus.matrix.pairing_row(k)
+    row = [-sum(map(mul, q, k)) for q in torus.matrix.rows]  # k^T Q
     out = {}
     for l, d in e2.terms.items():
         out[tuple(map(add, k, l))] = d.shift_q(h + sum(map(mul, row, l)))

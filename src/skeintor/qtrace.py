@@ -28,7 +28,7 @@ value costs one torus product per distinct component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import accumulate, zip_longest
 from operator import add
 
@@ -42,7 +42,7 @@ from .qtorus import (
     lead_term,
     reflection_normalize,
 )
-from .ring import GroundElem, GroundRing, _nonzero
+from .ring import GroundElem, GroundRing
 
 
 def _commutation_matrix(j: int) -> AntisymMatrix:
@@ -76,12 +76,8 @@ class TraceTorus:
         return self.torus.ring
 
     def u(self, i: int, power: int = 1, half_steps: int = 0) -> TorusElement:
-        """u_i to the ``power``, times q^(half_steps/2), built in one step."""
-        exponent = [0] * (2 * self.j)
-        exponent[self.j + i - 1] = power
-        ring = self.torus.ring
-        coeff = _nonzero(ring, {(0,) * ring.nsym + (half_steps,): 1})
-        return TorusElement(self.torus, {tuple(exponent): coeff})
+        """u_i to the ``power``, times q^(half_steps/2): see :func:`_kept_u`."""
+        return _kept_u(self.j, i, power, half_steps)
 
     def monomial(self, coord: Coord) -> TorusElement:
         return self.torus.monomial(coord)
@@ -94,11 +90,21 @@ def trace_torus(j: int) -> TraceTorus:
     return TraceTorus(j, QuantumTorus(_commutation_matrix(j), GroundRing(_SYMBOLS[j])))
 
 
+@lru_cache(maxsize=4096)
+def _kept_u(j: int, i: int, power: int, half_steps: int) -> TorusElement:
+    """u_i to the ``power``, times q^(half_steps/2), in ``trace_torus(j)``;
+    one element per key, shared by every caller since it is read-only."""
+    torus = trace_torus(j).torus
+    exponent = [0] * (2 * j)
+    exponent[j + i - 1] = power
+    return torus.monomial(exponent, torus.ring.q_half(half_steps))
+
+
 def pants_degree(j: int, exponent: Coord) -> tuple[int, int, int]:
     """The three-component degree used to order trace monomials."""
     n, t = split_nt(j, exponent)
     if j == 3:
-        return (sum(n), sum(t), 0)
+        return (n[0] + n[1] + n[2], t[0] + t[1] + t[2], 0)
     if j == 2:
         return (n[0] + n[1], t[0] + t[1], t[1])
     return (n[0], t[0], 0)
@@ -263,7 +269,7 @@ def grading_violation(j: int, coord: Coord, value: TorusElement) -> str | None:
 
 def lead_violation(j: int, coord: Coord, value: TorusElement) -> str | None:
     """Why ``coord`` is not the unique top-degree exponent of ``value``, or None."""
-    leads = [k for k, _ in lead_term(value, lambda k: pants_degree(j, k))]
+    leads = [k for k, _ in lead_term(value, partial(pants_degree, j))]
     if leads == [tuple(coord)]:
         return None
     return f"lead: maximal class {leads}, expected unique {coord}"

@@ -36,7 +36,7 @@ class GroundRing:
         return GroundElem(self, {(0,) * self.nsym + (0,): 1})
 
     def q_half(self, e: int) -> "GroundElem":
-        return GroundElem(self, {(0,) * self.nsym + (e,): 1})
+        return _nonzero(self, {(0,) * self.nsym + (e,): 1})
 
     def monomial(self, sym_exps: tuple[int, ...], q_half_exp: int = 0, coeff: int = 1) -> "GroundElem":
         if len(sym_exps) != self.nsym:

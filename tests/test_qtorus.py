@@ -81,9 +81,9 @@ class TestPairing:
 
 @st.composite
 def matrix_and_vectors(draw):
-    """An antisymmetric matrix of dimension 1-8 and two vectors, zero
+    """An antisymmetric matrix of dimension 1-10 and two vectors, zero
     vectors and zero entries drawn often."""
-    n = draw(st.integers(min_value=1, max_value=8))
+    n = draw(st.integers(min_value=1, max_value=10))
     rows = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
@@ -116,6 +116,90 @@ class TestPairingReference:
     def test_wrong_length_raises(self, k, l):
         with pytest.raises(ValueError, match="matrix dimension"):
             AntisymMatrix(((0, 1), (-1, 0))).pairing(k, l)
+
+    @given(matrix_and_vectors(), st.integers(-2, 2).filter(bool), st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_any_wrong_length_raises(self, case, extra, left):
+        # a vector one or two entries off, on either side, even a zero one
+        q, k, l = case
+        bad = (k + (0,) * extra) if extra > 0 else k[:extra]
+        with pytest.raises(ValueError, match="matrix dimension"):
+            q.pairing(bad, l) if left else q.pairing(l, bad)
+
+
+def entries(n, bound=3):
+    return st.lists(st.lists(st.integers(-bound, bound), min_size=n, max_size=n), min_size=n, max_size=n)
+
+
+@st.composite
+def antisymmetric_rows(draw):
+    """Rows of an antisymmetric matrix of dimension 0-10, as lists."""
+    n = draw(st.integers(min_value=0, max_value=10))
+    rows = draw(entries(n))
+    for i in range(n):
+        rows[i][i] = 0
+        for j in range(i):
+            rows[i][j] = -rows[j][i]
+    return rows
+
+
+class TestAntisymValidator:
+    """The constructor accepts exactly the square antisymmetric matrices,
+    given as any sequences of rows."""
+
+    @given(antisymmetric_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_accepts_antisymmetric_rows(self, rows):
+        for given_rows in (rows, tuple(map(tuple, rows))):
+            assert AntisymMatrix(given_rows).dim == len(rows)
+
+    @given(st.integers(1, 6).flatmap(entries))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_entrywise_rule(self, rows):
+        n = len(rows)
+        antisymmetric = all(rows[i][j] == -rows[j][i] for i in range(n) for j in range(n))
+        if antisymmetric:
+            AntisymMatrix(rows)
+        else:
+            with pytest.raises(ValueError, match="antisymmetric"):
+                AntisymMatrix(rows)
+
+    @given(antisymmetric_rows().filter(len), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_a_ragged_row(self, rows, data):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i] = rows[i] + [0] if data.draw(st.booleans()) or not rows[i] else rows[i][:-1]
+        with pytest.raises(ValueError, match="square"):
+            AntisymMatrix(rows)
+
+    @given(antisymmetric_rows().filter(len), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_a_nonzero_diagonal_entry(self, rows, data):
+        i = data.draw(st.integers(0, len(rows) - 1))
+        rows[i][i] = data.draw(st.integers(-3, 3).filter(bool))
+        with pytest.raises(ValueError, match="antisymmetric"):
+            AntisymMatrix(rows)
+
+    @given(antisymmetric_rows().filter(lambda rows: len(rows) > 1), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_rejects_a_broken_pair(self, rows, data):
+        # one entry of an off-diagonal pair changed, the other kept
+        i, j = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=2, max_size=2, unique=True))
+        rows[i][j] += data.draw(st.integers(-3, 3).filter(bool))
+        with pytest.raises(ValueError, match="antisymmetric"):
+            AntisymMatrix(rows)
+
+    def test_examples(self):
+        AntisymMatrix(())
+        AntisymMatrix([[0, 2], [-2, 0]])
+        with pytest.raises(ValueError, match="square"):
+            AntisymMatrix(((0, 1), (-1,)))
+        with pytest.raises(ValueError, match="square"):
+            AntisymMatrix(((0, 1, 0), (-1, 0, 0)))
+        with pytest.raises(ValueError, match="antisymmetric"):
+            AntisymMatrix(((1,),))
+        with pytest.raises(ValueError, match="antisymmetric"):
+            AntisymMatrix(((0, 1), (1, 0)))
 
 
 class TestMonoMul:
@@ -233,6 +317,40 @@ class TestElemMulReference:
         c = t.monomial((1, 0), v1 + SYM.one())
         d = t.monomial((0, 0), SYM.one()) - t.monomial((0, 0), v1)
         assert elem_mul(c, d) == reference_mul(t, c, d) == t.monomial((1, 0), SYM.one() - v1 * v1)
+
+
+class TestTranslate:
+    """``translate`` against adding the vector entry by entry."""
+
+    @given(torus_and_pair(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_entrywise_sum(self, case, data):
+        t, a, _ = case
+        v = data.draw(st.one_of(st.just((0,) * t.rank), st.tuples(*[st.integers(-4, 4)] * t.rank)))
+        shifted = a.translate(v)
+        want = {tuple(x + y for x, y in zip(k, v)): c for k, c in a.terms.items()}
+        assert dict(shifted.terms) == want
+        assert list(shifted.terms) == list(want)
+        assert shifted.translate([-x for x in v]) == a
+
+    @given(torus_and_pair())
+    @settings(max_examples=50, deadline=None)
+    def test_zero_vector_returns_the_element(self, case):
+        t, a, _ = case
+        assert a.translate((0,) * t.rank) is a
+        assert a.translate([0] * t.rank) is a
+
+
+class TestQHalf:
+    @given(st.integers(0, 3), st.integers(-40, 40))
+    @settings(max_examples=200, deadline=None)
+    def test_is_the_monomial(self, nsym, e):
+        ring = GroundRing(tuple(f"s{i}" for i in range(nsym)))
+        got = ring.q_half(e)
+        assert got == ring.monomial((0,) * nsym, e)
+        assert got.ring is ring and dict(got.terms) == {(0,) * nsym + (e,): 1}
+        with pytest.raises(TypeError):
+            got.terms[(0,) * nsym + (e,)] = 2
 
 
 Q_ONLY = GroundRing(())

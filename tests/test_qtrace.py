@@ -293,16 +293,43 @@ class TestSharedProduct:
 
 class TestTraceTorusU:
     def test_matches_the_monomial(self):
-        # u_i is generator j + i - 1; its coefficient the power of q
+        # u_i is generator j + i - 1; its coefficient the power of q.  A
+        # kept u is compared with one built afresh, first and second call
         for j in (1, 2, 3):
             tt = trace_torus(j)
-            for i in range(1, j + 1):
-                for power, h in ((1, 0), (1, -6), (2, 3), (-1, 1), (0, 2)):
-                    exponent = [0] * (2 * j)
-                    exponent[j + i - 1] = power
-                    want = tt.torus.monomial(exponent, tt.ring.q_half(h))
-                    got = tt.u(i, power, h)
+            for i, power, h in itertools.product(range(1, j + 1), range(-3, 4), range(-34, 35, 3)):
+                exponent = [0] * (2 * j)
+                exponent[j + i - 1] = power
+                want = tt.torus.monomial(exponent, tt.ring.monomial((0,) * tt.ring.nsym, h))
+                for got in (tt.u(i, power, h), tt.u(i, power, h)):
                     assert got == want and list(got.terms) == list(want.terms)
+                    assert got.torus is tt.torus
+            assert tt.u(1) == tt.u(1, 1, 0) == tt.u(1, power=1, half_steps=0)
+
+    def test_kept_u_is_read_only(self):
+        # every caller gets the same kept element; an attempt to change it
+        # or its coefficient raises and leaves the next call unchanged
+        u = t3.u(2, half_steps=-6)
+        assert t3.u(2, half_steps=-6) is u
+        (k, c), = u.terms.items()
+        for attempt in (
+            lambda: u.terms.clear(),
+            lambda: u.terms.__setitem__(k, t3.ring.one()),
+            lambda: u.terms.__delitem__(k),
+            lambda: setattr(u, "terms", {}),
+            lambda: setattr(u, "torus", t2.torus),
+            lambda: c.terms.__setitem__(next(iter(c.terms)), 5),
+            lambda: c.terms.update({(1,): 1}),
+            lambda: c.terms.clear(),
+            lambda: setattr(c, "terms", {}),
+        ):
+            with pytest.raises((AttributeError, TypeError)):
+                attempt()
+        again = t3.u(2, half_steps=-6)
+        assert again is u and again.torus is t3.torus
+        assert dict(again.terms) == {(0, 0, 0, 0, 1, 0): t3.ring.q_half(-6)}
+        assert dict(again.terms[(0, 0, 0, 0, 1, 0)].terms) == {(-6,): 1}
+        assert weyl_u_mul(t3, 2, t3.torus.one(), 3) == again
 
 
 class TestUtrCoord:
@@ -390,6 +417,36 @@ class TestUtrCoord:
             for _ in range(150):
                 v = utr_coord(tt, sample_member(rng, j))
                 assert v.reflect() == v
+
+
+def sum_degree(j, exponent):
+    """``pants_degree`` by its definition, with ``sum`` over the split."""
+    n, t = exponent[:j], exponent[j:]
+    return (sum(n), sum(t), t[1] if j == 2 else 0)
+
+
+class TestPantsDegree:
+    @given(st.sampled_from([1, 2, 3]).flatmap(
+        lambda j: st.tuples(st.just(j), st.tuples(*[st.integers(-20, 20)] * (2 * j)))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_sums(self, case):
+        j, exponent = case
+        assert pants_degree(j, exponent) == sum_degree(j, exponent)
+        assert pants_degree(j, list(exponent)) == sum_degree(j, exponent)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_wrong_length_raises(self, j):
+        for length in (0, 2 * j - 1, 2 * j + 1, 4 * j):
+            with pytest.raises(ValueError, match="length"):
+                pants_degree(j, (1,) * length)
+
+    def test_orders_the_lead_check(self):
+        # lead_violation orders by pants_degree: a term with the same
+        # lengths and a larger twist sum is found above the coordinate
+        coord = (2, 2, 0, 0, 1, 0)
+        value = utr_coord(t3, coord)
+        assert lead_violation(3, coord, value) is None
+        assert lead_violation(3, coord, value + t3.monomial((2, 2, 0, 1, 1, 0))).startswith("lead:")
 
 
 class TestThmbtr:
