@@ -34,7 +34,7 @@ from .qtorus import (
     reflection_normalize,
     weyl_normalize,
 )
-from .qtrace import TraceTorus, check_thmbtr, pants_degree, trace_torus, utr_component, utr_coord
+from .qtrace import TraceTorus, check_thmbtr, pants_degree, trace_torus, utr_coord
 from .ring import GroundElem, GroundRing
 from .surface import (
     DTDatum,

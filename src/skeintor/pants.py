@@ -147,26 +147,26 @@ def _base_return_coord(j: int, i: int) -> Coord:
     return tuple(n) + tuple(t)
 
 
-def _nu1(j: int, kind: str, boundaries: tuple[int, ...], twists: tuple[int, ...]) -> Coord:
-    for b in boundaries:
+def _nu1(j: int, c: ComponentSpec) -> Coord:
+    for b in c.boundaries:
         if not (1 <= b <= j):
             raise ValueError(f"component boundary {b} invalid for type {j}")
     n = [0] * j
     t = [0] * j
-    if kind == "loop":
-        t[boundaries[0] - 1] = 1
-    elif kind == "cross":
+    if c.kind == "loop":
+        t[c.boundaries[0] - 1] = 1
+    elif c.kind == "cross":
         if j == 1:
             raise ValueError("no cross arcs on the one-holed type")
-        (i, k), (s, m) = boundaries, twists
+        (i, k), (s, m) = c.boundaries, c.twists
         n[i - 1] = n[k - 1] = 1
         t[i - 1] += s
         t[k - 1] += m
     else:
-        base = _base_return_coord(j, boundaries[0])
+        base = _base_return_coord(j, c.boundaries[0])
         n = list(base[:j])
         t = list(base[j:])
-        t[boundaries[0] - 1] += twists[0]
+        t[c.boundaries[0] - 1] += c.twists[0]
     return tuple(n) + tuple(t)
 
 
@@ -175,7 +175,7 @@ def nu_of_component(j: int, c: ComponentSpec) -> Coord:
     _validate_type(j)
     if c.multiplicity != 1:
         raise ValueError("nu_of_component expects multiplicity 1")
-    return _nu1(j, c.kind, c.boundaries, c.twists)
+    return _nu1(j, c)
 
 
 @lru_cache(maxsize=65536)
@@ -247,7 +247,7 @@ class Decomposition:
     def nu(self) -> Coord:
         total = [0] * (2 * self.j)
         for c in self.components:
-            v = _nu1(self.j, c.kind, c.boundaries, c.twists)
+            v = _nu1(self.j, c)
             for idx in range(2 * self.j):
                 total[idx] += c.multiplicity * v[idx]
         for i in range(self.j):

@@ -8,7 +8,8 @@ again a normalized monomial up to an explicit half-integer power of the
 quantum parameter, which makes every operation closed-form.
 
 Products accumulate flat: each output exponent collects plain integer
-coefficients under their coefficient keys, and each output coefficient
+coefficients under their coefficient keys (``ring.flat_accumulate``, the
+two-level form of ``ring.flat_mul``), and each output coefficient
 becomes a ``GroundElem`` once, at the end.  The factors the program
 multiplies are graded: the terms of a glued trace share their lengths
 and those of a pants value their x-degrees, and the twist (u) block of
@@ -29,7 +30,7 @@ from operator import add, mul, neg
 from types import MappingProxyType
 from typing import Callable, Iterable, Sequence
 
-from .ring import GroundElem, GroundRing, _nonzero
+from .ring import GroundElem, GroundRing, _nonzero, flat_accumulate
 
 
 @dataclass(frozen=True)
@@ -253,16 +254,7 @@ def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
             for k, c in rest:
                 h, terms = sum(map(mul, col, k)) - base, c.terms.items()
                 left.append((k, [(ka[:-1] + (ka[-1] + h,), ca) for ka, ca in terms] if h else terms))
-        for k, lterms in left:
-            for l, rterms in right:
-                key = tuple(map(add, k, l))
-                acc = out.get(key)
-                if acc is None:
-                    acc = out[key] = {}
-                for ka, ca in lterms:
-                    for kb, cb in rterms:
-                        kc = tuple(map(add, ka, kb))
-                        acc[kc] = acc.get(kc, 0) + ca * cb
+        flat_accumulate(out, left, right)
     return torus.from_flat(out)
 
 

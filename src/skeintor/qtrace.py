@@ -42,7 +42,7 @@ from .qtorus import (
     lead_term,
     reflection_normalize,
 )
-from .ring import GroundElem, GroundRing
+from .ring import GroundElem, GroundRing, flat_mul
 
 
 def _commutation_matrix(j: int) -> AntisymMatrix:
@@ -124,22 +124,16 @@ _RETURN_TAIL = {
 }
 
 
-def utr_component(tt: TraceTorus, c: ComponentSpec) -> TorusElement:
-    """Trace of a single standard curve, possibly twisted: the monomial
-    at the curve's coordinates, plus its inverse for a loop and the
-    monomial given by ``_RETURN_TAIL`` for a return arc."""
-    if c.multiplicity != 1:
-        raise ValueError("utr_component expects multiplicity 1")
-    return _curve_value(tt, c.kind, c.boundaries, c.twists)
-
-
-def _curve_value(tt: TraceTorus, kind: str, boundaries: tuple[int, ...], twists: tuple[int, ...]) -> TorusElement:
-    top = pants._nu1(tt.j, kind, boundaries, twists)
+def _curve_value(tt: TraceTorus, c: ComponentSpec) -> TorusElement:
+    """Trace of one copy of the standard curve ``c``, possibly twisted:
+    the monomial at the curve's coordinates, plus its inverse for a loop
+    and the monomial given by ``_RETURN_TAIL`` for a return arc."""
+    top = pants._nu1(tt.j, c)
     value = tt.monomial(top)
-    if kind == "loop":
+    if c.kind == "loop":
         return value + tt.monomial(tuple(-x for x in top))
-    if kind == "return":
-        shift, syms = _RETURN_TAIL[tt.j, boundaries[0]]
+    if c.kind == "return":
+        shift, syms = _RETURN_TAIL[tt.j, c.boundaries[0]]
         tail = tt.monomial(top[: tt.j] + tuple(map(add, top[tt.j :], shift)))
         for name, power in syms:
             tail = tail.scale(tt.ring.var(name, power))
@@ -163,11 +157,11 @@ def _component_power(value: TorusElement, m: int) -> TorusElement:
     torus = value.torus
     (a, alpha), *rest = value.terms.items()
     one = {(0,) * torus.ring.nsym + (0,): 1}
-    alphas = list(accumulate([alpha.terms] * m, _flat_mul, initial=one))
+    alphas = list(accumulate([alpha.terms] * m, flat_mul, initial=one))
     if not rest:
         return torus.monomial(tuple(m * x for x in a), GroundElem(torus.ring, alphas[m]))
     (b, beta), = rest
-    betas = list(accumulate([beta.terms] * m, _flat_mul, initial=one))
+    betas = list(accumulate([beta.terms] * m, flat_mul, initial=one))
     row = [[1]]  # [r choose j]_t for j = 0..r, by Pascal's rule [r-1, j-1] + t^j [r-1, j]
     for r in range(1, m + 1):
         pascal = (zip_longest(row[j - 1], [0] * j + row[j], fillvalue=0) for j in range(1, r))
@@ -177,22 +171,11 @@ def _component_power(value: TorusElement, m: int) -> TorusElement:
     for j, gauss in enumerate(row):
         acc = out[tuple(j * x + (m - j) * y for x, y in zip(a, b))] = {}
         top = p * j * (m - j)
-        for key, c in _flat_mul(alphas[j], betas[m - j]).items():
+        for key, c in flat_mul(alphas[j], betas[m - j]).items():
             for s, g in enumerate(gauss):
                 k = key[:-1] + (key[-1] + top - 2 * p * s,)
                 acc[k] = acc.get(k, 0) + c * g
     return torus.from_flat(out)
-
-
-def _flat_mul(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
-    """The product of two coefficients given by their term dicts, as a
-    term dict (entries that cancel stay as zeros)."""
-    out: dict[tuple[int, ...], int] = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            k = tuple(map(add, ka, kb))
-            out[k] = out.get(k, 0) + ca * cb
-    return out
 
 
 # Bounded like _core_value: the reference path multiplies out each
@@ -207,10 +190,7 @@ def _component_product(j: int, comps: tuple[ComponentSpec, ...]) -> TorusElement
     """The untwisted product of the component values ``comps`` on pants
     type ``j``, each raised to its multiplicity."""
     tt = trace_torus(j)
-    powers = [
-        _component_power(_curve_value(tt, c.kind, c.boundaries, c.twists), c.multiplicity)
-        for c in comps
-    ]
+    powers = [_component_power(_curve_value(tt, c), c.multiplicity) for c in comps]
     return reduce(elem_mul, powers) if powers else tt.torus.one()
 
 

@@ -6,12 +6,15 @@ declared tuple of puncture symbols.  A surface with interior punctures
 gets one invertible central symbol per puncture; ``GroundRing(())`` is
 the plain half-step Laurent ring.  The quantum parameter is stored as
 integer counts of half-steps, so ``q^{3/2}`` is the half-step exponent
-``3``.  This keeps every computation integral.
+``3``.  This keeps every computation integral.  :func:`flat_mul` and
+:func:`flat_accumulate` are the one place that multiplies flat
+coefficients (term dicts) term pair by term pair.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 
 @dataclass(frozen=True)
@@ -108,21 +111,7 @@ class GroundElem:
         return self + (-other)
 
     def __mul__(self, other: "GroundElem") -> "GroundElem":
-        a, b = self.terms, other.terms
-        if len(a) == 1 and len(b) == 1:
-            (ka, ca), = a.items()
-            (kb, cb), = b.items()
-            return GroundElem(self.ring, {tuple(x + y for x, y in zip(ka, kb)): ca * cb})
-        out: dict[tuple[int, ...], int] = {}
-        for ka, ca in a.items():
-            for kb, cb in b.items():
-                k = tuple(x + y for x, y in zip(ka, kb))
-                s = out.get(k, 0) + ca * cb
-                if s:
-                    out[k] = s
-                elif k in out:
-                    del out[k]
-        return GroundElem(self.ring, out)
+        return GroundElem(self.ring, flat_mul(self.terms, other.terms))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, GroundElem) and self.terms == other.terms
@@ -161,3 +150,32 @@ def _nonzero(ring: GroundRing, terms: dict[tuple[int, ...], int]) -> GroundElem:
     _set_ring(e, ring)
     _set_terms(e, _ReadOnlyTerms(terms))
     return e
+
+
+def flat_mul(a: dict[tuple[int, ...], int], b: dict[tuple[int, ...], int]) -> dict[tuple[int, ...], int]:
+    """The product of two coefficients given by their term dicts, as a
+    term dict (entries that cancel stay as zeros)."""
+    out: dict[tuple[int, ...], int] = {}
+    for ka, ca in a.items():
+        for kb, cb in b.items():
+            k = tuple(map(add, ka, kb))
+            out[k] = out.get(k, 0) + ca * cb
+    return out
+
+
+def flat_accumulate(out: dict, left: list, right: list) -> dict:
+    """Add into ``out`` the product of two factors given as lists of
+    ``(exponent, coefficient terms)``, the terms ``(key, integer)``
+    pairs: each coefficient term pair adds ``ca * cb`` at
+    ``out[k + l][ka + kb]``, and entries that cancel stay as zeros."""
+    for k, lterms in left:
+        for l, rterms in right:
+            key = tuple(map(add, k, l))
+            acc = out.get(key)
+            if acc is None:
+                acc = out[key] = {}
+            for ka, ca in lterms:
+                for kb, cb in rterms:
+                    kc = tuple(map(add, ka, kb))
+                    acc[kc] = acc.get(kc, 0) + ca * cb
+    return out

@@ -20,13 +20,16 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import add
+from types import MappingProxyType
+from typing import Mapping
 
 from . import pants
 from .pants import Coord, base_twists, split_nt
 from .qtorus import AntisymMatrix, QuantumTorus, TorusElement, lead_term
 from .qtrace import trace_torus, utr_coord
-from .ring import GroundElem, GroundRing
+from .ring import GroundElem, GroundRing, flat_accumulate
 
 
 _EXCLUDED = {(1, 0), (1, 1)}
@@ -106,9 +109,9 @@ class FatGraph:
         return (2 + len(self.vertices) - len(self.legs)) // 2
 
     @cached_property
-    def he_curve(self) -> dict[int, int]:
-        """The curve of every paired half-edge; legs are absent."""
-        return {h: c for c, pair in enumerate(self.edges) for h in pair}
+    def he_curve(self) -> Mapping[int, int]:
+        """The curve of every paired half-edge, read-only; legs are absent."""
+        return MappingProxyType({h: c for c, pair in enumerate(self.edges) for h in pair})
 
 
 @dataclass(frozen=True)
@@ -207,12 +210,12 @@ class DTDatum:
             if not isinstance(d[key], list):
                 raise ValueError(f"datum key {key!r} must be a list, not {type(d[key]).__name__}")
         try:
-            graph = FatGraph(
-                tuple(tuple(v) for v in d["vertices"]),
-                tuple(tuple(e) for e in d["edges"]),
-                tuple(d["legs"]),
-            )
-            return DTDatum(graph, tuple(tuple(s) for s in d["slots"]))
+            vertices, edges, slots = (tuple(map(tuple, d[key])) for key in ("vertices", "edges", "slots"))
+            legs = tuple(d["legs"])
+            for h in chain(legs, *vertices, *edges, *slots):
+                if type(h) is not int:
+                    raise ValueError(f"half-edge ids must be integers, not {h!r}")
+            return DTDatum(FatGraph(vertices, edges, legs), slots)
         except TypeError as exc:
             raise ValueError(f"malformed datum: {exc}") from None
 
@@ -513,8 +516,8 @@ def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> dict[tuple[int, ...]
     lengths), so every tensor monomial projects: the u-exponents of the
     two sides of each curve add up to the global twist exponent, and the
     paired x-degrees become the length exponent, which is the lengths of
-    ``coord`` on every term.  Coefficients accumulate as integers, as in
-    ``elem_mul``.
+    ``coord`` on every term.  Coefficients accumulate as integers, one
+    ``ring.flat_accumulate`` per face, as in ``elem_mul``.
     """
     splits = face_split(datum, coord, secondary=secondary)
     r = datum.r
@@ -533,19 +536,7 @@ def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> dict[tuple[int, ...]
             for s in range(j):
                 contrib[curves[s]] += k[j + s]
             face_terms.append((tuple(contrib), _inject_coeff(sym_map, nsym, c)))
-        new: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {}
-        for tacc, cacc in acc.items():
-            left = cacc.items()
-            for tface, cface in face_terms:
-                key = tuple(map(add, tacc, tface))
-                bucket = new.get(key)
-                if bucket is None:
-                    bucket = new[key] = {}
-                for ka, ca in left:
-                    for kb, cb in cface:
-                        kc = tuple(map(add, ka, kb))
-                        bucket[kc] = bucket.get(kc, 0) + ca * cb
-        acc = new
+        acc = flat_accumulate({}, [(t, c.items()) for t, c in acc.items()], face_terms)
     return acc
 
 

@@ -2,7 +2,8 @@
 every entry point the traced benchmark wraps exists under its name,
 each sampler of the check suites tests its draws for membership,
 every check suite runs under the one suite harness, every
-module-level cache but the trace tori has a bound, every dict kept on
+module-level cache but the trace tori has a bound, only ``ring``
+multiplies coefficients term pair by term pair, every dict kept on
 a datum is written only through its bounded store, and the
 README names every module-level cache with its size and every
 datum-kept value.
@@ -30,8 +31,6 @@ PACKAGE = ROOT / "src" / "skeintor"
 ALLOWED = {
     "pants.Decomposition.nu": "inverse of decompose, checked by the round-trip tests",
     "surface.DTDatum.to_json": "inverse of from_json, the datum file format",
-    "qtrace.utr_component": "the exported one-curve trace; the pants trace builds the same "
-                            "value from a component's fields, without its checks",
 }
 
 
@@ -158,6 +157,66 @@ def test_check_suites_go_through_the_harness():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult" and id(node) not in allowed:
                 stray.append(f"{path.name}:{node.lineno}")
     assert not stray, f"CheckResult built outside checks._suite: {stray}"
+
+
+def _is_key_sum(node) -> bool:
+    """``map(add, ka, kb)``, or a generator summing two keys entry by entry."""
+    if isinstance(node, ast.Call):
+        return getattr(node.func, "id", None) == "map" and getattr(node.args[0], "id", None) == "add"
+    return isinstance(node, ast.GeneratorExp) and isinstance(node.elt, ast.BinOp) and isinstance(node.elt.op, ast.Add)
+
+
+def _is_product_accumulation(node) -> bool:
+    """``<d>.get(<k>, 0) + <a> * <b>``, or ``<d>[<k>] += <a> * <b>``."""
+    if isinstance(node, ast.AugAssign):
+        return isinstance(node.op, ast.Add) and isinstance(node.target, ast.Subscript) and (
+            isinstance(node.value, ast.BinOp) and isinstance(node.value.op, ast.Mult))
+    return (
+        isinstance(node, ast.BinOp) and isinstance(node.op, ast.Add)
+        and isinstance(node.left, ast.Call) and getattr(node.left.func, "attr", None) == "get"
+        and len(node.left.args) == 2 and getattr(node.left.args[1], "value", None) == 0
+        and isinstance(node.right, ast.BinOp) and isinstance(node.right.op, ast.Mult)
+    )
+
+
+def _term_pair_products(tree: ast.AST) -> set[str]:
+    """The top-level functions and classes holding a loop over term pairs
+    that accumulates coefficient products: a for loop, inside another,
+    whose body both sums two keys and adds a product under a key."""
+    found = set()
+    for top in tree.body:
+        for outer in ast.walk(top):
+            if not isinstance(outer, ast.For):
+                continue
+            for inner in ast.walk(outer):
+                if isinstance(inner, ast.For) and inner is not outer:
+                    body = [n for stmt in inner.body for n in ast.walk(stmt)]
+                    if any(map(_is_key_sum, body)) and any(map(_is_product_accumulation, body)):
+                        found.add(top.name)
+    return found
+
+
+def test_only_ring_multiplies_term_pairs():
+    # ring.flat_mul and ring.flat_accumulate are the one term-pair
+    # product, so a faster product (Kronecker substitution) replaces one
+    # function rather than a loop in each of its callers
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        found |= {f"{path.stem}.{name}" for name in _term_pair_products(ast.parse(path.read_text()))}
+    assert found == {"ring.flat_mul", "ring.flat_accumulate"}, f"term-pair products outside ring: {found}"
+    # the scan sees the shapes these loops were written in, and not the
+    # q-shift loop of the pants trace's Gaussian binomials
+    for bad in (
+        "def f(a, b):\n for ka, ca in a:\n  for kb, cb in b:\n   k = tuple(map(add, ka, kb))\n"
+        "   out[k] = out.get(k, 0) + ca * cb",
+        "class E:\n def m(a, b):\n  for ka, ca in a:\n   for kb, cb in b:\n"
+        "    k = tuple(x + y for x, y in zip(ka, kb))\n    s = out.get(k, 0) + ca * cb",
+        "def f(a, b):\n for ka, ca in a:\n  for kb, cb in b:\n   out[tuple(map(add, ka, kb))] += ca * cb",
+    ):
+        assert _term_pair_products(ast.parse(bad)), bad
+    shift = ("def f(terms, gauss):\n for key, c in terms:\n  for s, g in enumerate(gauss):\n"
+             "   k = key[:-1] + (key[-1] - 2 * s,)\n   acc[k] = acc.get(k, 0) + c * g")
+    assert not _term_pair_products(ast.parse(shift))
 
 
 def _paragraph(readme: str, opening: str) -> str:

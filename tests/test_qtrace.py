@@ -1,6 +1,5 @@
 import itertools
 import random
-from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -20,13 +19,13 @@ from skeintor.qtrace import (
     _component_power,
     _component_product,
     _core_value,
+    _curve_value,
     check_thmbtr,
     grading_violation,
     lead_violation,
     pants_degree,
     trace_torus,
     twist_violations,
-    utr_component,
     utr_coord,
     utr_coord_straight,
     weyl_u_mul,
@@ -69,13 +68,13 @@ class TestCommutation:
 
 class TestCatalog:
     def test_three_holed(self):
-        assert utr_component(t3, loop(1)) == t3.monomial((0, 0, 0, 1, 0, 0)) + t3.monomial(
+        assert _curve_value(t3, loop(1)) == t3.monomial((0, 0, 0, 1, 0, 0)) + t3.monomial(
             (0, 0, 0, -1, 0, 0)
         )
-        assert utr_component(t3, cross(2, 3)) == t3.monomial((0, 1, 1, 0, 0, 0))
-        assert utr_component(t3, cross(1, 2, s=2, t=-1)) == t3.monomial((1, 1, 0, 2, -1, 0))
+        assert _curve_value(t3, cross(2, 3)) == t3.monomial((0, 1, 1, 0, 0, 0))
+        assert _curve_value(t3, cross(1, 2, s=2, t=-1)) == t3.monomial((1, 1, 0, 2, -1, 0))
         for m in (-2, 0, 3):
-            got = utr_component(t3, return_arc(1, m))
+            got = _curve_value(t3, return_arc(1, m))
             want = t3.monomial((2, 0, 0, m, 1, 0)) + t3.monomial((2, 0, 0, m + 1, 0, -1))
             assert got == want
 
@@ -83,18 +82,18 @@ class TestCatalog:
         b3 = t2.ring.var("b3")
         b3inv = t2.ring.var("b3", -1)
         for m in (-1, 0, 2):
-            got = utr_component(t2, return_arc(1, m))
+            got = _curve_value(t2, return_arc(1, m))
             want = t2.monomial((2, 0, m, 1)) + t2.monomial((2, 0, m + 1, 0)).scale(b3inv)
             assert got == want
-            got = utr_component(t2, return_arc(2, m))
+            got = _curve_value(t2, return_arc(2, m))
             want = t2.monomial((0, 2, -1, m + 1)) + t2.monomial((0, 2, 0, m)).scale(b3)
             assert got == want
 
     def test_one_holed(self):
         b = t1.ring.var("b2") * t1.ring.var("b3")
-        assert utr_component(t1, loop(1)) == t1.monomial((0, 1)) + t1.monomial((0, -1))
+        assert _curve_value(t1, loop(1)) == t1.monomial((0, 1)) + t1.monomial((0, -1))
         for m in (-1, 0, 4):
-            got = utr_component(t1, return_arc(1, m))
+            got = _curve_value(t1, return_arc(1, m))
             assert got == t1.monomial((2, m + 1)) + t1.monomial((2, m)).scale(b)
 
     def test_values_reflection_invariant(self):
@@ -104,14 +103,14 @@ class TestCatalog:
             (t2, cross(1, 2, s=3)),
             (t1, return_arc(1, -2)),
         ]:
-            v = utr_component(tt, comp)
+            v = _curve_value(tt, comp)
             assert v.reflect() == v
 
     def test_invalid(self):
         with pytest.raises(ValueError):
-            utr_component(t1, cross(1, 2))
+            _curve_value(t1, cross(1, 2))
         with pytest.raises(ValueError):
-            utr_component(t2, loop(3))
+            _curve_value(t2, loop(3))
 
 
 def iterated_product(tt, comps):
@@ -120,7 +119,7 @@ def iterated_product(tt, comps):
     the closed-form powers are compared against."""
     out = tt.torus.one()
     for c in comps:
-        value = utr_component(tt, replace(c, multiplicity=1))
+        value = _curve_value(tt, c)
         for _ in range(c.multiplicity):
             out = elem_mul(out, value)
     return out

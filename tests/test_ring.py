@@ -1,8 +1,10 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeintor.ring import GroundElem, GroundRing
+from skeintor.ring import GroundElem, GroundRing, flat_accumulate, flat_mul
 
 # the half-step Laurent ring
 R = GroundRing(())
@@ -60,3 +62,58 @@ class TestGroundRing:
         ring = GroundRing(())
         e = ring.q_half(2)
         assert e.shift_q(-2) == ring.one()
+
+
+# two puncture symbols and q^{1/2}; small exponents so that products of
+# random elements share keys and cancel
+R2 = GroundRing(("a", "b"))
+two_symbol = st.dictionaries(
+    st.tuples(st.integers(-1, 1), st.integers(-1, 1), st.integers(-2, 2)),
+    st.integers(min_value=-3, max_value=3),
+    max_size=6,
+).map(lambda terms: GroundElem(R2, terms))
+
+
+def brute_product(a, b):
+    """The product of two coefficients, one Counter entry per term pair."""
+    out = Counter()
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            out[tuple(x + y for x, y in zip(ka, kb))] += ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+class TestFlatProduct:
+    @given(two_symbol, two_symbol)
+    @settings(max_examples=200, deadline=None)
+    def test_matches_brute_force(self, a, b):
+        got = a * b
+        assert dict(got.terms) == brute_product(a, b)
+        assert 0 not in got.terms.values()
+        assert {k: c for k, c in flat_mul(a.terms, b.terms).items() if c} == dict(got.terms)
+
+    def test_cancellation(self):
+        x, y = R2.var("a"), R2.var("b") * R2.q_half(1)
+        # (x + y)(x - y): the two cross terms cancel and are not kept
+        assert flat_mul((x + y).terms, (x - y).terms)[(1, 1, 1)] == 0
+        got = (x + y) * (x - y)
+        assert dict(got.terms) == {(2, 0, 0): 1, (0, 2, 2): -1}
+        assert (x + y) * R2.zero() == R2.zero()
+
+    def test_full_cancellation_is_zero(self):
+        # a * b and a * (-b) accumulated into one entry cancel term by term
+        a = R2.var("a") + R2.q_half(3)
+        b = R2.var("b", -1) - R2.q_half(-1)
+        right = [((0,), b.terms.items()), ((0,), (-b).terms.items())]
+        out = flat_accumulate({}, [((1,), a.terms.items())], right)
+        assert set(out) == {(1,)} and set(out[(1,)].values()) == {0}
+        assert GroundElem(R2, out[(1,)]).is_zero()
+
+    @given(two_symbol, two_symbol, two_symbol)
+    @settings(max_examples=100, deadline=None)
+    def test_accumulate_adds_products_by_exponent(self, a, b, c):
+        out = flat_accumulate({}, [((0, 1), a.terms.items()), ((1, 0), b.terms.items())],
+                              [((1, 0), c.terms.items())])
+        assert set(out) == {(1, 1), (2, 0)}
+        assert GroundElem(R2, out[(1, 1)]) == a * c
+        assert GroundElem(R2, out[(2, 0)]) == b * c

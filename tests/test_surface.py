@@ -122,6 +122,15 @@ class TestQMatrix:
         # frozen value for the counterclockwise corner convention
         assert q_matrix(d20).rows == ((0, -2, 2), (2, 0, -2), (-2, 2, 0))
 
+    def test_he_curve_is_read_only(self):
+        # q_matrix and the datum tables read the curves of the half-edges
+        # from he_curve, so a store into it must raise, not change them
+        datum = standard_datum(2, 0)
+        with pytest.raises(TypeError):
+            datum.graph.he_curve[0] = 1
+        assert q_matrix(datum).rows == ((0, -2, 2), (2, 0, -2), (-2, 2, 0))
+        assert dict(datum.graph.he_curve) == {h: c for c, pair in enumerate(datum.graph.edges) for h in pair}
+
     def test_antisymmetry_all_standard(self):
         for datum in (d04, d05, d12, d20, standard_datum(1, 4), standard_datum(2, 1)):
             q = q_matrix(datum)
