@@ -41,6 +41,7 @@ from .surface import (
     FatGraph,
     d_embed,
     face_split,
+    glued_lead,
     lambda_global,
     lambda_membership,
     phi_lead,

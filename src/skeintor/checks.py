@@ -28,7 +28,7 @@ from .arith import (
     pi_degree,
 )
 from .pants import lambda_contains, nu_of_component, return_arc
-from .qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term, weyl_normalize
+from .qtorus import AntisymMatrix, QuantumTorus, TorusElement, elem_mul, weyl_normalize
 from .qtrace import (
     grading_violation,
     lead_violation,
@@ -40,7 +40,7 @@ from .qtrace import (
 from .ring import GroundRing
 from .surface import (
     DTDatum,
-    d_embed,
+    glued_lead,
     lambda_global,
     length_rule,
     phi_value,
@@ -246,11 +246,13 @@ LEAD_SURFACES = ((0, 4), (0, 5), (1, 2), (2, 0))
 def check_lead_term(box: int = 4, surfaces=LEAD_SURFACES):
     for g, m in surfaces:
         datum = standard_datum(g, m)
-        order_key = lambda k: d_embed(datum, k)
         for coord in _global_table(datum, box, box).points():
             value = phi_value(datum, coord)
-            leads = lead_term(value, order_key)
             yield
+            try:
+                leads = glued_lead(datum, value)
+            except ValueError as exc:
+                yield {"surface": (g, m), "coord": coord, "reason": str(exc)}
             if len(leads) != 1 or leads[0][0] != coord:
                 yield {"surface": (g, m), "coord": coord, "leads": [k for k, _ in leads]}
 
@@ -276,7 +278,6 @@ def check_product_top(
             rows[0][-1] += 1
             rows[-1][0] -= 1
             qt = AntisymMatrix(tuple(tuple(r) for r in rows))
-        order_key = lambda k: d_embed(datum, k)
         table = _global_table(datum, 3, 3)
         for _ in range(pairs):
             k = _sample_global(rng, datum, table)
@@ -286,7 +287,10 @@ def check_product_top(
             if p % 2:
                 yield {"surface": (g, m), "pair": (k, l), "pairing": p, "reason": "odd pairing"}
             prod = elem_mul(phi_value(datum, k), phi_value(datum, l))
-            leads = lead_term(prod, order_key)
+            try:
+                leads = glued_lead(datum, prod)
+            except ValueError as exc:
+                yield {"surface": (g, m), "pair": (k, l), "reason": str(exc)}
             total = tuple(a + b for a, b in zip(k, l))
             want_coeff = torus.ring.q_half(p)
             if len(leads) != 1 or leads[0][0] != total:
@@ -307,11 +311,27 @@ def check_trace_properties(box: int = 6, seed: int = 0, twist_samples: int = 400
     """Boundary grading and top term on every box coordinate; the twist
     rule through the reference path (:func:`utr_coord_straight`, which
     reads no core value) on every decomposition core and a seeded sample
-    of box coordinates."""
+    of box coordinates.
+
+    A twist check reads the reference trace at its coordinate and at the
+    neighbour t + e_i at each boundary the curve meets, and a neighbour
+    is often checked a few coordinates later.  The coordinates come in
+    increasing order, so no check reads a trace below its own
+    coordinate: the suite keeps each trace it computed until a check
+    passes it, and so computes each once."""
     rng = random.Random(seed)
+    kept: dict[tuple, TorusElement] = {}
+
+    def straight(tt, coord):
+        value = kept.get(coord)
+        if value is None:
+            value = kept[coord] = utr_coord_straight(tt, coord)
+        return value
+
     for j in (1, 2, 3):
         tt = trace_torus(j)
         coords = list(_pants_table(j, box, box).points())
+        kept.clear()
         cores_seen: set[tuple] = set()
         sampled = set(rng.sample(range(len(coords)), min(twist_samples, len(coords))))
         for idx, coord in enumerate(coords):
@@ -325,7 +345,9 @@ def check_trace_properties(box: int = 6, seed: int = 0, twist_samples: int = 400
             if is_new_core:
                 cores_seen.add(core_key)
             if not why and (is_new_core or idx in sampled):
-                twist = twist_violations(tt, coord, utr_coord_straight)
+                for passed in [c for c in kept if c < coord]:
+                    del kept[passed]
+                twist = twist_violations(tt, coord, straight)
                 why = twist[0] if twist else None
             if why:
                 yield {"j": j, "coord": coord, "reason": why}

@@ -28,9 +28,9 @@ value costs one torus product per distinct component.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, partial, reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
-from operator import add
+from operator import add, itemgetter
 
 from . import pants
 from .pants import Coord, ComponentSpec, decompose, split_nt, twist_apply
@@ -247,9 +247,32 @@ def grading_violation(j: int, coord: Coord, value: TorusElement) -> str | None:
     return None
 
 
+def fixed_length_lead(value: TorusElement, r: int, key) -> list[tuple[Coord, GroundElem]]:
+    """The maximal class of ``value`` (see :func:`lead_term`) when all its
+    terms have the same lengths, its first ``r`` exponents.  ``key``
+    orders the twist parts only: with the lengths fixed, that is the
+    order of the full degree.  Raises ValueError when the lengths vary."""
+    terms = iter(value.terms)
+    n = next(terms, ())[:r]
+    for k in terms:
+        if k[:r] != n:
+            raise ValueError(f"lengths vary: {k[:r]} against {n}")
+    return lead_term(value, key)
+
+
+# The twist part of pants_degree, which orders the terms of a pants value:
+# its x-degrees are fixed.
+_TWIST_KEY = {3: lambda k: k[3] + k[4] + k[5], 2: lambda k: (k[2] + k[3], k[3]), 1: itemgetter(1)}
+
+
 def lead_violation(j: int, coord: Coord, value: TorusElement) -> str | None:
-    """Why ``coord`` is not the unique top-degree exponent of ``value``, or None."""
-    leads = [k for k, _ in lead_term(value, partial(pants_degree, j))]
+    """Why ``coord`` is not the unique top-degree exponent of ``value``
+    under :func:`pants_degree`, or None; a value whose x-degrees vary is
+    a violation as well."""
+    try:
+        leads = [k for k, _ in fixed_length_lead(value, j, _TWIST_KEY[j])]
+    except ValueError as exc:
+        return f"lead: {exc}"
     if leads == [tuple(coord)]:
         return None
     return f"lead: maximal class {leads}, expected unique {coord}"

@@ -27,8 +27,8 @@ from typing import Mapping
 
 from . import pants
 from .pants import Coord, base_twists, split_nt
-from .qtorus import AntisymMatrix, QuantumTorus, TorusElement, lead_term
-from .qtrace import trace_torus, utr_coord
+from .qtorus import AntisymMatrix, QuantumTorus, TorusElement
+from .qtrace import fixed_length_lead, trace_torus, utr_coord
 from .ring import GroundElem, GroundRing, flat_accumulate
 
 
@@ -52,7 +52,8 @@ class FatGraph:
 
     ``vertices[v]`` lists the half-edge ids at vertex ``v`` in
     counterclockwise order.  ``edges[c]`` is the pair of half-edges of
-    curve ``c``; ``legs`` are the unpaired half-edges (punctures).
+    curve ``c``; ``legs`` are the unpaired half-edges (punctures).  The
+    fields are copied into tuples, so a caller's lists cannot change it.
     """
 
     vertices: tuple[tuple[int, ...], ...]
@@ -60,6 +61,9 @@ class FatGraph:
     legs: tuple[int, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "vertices", tuple(map(tuple, self.vertices)))
+        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
+        object.__setattr__(self, "legs", tuple(self.legs))
         seen: dict[int, int] = {}
         for v, hes in enumerate(self.vertices):
             if len(hes) != 3:
@@ -123,12 +127,14 @@ class DTDatum:
     the leg for a two-holed face, one internal then the two legs for a
     one-holed face.  Numbering condition: in every two-holed face the
     curve at the second slot strictly precedes the curve at the first.
+    The slots are copied into tuples, as the fatgraph's fields are.
     """
 
     graph: FatGraph
     slots: tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "slots", tuple(map(tuple, self.slots)))
         g = self.graph
         if len(self.slots) != len(g.vertices):
             raise ValueError("one slot tuple per vertex required")
@@ -210,12 +216,10 @@ class DTDatum:
             if not isinstance(d[key], list):
                 raise ValueError(f"datum key {key!r} must be a list, not {type(d[key]).__name__}")
         try:
-            vertices, edges, slots = (tuple(map(tuple, d[key])) for key in ("vertices", "edges", "slots"))
-            legs = tuple(d["legs"])
-            for h in chain(legs, *vertices, *edges, *slots):
+            for h in chain(d["legs"], *d["vertices"], *d["edges"], *d["slots"]):
                 if type(h) is not int:
                     raise ValueError(f"half-edge ids must be integers, not {h!r}")
-            return DTDatum(FatGraph(vertices, edges, legs), slots)
+            return DTDatum(FatGraph(d["vertices"], d["edges"], d["legs"]), d["slots"])
         except TypeError as exc:
             raise ValueError(f"malformed datum: {exc}") from None
 
@@ -230,7 +234,7 @@ class _Tables:
     face_curves: tuple[tuple[int, ...], ...]       # per face: curve at each boundary slot
     sides: tuple[tuple[tuple[int, int], tuple[int, int]], ...]  # per curve: ((v,slot) primary, secondary)
     symbols: tuple[str, ...]                        # global puncture symbols, by sorted leg id
-    leg_symbol_index: dict[int, int]
+    leg_symbol_index: Mapping[int, int]             # read-only, like FatGraph.he_curve
 
 
 def _datum_tables(datum: DTDatum) -> _Tables:
@@ -253,7 +257,7 @@ def _datum_tables(datum: DTDatum) -> _Tables:
         sides.append((inc[0], inc[1]))
     sorted_legs = tuple(sorted(g.legs))
     symbols = tuple(f"v{i + 1}" for i in range(len(sorted_legs)))
-    leg_symbol_index = {h: i for i, h in enumerate(sorted_legs)}
+    leg_symbol_index = MappingProxyType({h: i for i, h in enumerate(sorted_legs)})
     return _Tables(face_types, face_curves, tuple(sides), symbols, leg_symbol_index)
 
 
@@ -446,6 +450,15 @@ def d_embed(datum: DTDatum, coord: Coord) -> tuple[int, ...]:
     return (sum(n), sum(t)) + t[:-1] + n[:-1]
 
 
+def glued_lead(datum: DTDatum, value: TorusElement) -> list[tuple[Coord, GroundElem]]:
+    """The maximal class of ``value`` under :func:`d_embed`, for a glued
+    trace or a product of them, whose terms all have the same lengths:
+    the terms are then ordered by their twist part, the twist sum and
+    all but the last twist.  Raises ValueError when the lengths vary."""
+    r = datum.r
+    return fixed_length_lead(value, r, lambda k: (sum(k[r:]),) + k[r:-1])
+
+
 # ---------------------------------------------------------------------------
 # splitting a coordinate into faces
 
@@ -600,7 +613,7 @@ def phi_lead(datum: DTDatum, coord: Coord) -> tuple[Coord, TorusElement]:
     Raises on a tie, which would contradict the top-term theorem.
     """
     value = phi_value(datum, coord)
-    leads = lead_term(value, lambda k: d_embed(datum, k))
+    leads = glued_lead(datum, value)
     if len(leads) != 1:
         raise ValueError(f"lead term tie at {coord}: {[k for k, _ in leads]}")
     return leads[0][0], value

@@ -2,12 +2,14 @@ import inspect
 import itertools
 import math
 import random
+import weakref
 from collections import Counter
 
 import pytest
 
 from skeintor import checks, pants
 from skeintor.pants import lambda_contains
+from skeintor.qtorus import TorusElement
 from skeintor.surface import lambda_global, standard_datum
 
 
@@ -142,6 +144,94 @@ class TestNegativeControl:
         assert all(r.passed for r in results)
         names = [r.name for r in results]
         assert names[0] == "pi-degree grid" and "chebyshev oracle" in names
+
+
+def _reads(monkeypatch, box):
+    """(coordinate checked, coordinate read) for every reference trace the
+    trace-property suite's twist checks read at seed 0, in order; the
+    suite must pass."""
+    reads = []
+    twist = checks.twist_violations
+
+    def recorded(tt, coord, trace):
+        def read(tt_, c):
+            reads.append((coord, c))
+            return trace(tt_, c)
+        return twist(tt, coord, read)
+
+    with monkeypatch.context() as m:
+        m.setattr(checks, "twist_violations", recorded)
+        assert checks.check_trace_properties(box, 0).passed
+    return reads
+
+
+class TestReferenceReuse:
+    """The trace-property suite keeps the reference traces it computed
+    and computes each once while it is kept."""
+
+    def test_one_reference_trace_per_coordinate(self, monkeypatch):
+        calls = Counter()
+        straight = checks.utr_coord_straight
+
+        def counted(tt, c):
+            calls[c] += 1
+            return straight(tt, c)
+
+        monkeypatch.setattr(checks, "utr_coord_straight", counted)
+        reads = _reads(monkeypatch, 4)
+        assert len(reads) == 17741
+        assert sum(calls.values()) == len(calls) == len({c for _, c in reads}) == 14503
+
+    def test_passed_reference_traces_are_dropped(self, monkeypatch):
+        # no check reads a trace below its own coordinate, so the suite
+        # holds none: at box 4 it holds a few dozen at a time, not one per
+        # coordinate
+        class Traced(TorusElement):
+            __slots__ = ("__weakref__",)
+
+        refs = {}
+        straight = checks.utr_coord_straight
+
+        def traced(tt, c):
+            value = straight(tt, c)
+            value = Traced(value.torus, dict(value.terms))
+            refs[c] = weakref.ref(value)
+            return value
+
+        held = []
+        twist = checks.twist_violations
+
+        def counted(tt, coord, trace):
+            for c in [c for c, ref in refs.items() if ref() is None]:
+                del refs[c]
+            assert all(len(c) == len(coord) and c >= coord for c in refs), coord
+            held.append(len(refs))
+            return twist(tt, coord, trace)
+
+        monkeypatch.setattr(checks, "utr_coord_straight", traced)
+        monkeypatch.setattr(checks, "twist_violations", counted)
+        assert checks.check_trace_properties(4, 0).passed
+        assert len(held) == 5203 and max(held) < 32
+
+    def test_a_wrong_reused_reference_fails(self, monkeypatch):
+        # a coordinate is read again after its first read; a wrong reference
+        # trace there fails the first twist check that reads it, and that
+        # check's coordinate is the witness
+        reads = _reads(monkeypatch, 3)
+        times = Counter(c for _, c in reads)
+        wrong = next(c for _, c in reads if times[c] > 1)
+        witness = next(coord for coord, c in reads if c == wrong)
+        straight = checks.utr_coord_straight
+
+        def bad(tt, c):
+            value = straight(tt, c)
+            return value + tt.monomial(c) if c == wrong else value
+
+        monkeypatch.setattr(checks, "utr_coord_straight", bad)
+        r = checks.check_trace_properties(3, 0)
+        assert not r.passed
+        assert r.detail["coord"] == witness and r.detail["reason"].startswith("twist: boundary")
+        assert len(wrong) == 2 * r.detail["j"]
 
 
 class TestSamplers:

@@ -3,7 +3,8 @@ every entry point the traced benchmark wraps exists under its name,
 each sampler of the check suites tests its draws for membership,
 every check suite runs under the one suite harness, every
 module-level cache but the trace tori has a bound, only ``ring``
-multiplies coefficients term pair by term pair, every dict kept on
+multiplies coefficients term pair by term pair, no check suite
+orders a lead by a full degree vector, every dict kept on
 a datum is written only through its bounded store, and the
 README names every module-level cache with its size and every
 datum-kept value.
@@ -157,6 +158,37 @@ def test_check_suites_go_through_the_harness():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult" and id(node) not in allowed:
                 stray.append(f"{path.name}:{node.lineno}")
     assert not stray, f"CheckResult built outside checks._suite: {stray}"
+
+
+# The full degrees, which ask for the lengths of every term again; and
+# the entry points that order a lead for the suites by the twist part.
+FULL_DEGREES = {"d_embed", "pants_degree"}
+LEAD_ENTRY_POINTS = {"surface": {"glued_lead", "phi_lead"}, "qtrace": {"fixed_length_lead", "lead_violation"}}
+
+
+def _full_degree_uses(tree: ast.AST, names) -> list[str]:
+    """The top-level functions among ``names`` (a predicate on the name)
+    that read ``d_embed`` or ``pants_degree``, as a name or an attribute."""
+    return [
+        top.name
+        for top in tree.body
+        if isinstance(top, ast.FunctionDef) and names(top.name)
+        for node in ast.walk(top)
+        if (getattr(node, "id", None) if isinstance(node, ast.Name) else getattr(node, "attr", None)) in FULL_DEGREES
+    ]
+
+
+def test_suites_order_leads_by_the_twist_part():
+    # every term of a glued value or a pants value has the same lengths,
+    # so no check suite, nor the lead entry points they call, builds a
+    # full d_embed or pants_degree vector per term
+    found = _full_degree_uses(ast.parse((PACKAGE / "checks.py").read_text()), lambda n: n.startswith("check_"))
+    for module, names in LEAD_ENTRY_POINTS.items():
+        found += _full_degree_uses(ast.parse((PACKAGE / f"{module}.py").read_text()), names.__contains__)
+    assert not found, f"a full degree orders a lead in: {found}"
+    for bad in ("def check_x(datum, v):\n    return lead_term(v, lambda k: d_embed(datum, k))",
+                "def check_x(j, v):\n    return lead_term(v, partial(qtrace.pants_degree, j))"):
+        assert _full_degree_uses(ast.parse(bad), lambda n: n.startswith("check_")) == ["check_x"], bad
 
 
 def _is_key_sum(node) -> bool:

@@ -448,6 +448,81 @@ class TestPantsDegree:
         assert lead_violation(3, coord, value + t3.monomial((2, 2, 0, 1, 1, 0))).startswith("lead:")
 
 
+def pants_degree_violation(j, coord, value):
+    """``lead_violation`` by its definition: the maximal class under
+    ``pants_degree``, which must be ``coord`` alone."""
+    leads = [k for k, _ in lead_term(value, lambda k: pants_degree(j, k))]
+    return None if leads == [tuple(coord)] else f"lead: maximal class {leads}, expected unique {coord}"
+
+
+@st.composite
+def member_pairs(draw, same_lengths):
+    """A pants type and two members of its monoid at lengths and twists
+    up to 4; with ``same_lengths``, the second has the first's lengths."""
+    j = draw(st.sampled_from((1, 2, 3)))
+    lengths = st.tuples(*[st.integers(0, 4)] * j).filter(lambda n: sum(n) % 2 == 0)
+    twists = st.tuples(*[st.integers(-4, 4)] * j)
+    n = draw(lengths)
+    a = n + draw(twists.filter(lambda t: lambda_contains(j, n + t)))
+    m = n if same_lengths else draw(lengths)
+    b = m + draw(twists.filter(lambda t: lambda_contains(j, m + t)))
+    return j, a, b
+
+
+class TestLeadKey:
+    """``lead_violation`` orders by the twist part of ``pants_degree``
+    (j = 3: the twist sum; j = 2: the twist sum, then t_2; j = 1: t_1),
+    which on terms of fixed x-degrees is the order of ``pants_degree``."""
+
+    @given(member_pairs(same_lengths=False))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pants_degree_on_values_and_products(self, case):
+        j, a, b = case
+        tt = trace_torus(j)
+        va, vb = utr_coord(tt, a), utr_coord(tt, b)
+        total = tuple(x + y for x, y in zip(a, b))
+        for coord, value in ((a, va), (total, elem_mul(va, vb)), (b, elem_mul(vb, va))):
+            assert lead_violation(j, coord, value) == pants_degree_violation(j, coord, value)
+
+    @given(member_pairs(same_lengths=True))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_pants_degree_on_sums_at_fixed_lengths(self, case):
+        j, a, b = case
+        tt = trace_torus(j)
+        value = utr_coord(tt, a) + utr_coord(tt, b)
+        if value.terms:
+            for coord in (a, b):
+                assert lead_violation(j, coord, value) == pants_degree_violation(j, coord, value)
+
+    def test_ties_of_the_twist_sum(self):
+        # j = 2: at twist sum 0, t_2 decides; the term of twist sum 1 is
+        # above both
+        value = t2.monomial((1, 1, 1, -1)) + t2.monomial((1, 1, -1, 1))
+        assert lead_violation(2, (1, 1, -1, 1), value) is None
+        assert lead_violation(2, (1, 1, 1, -1), value) == pants_degree_violation(2, (1, 1, 1, -1), value)
+        higher = value + t2.monomial((1, 1, 3, -2))
+        assert lead_violation(2, (1, 1, 3, -2), higher) is None
+        assert pants_degree_violation(2, (1, 1, 3, -2), higher) is None
+
+    @given(member_pairs(same_lengths=False))
+    @settings(max_examples=100, deadline=None)
+    def test_varying_x_degrees_are_reported(self, case):
+        j, a, b = case
+        if a[:j] == b[:j]:
+            return
+        tt = trace_torus(j)
+        value = utr_coord(tt, a) + utr_coord(tt, b)
+        assert lead_violation(j, a, value).startswith("lead: lengths vary")
+
+    def test_varying_x_degrees_even_where_the_twist_key_agrees(self):
+        # pants_degree puts (2, 0, 0, 0, 0, 0) first; the twist sum alone
+        # would pick (0, 0, 0, 0, 0, 5)
+        value = t3.monomial((2, 0, 0, 0, 0, 0)) + t3.monomial((0, 0, 0, 0, 0, 5))
+        assert pants_degree_violation(3, (2, 0, 0, 0, 0, 0), value) is None
+        assert lead_violation(3, (2, 0, 0, 0, 0, 0), value).startswith("lead: lengths vary")
+        assert lead_violation(3, (2, 0, 0, 0, 0, 0), t3.torus.zero()).startswith("lead:")
+
+
 class TestThmbtr:
     def test_lead_examples(self):
         # return arc at the first boundary of the three-holed pants

@@ -5,6 +5,8 @@ import random
 import weakref
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from skeintor import pants, surface
 from skeintor.qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term
@@ -14,6 +16,7 @@ from skeintor.surface import (
     FatGraph,
     d_embed,
     face_split,
+    glued_lead,
     lambda_global,
     lambda_membership,
     length_rule,
@@ -112,6 +115,36 @@ class TestStandardDatum:
                 g.edges + tuple((a + shift, b + shift) for a, b in g.edges),
                 (),
             )
+
+
+class TestDatumFields:
+    """A fatgraph and a datum built from lists copy them into tuples, so
+    the caller's lists cannot change them afterwards."""
+
+    def test_lists_are_copied(self):
+        vertices, edges, legs = [[1, 0, 2], [3, 4, 5]], [[0, 1], [2, 3]], [4, 5]
+        slots = [[0, 1, 2], [3, 4, 5]]
+        datum = DTDatum(FatGraph(vertices, edges, legs), slots)
+        want = DTDatum(FatGraph(((1, 0, 2), (3, 4, 5)), ((0, 1), (2, 3)), (4, 5)), ((0, 1, 2), (3, 4, 5)))
+        assert datum == want and hash(datum) == hash(want)
+        tables = datum._tables
+        slots[1][0], slots[1][1] = slots[1][1], slots[1][0]
+        vertices[0].reverse()
+        edges[1][1] = 5
+        legs.append(9)
+        # the swapped slots are what the constructor rejects
+        with pytest.raises(ValueError, match="trailing slots"):
+            DTDatum(want.graph, slots)
+        assert datum == want and datum._tables is tables
+        assert datum.slots == ((0, 1, 2), (3, 4, 5))
+        assert datum.graph.vertices == ((1, 0, 2), (3, 4, 5))
+        assert datum.graph.edges == ((0, 1), (2, 3)) and datum.graph.legs == (4, 5)
+
+    def test_leg_symbols_are_read_only(self):
+        tables = standard_datum(0, 5)._tables
+        with pytest.raises(TypeError):
+            tables.leg_symbol_index[0] = 1
+        assert list(tables.leg_symbol_index.values()) == list(range(len(tables.symbols)))
 
 
 class TestQMatrix:
@@ -683,6 +716,80 @@ class TestGradedMul:
     def test_rejects_nonmembers(self):
         with pytest.raises(ValueError):
             phi_value(d04, (1, 0))
+
+
+LEAD_DATA = {gm: standard_datum(*gm) for gm in ((0, 4), (0, 5), (1, 2), (2, 0))}
+LEAD_BOXES = {gm: list(box(datum, 3, 3)) for gm, datum in LEAD_DATA.items()}
+
+
+def d_embed_lead(datum, value):
+    return lead_term(value, lambda k: d_embed(datum, k))
+
+
+@st.composite
+def box_pair(draw, same_lengths=False):
+    """A reference surface and two points of its box at lengths and
+    twists up to 3; with ``same_lengths``, the second point has the
+    lengths of the first."""
+    gm = draw(st.sampled_from(sorted(LEAD_DATA)))
+    points = LEAD_BOXES[gm]
+    k = draw(st.sampled_from(points))
+    r = LEAD_DATA[gm].r
+    l = draw(st.sampled_from([c for c in points if c[:r] == k[:r]] if same_lengths else points))
+    return LEAD_DATA[gm], k, l
+
+
+class TestGluedLead:
+    """``glued_lead`` orders by the twist part alone, which on terms of
+    fixed lengths is the order of ``d_embed``."""
+
+    @given(box_pair())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_d_embed_on_values_and_products(self, case):
+        datum, k, l = case
+        for value in (phi_value(datum, k), elem_mul(phi_value(datum, k), phi_value(datum, l))):
+            assert glued_lead(datum, value) == d_embed_lead(datum, value)
+
+    @given(box_pair(same_lengths=True))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_d_embed_on_sums_at_fixed_lengths(self, case):
+        # a sum of two glued traces of the same lengths has rivals for the
+        # lead at the same twist sum, which a single trace may lack
+        datum, k, l = case
+        value = phi_value(datum, k) + phi_value(datum, l)
+        if value.terms:
+            assert glued_lead(datum, value) == d_embed_lead(datum, value)
+
+    def test_ties_of_the_twist_sum(self):
+        # on (0, 5) the terms at (2, 2, 1, -1) and (2, 2, 0, 0) share the
+        # twist sum; the first twist decides, as in d_embed, and only
+        # among the terms of the largest twist sum
+        torus = surface_torus(d05)
+        value = sum((torus.monomial((2, 2) + t) for t in ((0, 0), (1, -1), (-1, 0), (2, -3))), torus.zero())
+        assert [k for k, _ in glued_lead(d05, value)] == [(2, 2, 1, -1)]
+        assert glued_lead(d05, value) == d_embed_lead(d05, value)
+
+    @given(box_pair())
+    @settings(max_examples=100, deadline=None)
+    def test_varying_lengths_are_reported(self, case):
+        datum, k, l = case
+        r = datum.r
+        value = phi_value(datum, k) + phi_value(datum, l)
+        if k[:r] == l[:r]:
+            return
+        with pytest.raises(ValueError, match="lengths vary"):
+            glued_lead(datum, value)
+
+    def test_varying_lengths_even_where_the_twist_key_agrees(self):
+        # d_embed puts (2, 0) above (0, 5) on (0, 4); the twist part alone
+        # would pick (0, 5), so the lengths must be checked, not assumed
+        torus = surface_torus(d04)
+        value = torus.monomial((2, 0)) + torus.monomial((0, 5))
+        assert [k for k, _ in d_embed_lead(d04, value)] == [(2, 0)]
+        with pytest.raises(ValueError, match="lengths vary"):
+            glued_lead(d04, value)
+        with pytest.raises(ValueError, match="zero element"):
+            glued_lead(d04, torus.zero())
 
 
 class TestAlternateDatum:
