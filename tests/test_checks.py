@@ -166,8 +166,8 @@ def _reads(monkeypatch, box):
 
 
 class TestReferenceReuse:
-    """The trace-property suite keeps the reference traces it computed
-    and computes each once while it is kept."""
+    """The trace-property suite computes each reference trace once, and
+    drops it once a twist check passes its coordinate."""
 
     def test_one_reference_trace_per_coordinate(self, monkeypatch):
         calls = Counter()
@@ -214,13 +214,14 @@ class TestReferenceReuse:
         assert len(held) == 5203 and max(held) < 32
 
     def test_a_wrong_reused_reference_fails(self, monkeypatch):
-        # a coordinate is read again after its first read; a wrong reference
-        # trace there fails the first twist check that reads it, and that
-        # check's coordinate is the witness
+        # a reused coordinate is first read as the neighbour t + e_i of an
+        # earlier one; a wrong reference trace there fails the first twist
+        # check that reads it, and that check's coordinate is the witness
         reads = _reads(monkeypatch, 3)
         times = Counter(c for _, c in reads)
         wrong = next(c for _, c in reads if times[c] > 1)
         witness = next(coord for coord, c in reads if c == wrong)
+        assert witness < wrong
         straight = checks.utr_coord_straight
 
         def bad(tt, c):
