@@ -84,12 +84,13 @@ class QuantumTorus:
 
     def monomial(self, exponent: Sequence[int], coeff: GroundElem | None = None) -> "TorusElement":
         k = tuple(exponent)
-        if len(k) != self.rank:
+        if len(k) != len(self.matrix.rows):
             raise ValueError("exponent length mismatch")
-        c = self.ring.one() if coeff is None else coeff
-        if c.is_zero():
+        if coeff is None:
+            return TorusElement(self, {k: self.ring.one()})
+        if coeff.is_zero():
             return self.zero()
-        return TorusElement(self, {k: c})
+        return TorusElement(self, {k: coeff})
 
     def from_flat(self, terms: dict[tuple[int, ...], dict[tuple[int, ...], int]]) -> "TorusElement":
         """The element with integer coefficients accumulated per exponent

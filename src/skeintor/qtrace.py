@@ -270,12 +270,31 @@ def lead_violation(j: int, coord: Coord, value: TorusElement) -> str | None:
     under :func:`pants_degree`, or None; a value whose x-degrees vary is
     a violation as well."""
     try:
-        leads = [k for k, _ in fixed_length_lead(value, j, _TWIST_KEY[j])]
+        leads = fixed_length_lead(value, j, _TWIST_KEY[j])
     except ValueError as exc:
         return f"lead: {exc}"
-    if leads == [tuple(coord)]:
+    return _lead_mismatch(coord, leads)
+
+
+def graded_violation(j: int, coord: Coord, value: TorusElement) -> str | None:
+    """:func:`grading_violation`, then, when the grading holds,
+    :func:`lead_violation`: the x-degrees of every term are then the
+    lengths of ``coord``, so the lead is ordered by the twist part
+    without scanning the lengths again."""
+    why = grading_violation(j, coord, value)
+    if why:
+        return why
+    try:
+        leads = lead_term(value, _TWIST_KEY[j])
+    except ValueError as exc:  # the zero value
+        return f"lead: {exc}"
+    return _lead_mismatch(coord, leads)
+
+
+def _lead_mismatch(coord: Coord, leads: list[tuple[Coord, GroundElem]]) -> str | None:
+    if len(leads) == 1 and leads[0][0] == tuple(coord):
         return None
-    return f"lead: maximal class {leads}, expected unique {coord}"
+    return f"lead: maximal class {[k for k, _ in leads]}, expected unique {coord}"
 
 
 def twist_violations(tt: TraceTorus, coord: Coord, trace) -> list[str]:

@@ -36,7 +36,7 @@ class GroundRing:
         return GroundElem(self, {})
 
     def one(self) -> "GroundElem":
-        return GroundElem(self, {(0,) * self.nsym + (0,): 1})
+        return _nonzero(self, {(0,) * len(self.symbols) + (0,): 1})
 
     def q_half(self, e: int) -> "GroundElem":
         return _nonzero(self, {(0,) * self.nsym + (e,): 1})

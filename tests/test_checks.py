@@ -1,16 +1,22 @@
+import importlib.util
 import inspect
 import itertools
 import math
 import random
+import sys
 import weakref
 from collections import Counter
+from operator import add
+from pathlib import Path
 
 import pytest
 
-from skeintor import checks, pants
+from skeintor import checks, cli, pants
 from skeintor.pants import lambda_contains
-from skeintor.qtorus import TorusElement
+from skeintor.qtorus import AntisymMatrix, TorusElement, elem_mul
 from skeintor.surface import lambda_global, standard_datum
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _lambda_box(datum, nmax, tmax):
@@ -235,6 +241,25 @@ class TestReferenceReuse:
         assert len(wrong) == 2 * r.detail["j"]
 
 
+def assert_uniform_counts(counts: Counter, points: set):
+    """Every value counted is one of ``points``, every point is counted,
+    and the counts pass two bounds stated here.  Each count lies within 6
+    standard deviations of its mean, and Pearson's chi-square statistic
+    over the points lies below df + 6 sqrt(2 df) for df = len(points) - 1
+    degrees of freedom.  For uniform draws on the 4 to 89 points used
+    here, each bound fails with probability below 1e-3."""
+    size, total = len(points), sum(counts.values())
+    assert set(counts) <= points, f"drew {sorted(set(counts) - points)[:3]}, outside the box"
+    assert set(counts) == points, f"{size - len(counts)} box points never drawn"
+    mean = total / size
+    sd = math.sqrt(total / size * (1 - 1 / size))
+    worst = max(abs(c - mean) for c in counts.values())
+    assert worst <= 6 * sd, f"a count is {worst / sd:.1f} sd from its mean"
+    chi2 = sum((c - mean) ** 2 for c in counts.values()) / mean
+    df = size - 1
+    assert chi2 < df + 6 * math.sqrt(2 * df), f"chi-square {chi2:.1f} on {df} df"
+
+
 class TestSamplers:
     """The direct samplers against exhaustive enumeration of the box."""
 
@@ -265,6 +290,19 @@ class TestSamplers:
             got = list(checks._global_table(datum, box, box).points())
             assert got == list(_lambda_box(datum, box, box)), f"box {box}"
 
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_core_firsts_are_the_first_coordinate_of_each_core(self, j):
+        # a core is the lengths and the twists at the boundaries of length 0
+        for box in range(6):
+            table = checks._pants_table(j, box, box)
+            seen, firsts = set(), set()
+            for idx, c in enumerate(table.points()):
+                core = (c[:j], tuple(c[j + i] if c[i] == 0 else 0 for i in range(j)))
+                if core not in seen:
+                    seen.add(core)
+                    firsts.add(idx)
+            assert checks._core_firsts(table) == firsts, f"box {box}"
+
     def test_pants_table_leaves_the_pants_caches_empty(self):
         pants.arc_counts.cache_clear()
         pants.base_twists.cache_clear()
@@ -283,24 +321,9 @@ class TestSamplers:
 
     @staticmethod
     def assert_uniform(points: set, draw, per_point: int = 200):
-        """``per_point * len(points)`` seeded draws: every draw is a box
-        point, every box point is drawn, and the counts pass two bounds
-        stated here.  Each count lies within 6 standard deviations of its
-        mean, and Pearson's chi-square statistic over the points lies
-        below df + 6 sqrt(2 df) for df = len(points) - 1 degrees of
-        freedom.  For a uniform sampler on the 11 to 89 points used here,
-        each bound fails with probability below 1e-4."""
-        size = len(points)
-        counts = Counter(draw() for _ in range(per_point * size))
-        assert set(counts) <= points, "drew a point outside box and monoid"
-        assert set(counts) == points, f"{size - len(counts)} box points never drawn"
-        p = 1 / size
-        sd = math.sqrt(per_point * size * p * (1 - p))
-        worst = max(abs(c - per_point) for c in counts.values())
-        assert worst <= 6 * sd, f"a count is {worst / sd:.1f} sd from its mean"
-        chi2 = sum((c - per_point) ** 2 for c in counts.values()) / per_point
-        df = size - 1
-        assert chi2 < df + 6 * math.sqrt(2 * df), f"chi-square {chi2:.1f} on {df} df"
+        """``per_point * len(points)`` seeded draws pass
+        :func:`assert_uniform_counts`."""
+        assert_uniform_counts(Counter(draw() for _ in range(per_point * len(points))), points)
 
     @pytest.mark.parametrize("j, box", [(1, 3), (2, 2), (3, 1)])
     def test_pants_sampler_uniform(self, j, box):
@@ -334,3 +357,161 @@ class TestSamplers:
         with pytest.raises(AssertionError, match="not in Lambda_3"):
             for _ in range(1000):
                 checks._sample_pants(rng, 3, table)
+
+
+def _upper(M):
+    """The strict upper triangle of a matrix, row by row."""
+    n = len(M.rows)
+    return [M.rows[i][j] for i in range(n) for j in range(i + 1, n)]
+
+
+ENTRY_BOX = set(range(-3, 4))
+EXPONENT_BOX = set(range(-6, 7))
+
+
+def assert_monomial_draw(cases: int = 20000):
+    """Seeded monomial cases: the rank, every matrix entry and every
+    exponent are uniform on their ranges (:func:`assert_uniform_counts`)."""
+    rng = random.Random(0)
+    ranks, entries, exponents = Counter(), Counter(), Counter()
+    for _ in range(cases):
+        M, a, b = checks._monomial_case(rng)
+        n = len(M.rows)
+        assert len(a) == len(b) == n
+        ranks[n] += 1
+        entries.update(_upper(M))
+        exponents.update(a + b)
+    assert_uniform_counts(ranks, set(range(1, 6)))
+    assert_uniform_counts(entries, ENTRY_BOX)
+    assert_uniform_counts(exponents, EXPONENT_BOX)
+
+
+def assert_weyl_draw(cases: int = 20000):
+    """Seeded Weyl cases: the rank, the word length and every matrix entry
+    are uniform, and so is each letter (generator, exponent) given the rank."""
+    rng = random.Random(0)
+    ranks, lengths, entries = Counter(), Counter(), Counter()
+    letters = {n: Counter() for n in range(1, 5)}
+    for _ in range(cases):
+        M, seq = checks._weyl_case(rng)
+        n = len(M.rows)
+        ranks[n] += 1
+        lengths[len(seq)] += 1
+        entries.update(_upper(M))
+        letters[n].update(seq)
+    assert_uniform_counts(ranks, set(range(1, 5)))
+    assert_uniform_counts(lengths, set(range(6)))
+    assert_uniform_counts(entries, ENTRY_BOX)
+    for n, counts in letters.items():
+        assert_uniform_counts(counts, set(itertools.product(range(n), ENTRY_BOX)))
+
+
+class TestLawCaseDraw:
+    """The quantum-torus-laws suite draws each case as its size and then
+    one integer read in mixed radix."""
+
+    def test_same_seed_same_cases(self):
+        def cases(seed):
+            rng = random.Random(seed)
+            mono = [checks._monomial_case(rng) for _ in range(300)]
+            weyl = [checks._weyl_case(rng) for _ in range(300)]
+            return [(M.rows, a, b) for M, a, b in mono] + [(M.rows, seq) for M, seq in weyl]
+
+        assert cases(3) == cases(3)
+        assert cases(3) != cases(4)
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_decode_is_a_bijection_onto_the_box(self, n):
+        m = n * (n - 1) // 2
+        size = 7 ** m * 13 ** (2 * n)
+        seen = set()
+        for k in range(size):
+            M, a, b = checks._decode_monomial(n, k)
+            assert len(M.rows) == len(a) == len(b) == n
+            assert set(_upper(M)) <= ENTRY_BOX and set(a + b) <= EXPONENT_BOX, k
+            seen.add((M.rows, a, b))
+        # size distinct cases, all in a box of size cases
+        assert len(seen) == size
+
+    def test_monomial_cases_are_uniform(self):
+        assert_monomial_draw()
+
+    def test_weyl_cases_are_uniform(self):
+        assert_weyl_draw()
+
+    @pytest.mark.parametrize("name, values", [
+        ("_ENTRIES", range(-3, 3)), ("_ENTRIES", range(-3, 5)),
+        ("_ENTRIES", range(-2, 4)), ("_ENTRIES", range(-4, 4)),
+        ("_EXPONENTS", range(-6, 6)), ("_EXPONENTS", range(-6, 8)),
+        ("_EXPONENTS", range(-5, 7)), ("_EXPONENTS", range(-7, 7)),
+    ])
+    def test_a_digit_range_off_by_one_fails(self, monkeypatch, name, values):
+        monkeypatch.setattr(checks, name, values)
+        with pytest.raises(AssertionError):
+            assert_monomial_draw(3000)
+            assert_weyl_draw(3000)
+
+
+def _swapped_mul(e1, e2):
+    # x^b x^a = q^(pairing(b, a)/2) x^(a+b): the pairing's sign flipped
+    return elem_mul(e2, e1)
+
+
+def _unshifted_mul(e1, e2):
+    # the exponents add, the q-shift is dropped
+    (k, _), = e1.terms.items()
+    (l, _), = e2.terms.items()
+    return e1.torus.monomial(tuple(map(add, k, l)))
+
+
+class TestLawsNegativeControls:
+    @pytest.mark.parametrize("mutant", [_swapped_mul, _unshifted_mul])
+    def test_a_wrong_monomial_product_fails(self, monkeypatch, mutant):
+        monkeypatch.setattr(checks, "elem_mul", mutant)
+        r = checks.check_qtorus_laws(2000, 0, seed=0)
+        assert not r.passed and r.detail["reason"] == "monomial product"
+        # the witness: the first case whose pairing is not 0
+        a, b = r.detail["pair"]
+        assert AntisymMatrix(r.detail["matrix"]).pairing(a, b) != 0
+        assert 1 <= r.checked < 100
+
+    @pytest.mark.parametrize("terms", [0, 2])
+    def test_a_product_of_other_than_one_term_is_a_failure(self, monkeypatch, terms):
+        def mutant(e1, e2):
+            prod = elem_mul(e1, e2)
+            if terms == 0:
+                return prod.torus.zero()
+            (k, _), = prod.terms.items()
+            return prod + prod.torus.monomial(tuple(x + 1 for x in k))
+
+        monkeypatch.setattr(checks, "elem_mul", mutant)
+        r = checks.check_qtorus_laws(10, 0, seed=0)
+        assert not r.passed and r.checked == 1
+        assert r.detail["terms"] == terms and set(r.detail) == {"matrix", "pair", "terms", "reason"}
+
+    def test_a_wrong_chebyshev_coefficient_fails_at_its_k(self, monkeypatch):
+        right = checks.chebyshev
+
+        def wrong(k):
+            c = list(right(k))
+            if k == 9:
+                c[3] += 1
+            return tuple(c)
+
+        monkeypatch.setattr(checks, "chebyshev", wrong)
+        r = checks.check_chebyshev()
+        assert not r.passed and r.detail == {"k": 9} and r.checked == 10
+
+
+def test_the_battery_grid_reports_the_benchmark_counts(monkeypatch):
+    # the benchmark's battery counts a suite whose check count differs from
+    # BATTERY_COUNTS as failed; a suite rewrite that changes a count fails here
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # its dataclass looks the module up
+    spec.loader.exec_module(workloads)
+    grid = ",".join(f"{k}={v}" for k, v in workloads.BATTERY_GRID.items())
+    results = checks.run_all(seed=0, **cli._parse_grid(grid))
+    assert {r.name: (r.passed, r.checked) for r in results} == {
+        name: (True, count) for name, count in workloads.BATTERY_COUNTS.items()
+    }

@@ -21,6 +21,7 @@ from skeintor.qtrace import (
     _core_value,
     _curve_value,
     check_thmbtr,
+    graded_violation,
     grading_violation,
     lead_violation,
     pants_degree,
@@ -483,6 +484,8 @@ class TestLeadKey:
         total = tuple(x + y for x, y in zip(a, b))
         for coord, value in ((a, va), (total, elem_mul(va, vb)), (b, elem_mul(vb, va))):
             assert lead_violation(j, coord, value) == pants_degree_violation(j, coord, value)
+            assert graded_violation(j, coord, value) == (
+                grading_violation(j, coord, value) or pants_degree_violation(j, coord, value))
 
     @given(member_pairs(same_lengths=True))
     @settings(max_examples=300, deadline=None)
@@ -493,6 +496,7 @@ class TestLeadKey:
         if value.terms:
             for coord in (a, b):
                 assert lead_violation(j, coord, value) == pants_degree_violation(j, coord, value)
+                assert graded_violation(j, coord, value) == pants_degree_violation(j, coord, value)
 
     def test_ties_of_the_twist_sum(self):
         # j = 2: at twist sum 0, t_2 decides; the term of twist sum 1 is
@@ -513,6 +517,7 @@ class TestLeadKey:
         tt = trace_torus(j)
         value = utr_coord(tt, a) + utr_coord(tt, b)
         assert lead_violation(j, a, value).startswith("lead: lengths vary")
+        assert graded_violation(j, a, value) == grading_violation(j, a, value) is not None
 
     def test_varying_x_degrees_even_where_the_twist_key_agrees(self):
         # pants_degree puts (2, 0, 0, 0, 0, 0) first; the twist sum alone
@@ -521,6 +526,7 @@ class TestLeadKey:
         assert pants_degree_violation(3, (2, 0, 0, 0, 0, 0), value) is None
         assert lead_violation(3, (2, 0, 0, 0, 0, 0), value).startswith("lead: lengths vary")
         assert lead_violation(3, (2, 0, 0, 0, 0, 0), t3.torus.zero()).startswith("lead:")
+        assert graded_violation(3, (2, 0, 0, 0, 0, 0), t3.torus.zero()).startswith("lead:")
 
 
 class TestThmbtr:
