@@ -34,17 +34,16 @@ from .qtorus import (
     reflection_normalize,
     weyl_normalize,
 )
-from .qtrace import TraceTorus, check_thmbtr, pants_degree, trace_torus, utr_coord
+from .qtrace import TraceTorus, check_thmbtr, lead_violation, pants_degree, trace_torus, utr_coord
 from .ring import GroundElem, GroundRing
 from .surface import (
     DTDatum,
     FatGraph,
     d_embed,
     face_split,
-    glued_lead,
+    glued_key,
     lambda_global,
     lambda_membership,
-    phi_lead,
     phi_value,
     q_matrix,
     standard_datum,

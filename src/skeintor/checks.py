@@ -36,7 +36,8 @@ from .arith import (
 from .pants import lambda_contains, nu_of_component, return_arc
 from .qtorus import AntisymMatrix, QuantumTorus, TorusElement, elem_mul, weyl_normalize
 from .qtrace import (
-    graded_violation,
+    TWIST_KEY,
+    lead_violation,
     trace_torus,
     twist_violations,
     utr_coord,
@@ -45,7 +46,7 @@ from .qtrace import (
 from .ring import GroundElem, GroundRing, flat_accumulate
 from .surface import (
     DTDatum,
-    glued_lead,
+    glued_key,
     lambda_global,
     length_rule,
     phi_value,
@@ -251,15 +252,13 @@ LEAD_SURFACES = ((0, 4), (0, 5), (1, 2), (2, 0))
 def check_lead_term(box: int = 4, surfaces=LEAD_SURFACES):
     for g, m in surfaces:
         datum = standard_datum(g, m)
+        key = glued_key(datum.r)
         for coord in _global_table(datum, box, box).points():
             value = phi_value(datum, coord)
             yield
-            try:
-                leads = glued_lead(datum, value)
-            except ValueError as exc:
-                yield {"surface": (g, m), "coord": coord, "reason": str(exc)}
-            if len(leads) != 1 or leads[0][0] != coord:
-                yield {"surface": (g, m), "coord": coord, "leads": [k for k, _ in leads]}
+            why = lead_violation(coord, value, datum.r, key)
+            if why:
+                yield {"surface": (g, m), "coord": coord, "reason": why}
 
 
 # ---------------------------------------------------------------------------
@@ -284,6 +283,7 @@ def check_product_top(
             rows[-1][0] -= 1
             qt = AntisymMatrix(tuple(tuple(r) for r in rows))
         table = _global_table(datum, 3, 3)
+        key = glued_key(datum.r)
         for _ in range(pairs):
             k = _sample_global(rng, datum, table)
             l = _sample_global(rng, datum, table)
@@ -292,16 +292,11 @@ def check_product_top(
             if p % 2:
                 yield {"surface": (g, m), "pair": (k, l), "pairing": p, "reason": "odd pairing"}
             prod = elem_mul(phi_value(datum, k), phi_value(datum, l))
-            try:
-                leads = glued_lead(datum, prod)
-            except ValueError as exc:
-                yield {"surface": (g, m), "pair": (k, l), "reason": str(exc)}
             total = tuple(map(add, k, l))
-            want_coeff = torus.ring.q_half(p)
-            if len(leads) != 1 or leads[0][0] != total:
-                yield {"surface": (g, m), "pair": (k, l),
-                       "lead": [k0 for k0, _ in leads], "expected": total}
-            if leads[0][1] != want_coeff:
+            why = lead_violation(total, prod, datum.r, key)
+            if why:
+                yield {"surface": (g, m), "pair": (k, l), "reason": why}
+            if prod.terms[total] != torus.ring.q_half(p):
                 yield {"surface": (g, m), "pair": (k, l),
                        "reason": "lead coefficient is not the half-pairing power",
                        "half_pairing": p // 2}
@@ -349,14 +344,14 @@ def check_trace_properties(box: int = 6, seed: int = 0, twist_samples: int = 400
         return value
 
     for j in (1, 2, 3):
-        tt = trace_torus(j)
+        tt, key = trace_torus(j), TWIST_KEY[j]
         table = _pants_table(j, box, box)
         kept.clear()
         twisted = set(rng.sample(range(table.total), min(twist_samples, table.total))) | _core_firsts(table)
         for idx, coord in enumerate(table.points()):
             value = utr_coord(tt, coord)
             yield
-            why = graded_violation(j, coord, value)
+            why = lead_violation(coord, value, j, key)
             if not why and idx in twisted:
                 for passed in [c for c in kept if c < coord]:
                     del kept[passed]

@@ -9,7 +9,8 @@ Four subcommands:
 
 Output is deterministic for fixed flags and seed; ``--format json``
 emits a stable machine-readable report.  The exit code is zero exactly
-when every verdict the invocation requested passed.
+when every verdict the invocation requested passed, 1 when one failed,
+and 2 for bad input.
 """
 
 from __future__ import annotations
@@ -30,15 +31,16 @@ from .arith import (
     pi_degree,
 )
 from .pants import decompose
-from .qtrace import check_thmbtr, pants_degree, trace_torus, utr_coord
+from .qtrace import check_thmbtr, lead_violation, pants_degree, trace_torus, utr_coord
 from .qtorus import TorusElement
 from .ring import GroundElem
 from .surface import (
     DTDatum,
     d_embed,
     face_split,
+    glued_key,
     lambda_membership,
-    phi_lead,
+    phi_value,
     q_matrix,
     standard_datum,
     tilde_q,
@@ -249,9 +251,10 @@ def cmd_trace(args) -> int:
     member, why = lambda_membership(datum, coord)
     if not member:
         raise ValueError(f"coordinate not in the monoid: {why}")
-    lead, value = phi_lead(datum, coord)
+    value = phi_value(datum, coord)
+    violation = lead_violation(coord, value, datum.r, glued_key(datum.r))
     face_reports = []
-    all_ok = lead == coord
+    all_ok = violation is None
     for v, (j, face_coord) in enumerate(face_split(datum, coord)):
         rep = check_thmbtr(trace_torus(j), face_coord)
         all_ok = all_ok and rep.ok
@@ -261,11 +264,14 @@ def cmd_trace(args) -> int:
     report = {
         "surface": {"genus": datum.graph.genus, "punctures": datum.graph.punctures, "r": datum.r},
         "coord": list(coord),
-        "lead_exponent": list(lead),
+        "lead_exponent": list(coord),
         "value": _element_dict(value),
         "face_checks": face_reports,
-        "verdicts": {"lead_equals_coord": "PASS" if lead == coord else "FAIL"},
+        "verdicts": {"lead_equals_coord": "PASS" if violation is None else "FAIL"},
     }
+    if violation:  # no unique lead at the coordinate: the reason replaces it
+        del report["lead_exponent"]
+        report["violations"] = [violation]
     _emit(report, args.format)
     return 0 if all_ok else 1
 

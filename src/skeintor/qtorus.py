@@ -130,7 +130,7 @@ class TorusElement:
         raise AttributeError(f"TorusElement.{name} is read-only")
 
     def _check(self, other: "TorusElement"):
-        if self.torus.matrix is not other.torus.matrix and self.torus.matrix != other.torus.matrix:
+        if self.torus is not other.torus and self.torus != other.torus:
             raise ValueError("elements live in different quantum tori")
 
     def __add__(self, other: "TorusElement") -> "TorusElement":

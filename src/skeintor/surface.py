@@ -28,7 +28,7 @@ from typing import Mapping
 from . import pants
 from .pants import Coord, base_twists, split_nt
 from .qtorus import AntisymMatrix, QuantumTorus, TorusElement
-from .qtrace import fixed_length_lead, trace_torus, utr_coord
+from .qtrace import trace_torus, utr_coord
 from .ring import GroundElem, GroundRing, flat_accumulate
 
 
@@ -450,13 +450,12 @@ def d_embed(datum: DTDatum, coord: Coord) -> tuple[int, ...]:
     return (sum(n), sum(t)) + t[:-1] + n[:-1]
 
 
-def glued_lead(datum: DTDatum, value: TorusElement) -> list[tuple[Coord, GroundElem]]:
-    """The maximal class of ``value`` under :func:`d_embed`, for a glued
-    trace or a product of them, whose terms all have the same lengths:
-    the terms are then ordered by their twist part, the twist sum and
-    all but the last twist.  Raises ValueError when the lengths vary."""
-    r = datum.r
-    return fixed_length_lead(value, r, lambda k: (sum(k[r:]),) + k[r:-1])
+def glued_key(r: int):
+    """The twist part of :func:`d_embed` on ``r`` curves, the twist sum and
+    then all but the last twist: the order of ``d_embed`` on the terms of
+    a glued trace or a product of them, whose lengths are all the same
+    (the key ``qtrace.lead_violation`` takes)."""
+    return lambda k: (sum(k[r:]),) + k[r:-1]
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +520,8 @@ def _inject_coeff(
     return out
 
 
-def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> dict[tuple[int, ...], dict[tuple[int, ...], int]]:
-    """The glued trace of ``coord`` by twist exponent: for each, its
-    integer coefficients accumulated under their coefficient keys.
+def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> TorusElement:
+    """The glued trace of ``coord``, computed from its faces.
 
     Per-face values are matched (their boundary degrees equal the global
     lengths), so every tensor monomial projects: the u-exponents of the
@@ -535,7 +533,8 @@ def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> dict[tuple[int, ...]
     splits = face_split(datum, coord, secondary=secondary)
     r = datum.r
     tb = datum._tables
-    nsym = surface_torus(datum).ring.nsym
+    torus = surface_torus(datum)
+    nsym = torus.ring.nsym
 
     acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(0,) * r: {(0,) * (nsym + 1): 1}}
     for v, (j, face_coord) in enumerate(splits):
@@ -550,7 +549,8 @@ def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> dict[tuple[int, ...]
                 contrib[curves[s]] += k[j + s]
             face_terms.append((tuple(contrib), _inject_coeff(sym_map, nsym, c)))
         acc = flat_accumulate({}, [(t, c.items()) for t, c in acc.items()], face_terms)
-    return acc
+    n = tuple(coord[:r])
+    return torus.from_flat({n + t: c for t, c in acc.items()})
 
 
 def _keep(kept: dict, key, value):
@@ -582,11 +582,11 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
     placement from scratch and keeps nothing: it is the
     placement-independence reference.
     """
+    if secondary_split:
+        return _glue(datum, coord, True)
     r = datum.r
     torus = surface_torus(datum)
     n, t = split_nt(r, coord)
-    if secondary_split:
-        return torus.from_flat({n + tvec: c for tvec, c in _glue(datum, coord, True).items()})
     ok, why = lambda_membership(datum, coord)
     if not ok:
         raise ValueError(f"coordinate not in the monoid: {why}")
@@ -596,24 +596,11 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
     if kept is None:
         shared = datum._core_parts
         parts = []
-        for tvec, acc in _glue(datum, core, False).items():
-            c = GroundElem(torus.ring, acc)
-            if c.terms:
-                parts += (shared.get(x) or _keep(shared, x, x) for x in (tvec, c))
+        for k, c in _glue(datum, core, False).terms.items():
+            parts += (shared.get(x) or _keep(shared, x, x) for x in (k[r:], c))
         kept = _keep(datum._cores, core, tuple(parts))
     pairs = iter(kept)  # (twist vector, coefficient) in turn
     if any(shift):
         return TorusElement(torus, {n + tuple(map(add, tvec, shift)): c for tvec, c in zip(pairs, pairs)})
     return TorusElement(torus, {n + tvec: c for tvec, c in zip(pairs, pairs)})
 
-
-def phi_lead(datum: DTDatum, coord: Coord) -> tuple[Coord, TorusElement]:
-    """The glued trace together with its unique top-degree exponent.
-
-    Raises on a tie, which would contradict the top-term theorem.
-    """
-    value = phi_value(datum, coord)
-    leads = glued_lead(datum, value)
-    if len(leads) != 1:
-        raise ValueError(f"lead term tie at {coord}: {[k for k, _ in leads]}")
-    return leads[0][0], value

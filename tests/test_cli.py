@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+from skeintor import cli, surface
 from skeintor.cli import main
 from skeintor.surface import standard_datum
 
@@ -133,6 +134,29 @@ class TestTrace:
             capsys, "trace", "--genus", "0", "--punctures", "4", "--coord", "1,0"
         )
         assert code == 2 and "monoid" in err
+
+    def test_failed_lead_verdict_is_a_fail(self, capsys, monkeypatch):
+        # a glued value with a rival term of other lengths and the same
+        # twist, which ties with the coordinate under the twist order: a
+        # failed verdict is FAIL with its reason and exit code 1, not an
+        # error (exit code 2 is for bad input)
+        glued = surface.phi_value
+
+        def tied(datum, coord, *rest):
+            return glued(datum, coord) + surface.surface_torus(datum).monomial((0, 1))
+
+        # patched where it is defined and where the command may read it
+        monkeypatch.setattr(surface, "phi_value", tied)
+        monkeypatch.setattr(cli, "phi_value", tied, raising=False)
+        code, out, err = run(
+            capsys, "trace", "--genus", "0", "--punctures", "4", "--coord", "2,1",
+            "--format", "json",
+        )
+        assert (code, err) == (1, "")
+        report = json.loads(out)
+        assert report["verdicts"]["lead_equals_coord"] == "FAIL"
+        assert report["violations"][0].startswith("grading:")
+        assert "lead_exponent" not in report
 
 
 class TestDatumFile:

@@ -23,6 +23,7 @@ from functools import cached_property
 from pathlib import Path
 
 from skeintor import qtrace
+from skeintor.arith import even_sublattice
 from skeintor.surface import DTDatum, standard_datum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -163,7 +164,7 @@ def test_check_suites_go_through_the_harness():
 # The full degrees, which ask for the lengths of every term again; and
 # the entry points that order a lead for the suites by the twist part.
 FULL_DEGREES = {"d_embed", "pants_degree"}
-LEAD_ENTRY_POINTS = {"surface": {"glued_lead", "phi_lead"}, "qtrace": {"fixed_length_lead", "lead_violation"}}
+LEAD_ENTRY_POINTS = {"surface": {"glued_key"}, "qtrace": {"lead_violation"}}
 
 
 def _full_degree_uses(tree: ast.AST, names) -> list[str]:
@@ -333,8 +334,9 @@ def test_kept_dicts_are_written_through_keep():
 def test_every_module_cache_is_in_the_readme():
     # the README's cache paragraph names each module-level lru_cache with
     # its size, and its paragraph on data kept on a datum names each
-    # cached_property of DTDatum, so a new cache, a resized one or a new
-    # kept value must be documented
+    # cached_property of DTDatum and each value a center computation
+    # writes into a datum's instance dict, so a new cache, a resized one
+    # or a new kept value must be documented
     readme = (ROOT / "README.md").read_text()
     paragraph = _paragraph(readme, "The module-level caches")
     caches = [f"`{name}` (`maxsize={maxsize}`)" for name, maxsize in _module_caches()]
@@ -343,6 +345,12 @@ def test_every_module_cache_is_in_the_readme():
     assert not missing, f"not in the README's cache paragraph: {missing}"
     kept = [f"`DTDatum.{name}`" for name, value in vars(DTDatum).items() if isinstance(value, cached_property)]
     assert "`DTDatum._cores`" in kept
+    datum = standard_datum(0, 4)
+    even_sublattice(datum)
+    written = [f"`DTDatum.{name}`" for name in vars(datum)
+               if name not in vars(DTDatum) and name not in DTDatum.__dataclass_fields__]
+    assert {"`DTDatum._center`", "`DTDatum._even`"} <= set(written)
+    kept += written
     paragraph = _paragraph(readme, "Data derived from a datum")
     missing = [k for k in kept if k not in paragraph]
     assert not missing, f"not in the README's paragraph on data kept on a datum: {missing}"

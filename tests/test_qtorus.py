@@ -255,6 +255,21 @@ class TestElemMul:
         with pytest.raises(ValueError):
             elem_mul(t1.one(), t2.one())
 
+    def test_ring_mismatch(self):
+        # equal matrices, different ground rings: the coefficient keys
+        # of the two tori have different lengths and must not mix
+        m = AntisymMatrix(((0, 1), (-1, 0)))
+        a, b = QuantumTorus(m, GroundRing(("b",))), QuantumTorus(m)
+        x, y = a.monomial((1, 0), a.ring.var("b")), b.monomial((0, 1))
+        for first, second in ((x, y), (y, x)):
+            with pytest.raises(ValueError, match="different quantum tori"):
+                elem_mul(first, second)
+            with pytest.raises(ValueError, match="different quantum tori"):
+                first + second
+        # equal tori built apart still mix
+        again = QuantumTorus(AntisymMatrix(((0, 1), (-1, 0))), GroundRing(("b",)))
+        assert elem_mul(x, again.monomial((0, 1))) == elem_mul(x, a.monomial((0, 1)))
+
 
 # two puncture symbols, so coefficients have several terms
 SYM = GroundRing(("v1", "v2"))

@@ -20,9 +20,8 @@ from skeintor.qtrace import (
     _component_product,
     _core_value,
     _curve_value,
+    TWIST_KEY,
     check_thmbtr,
-    graded_violation,
-    grading_violation,
     lead_violation,
     pants_degree,
     trace_torus,
@@ -441,17 +440,27 @@ class TestPantsDegree:
                 pants_degree(j, (1,) * length)
 
     def test_orders_the_lead_check(self):
-        # lead_violation orders by pants_degree: a term with the same
+        # the lead verdict orders by pants_degree: a term with the same
         # lengths and a larger twist sum is found above the coordinate
         coord = (2, 2, 0, 0, 1, 0)
         value = utr_coord(t3, coord)
-        assert lead_violation(3, coord, value) is None
-        assert lead_violation(3, coord, value + t3.monomial((2, 2, 0, 1, 1, 0))).startswith("lead:")
+        assert pants_verdict(3, coord, value) is None
+        assert pants_verdict(3, coord, value + t3.monomial((2, 2, 0, 1, 1, 0))).startswith("lead:")
+
+
+def pants_verdict(j, coord, value):
+    """The lead verdict on a pants value, as the program takes it."""
+    return lead_violation(coord, value, j, TWIST_KEY[j])
 
 
 def pants_degree_violation(j, coord, value):
-    """``lead_violation`` by its definition: the maximal class under
-    ``pants_degree``, which must be ``coord`` alone."""
+    """:func:`pants_verdict` by its definition: every term has the
+    x-degrees of ``coord``, and the maximal class under ``pants_degree``
+    is ``coord`` alone."""
+    n = tuple(coord[:j])
+    for k in value.terms:
+        if k[:j] != n:
+            return f"grading: monomial {k} has lengths {k[:j]}, expected {n}"
     leads = [k for k, _ in lead_term(value, lambda k: pants_degree(j, k))]
     return None if leads == [tuple(coord)] else f"lead: maximal class {leads}, expected unique {coord}"
 
@@ -471,21 +480,21 @@ def member_pairs(draw, same_lengths):
 
 
 class TestLeadKey:
-    """``lead_violation`` orders by the twist part of ``pants_degree``
-    (j = 3: the twist sum; j = 2: the twist sum, then t_2; j = 1: t_1),
-    which on terms of fixed x-degrees is the order of ``pants_degree``."""
+    """The lead verdict on a pants value orders by the twist part of
+    ``pants_degree`` (``TWIST_KEY``; j = 3: the twist sum; j = 2: the
+    twist sum, then t_2; j = 1: t_1), which on terms of fixed x-degrees
+    is the order of ``pants_degree``, and checks the x-degrees first."""
 
     @given(member_pairs(same_lengths=False))
     @settings(max_examples=300, deadline=None)
     def test_matches_pants_degree_on_values_and_products(self, case):
+        # the product read at b has the wrong x-degrees unless a's are 0
         j, a, b = case
         tt = trace_torus(j)
         va, vb = utr_coord(tt, a), utr_coord(tt, b)
         total = tuple(x + y for x, y in zip(a, b))
         for coord, value in ((a, va), (total, elem_mul(va, vb)), (b, elem_mul(vb, va))):
-            assert lead_violation(j, coord, value) == pants_degree_violation(j, coord, value)
-            assert graded_violation(j, coord, value) == (
-                grading_violation(j, coord, value) or pants_degree_violation(j, coord, value))
+            assert pants_verdict(j, coord, value) == pants_degree_violation(j, coord, value)
 
     @given(member_pairs(same_lengths=True))
     @settings(max_examples=300, deadline=None)
@@ -495,18 +504,21 @@ class TestLeadKey:
         value = utr_coord(tt, a) + utr_coord(tt, b)
         if value.terms:
             for coord in (a, b):
-                assert lead_violation(j, coord, value) == pants_degree_violation(j, coord, value)
-                assert graded_violation(j, coord, value) == pants_degree_violation(j, coord, value)
+                assert pants_verdict(j, coord, value) == pants_degree_violation(j, coord, value)
 
     def test_ties_of_the_twist_sum(self):
         # j = 2: at twist sum 0, t_2 decides; the term of twist sum 1 is
         # above both
         value = t2.monomial((1, 1, 1, -1)) + t2.monomial((1, 1, -1, 1))
-        assert lead_violation(2, (1, 1, -1, 1), value) is None
-        assert lead_violation(2, (1, 1, 1, -1), value) == pants_degree_violation(2, (1, 1, 1, -1), value)
+        assert pants_verdict(2, (1, 1, -1, 1), value) is None
+        assert pants_verdict(2, (1, 1, 1, -1), value) == pants_degree_violation(2, (1, 1, 1, -1), value)
         higher = value + t2.monomial((1, 1, 3, -2))
-        assert lead_violation(2, (1, 1, 3, -2), higher) is None
+        assert pants_verdict(2, (1, 1, 3, -2), higher) is None
         assert pants_degree_violation(2, (1, 1, 3, -2), higher) is None
+        # t_2 alone would put (1, 1, -5, 0) first
+        lower = t2.monomial((1, 1, 3, -2)) + t2.monomial((1, 1, -5, 0))
+        assert pants_verdict(2, (1, 1, 3, -2), lower) is None
+        assert pants_verdict(2, (1, 1, -5, 0), lower).startswith("lead:")
 
     @given(member_pairs(same_lengths=False))
     @settings(max_examples=100, deadline=None)
@@ -516,17 +528,22 @@ class TestLeadKey:
             return
         tt = trace_torus(j)
         value = utr_coord(tt, a) + utr_coord(tt, b)
-        assert lead_violation(j, a, value).startswith("lead: lengths vary")
-        assert graded_violation(j, a, value) == grading_violation(j, a, value) is not None
+        assert pants_verdict(j, a, value).startswith("grading:")
 
     def test_varying_x_degrees_even_where_the_twist_key_agrees(self):
         # pants_degree puts (2, 0, 0, 0, 0, 0) first; the twist sum alone
         # would pick (0, 0, 0, 0, 0, 5)
         value = t3.monomial((2, 0, 0, 0, 0, 0)) + t3.monomial((0, 0, 0, 0, 0, 5))
-        assert pants_degree_violation(3, (2, 0, 0, 0, 0, 0), value) is None
-        assert lead_violation(3, (2, 0, 0, 0, 0, 0), value).startswith("lead: lengths vary")
-        assert lead_violation(3, (2, 0, 0, 0, 0, 0), t3.torus.zero()).startswith("lead:")
-        assert graded_violation(3, (2, 0, 0, 0, 0, 0), t3.torus.zero()).startswith("lead:")
+        assert pants_degree_violation(3, (2, 0, 0, 0, 0, 0), value).startswith("grading:")
+        assert pants_verdict(3, (2, 0, 0, 0, 0, 0), value).startswith("grading:")
+        assert pants_verdict(3, (2, 0, 0, 0, 0, 0), t3.torus.zero()).startswith("lead:")
+        # the coordinate is the unique top term under the twist key, and
+        # only the x-degrees of the other term are wrong
+        value = t3.monomial((2, 0, 0, 0, 0, 0)) + t3.monomial((0, 0, 0, 0, 0, -5))
+        assert pants_verdict(3, (2, 0, 0, 0, 0, 0), value).startswith("grading:")
+        # x-degrees that agree but are not the coordinate's lengths
+        value = t3.monomial((0, 2, 0, 0, 0, 0)) + t3.monomial((0, 2, 0, 0, 1, 0))
+        assert pants_verdict(3, (2, 0, 0, 0, 1, 0), value).startswith("grading:")
 
 
 class TestThmbtr:
@@ -586,14 +603,13 @@ class TestThmbtr:
         # the trace-property suite
         coord = (2, 0, 0, 0, 1, 0)
         value = utr_coord(t3, coord)
-        assert grading_violation(3, coord, value) is None
-        assert lead_violation(3, coord, value) is None
+        assert pants_verdict(3, coord, value) is None
         assert twist_violations(t3, coord, utr_coord_straight) == []
         off_grade = value + t3.monomial((0, 2, 0, 0, 0, 0))
-        assert grading_violation(3, coord, off_grade).startswith("grading:")
+        assert pants_verdict(3, coord, off_grade).startswith("grading:")
         higher = value + t3.monomial((2, 0, 0, 0, 2, 0))
-        assert lead_violation(3, coord, higher).startswith("lead:")
+        assert pants_verdict(3, coord, higher).startswith("lead:")
         tie = value + t3.monomial((2, 0, 0, 1, 0, 0))
-        assert lead_violation(3, coord, tie).startswith("lead:")
+        assert pants_verdict(3, coord, tie).startswith("lead:")
         untwisted = lambda tt, c: utr_coord(tt, c[:3] + (0, 1, 0))
         assert twist_violations(t3, coord, untwisted) == ["twist: boundary 1 of (2, 0, 0, 0, 1, 0)"]

@@ -10,17 +10,16 @@ from hypothesis import strategies as st
 
 from skeintor import pants, surface
 from skeintor.qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term
-from skeintor.qtrace import _commutation_matrix, trace_torus, utr_coord_straight
+from skeintor.qtrace import _commutation_matrix, lead_violation, trace_torus, utr_coord_straight
 from skeintor.surface import (
     DTDatum,
     FatGraph,
     d_embed,
     face_split,
-    glued_lead,
+    glued_key,
     lambda_global,
     lambda_membership,
     length_rule,
-    phi_lead,
     phi_value,
     q_matrix,
     standard_datum,
@@ -40,6 +39,13 @@ def box(datum, nmax, tmax):
             c = n + t
             if lambda_global(datum, c):
                 yield c
+
+
+def glued_verdict(datum, coord, value=None):
+    """The lead verdict on the glued trace of ``coord``, or on ``value``,
+    as the program takes it."""
+    value = phi_value(datum, coord) if value is None else value
+    return lead_violation(coord, value, datum.r, glued_key(datum.r))
 
 
 def sample_member(rng, datum, nmax=5, tmax=5):
@@ -74,8 +80,7 @@ class TestStandardDatum:
         assert lambda_global(d31, (0,) * 14)
         coord = (2,) * 7 + (1, 0, -1, 0, 2, 0, 0)
         assert lambda_global(d31, coord)
-        lead, _ = phi_lead(d31, coord)
-        assert lead == coord
+        assert glued_verdict(d31, coord) is None
 
     def test_excluded(self):
         for g, m in [(1, 0), (1, 1), (0, 0), (0, 3), (-1, 5)]:
@@ -449,8 +454,8 @@ class TestFaceSplit:
 
 class TestPhi:
     def test_sphere_four_value(self):
-        lead, val = phi_lead(d04, (2, 2))
-        assert lead == (2, 2)
+        val = phi_value(d04, (2, 2))
+        assert glued_verdict(d04, (2, 2), val) is None
         torus = surface_torus(d04)
         ring = torus.ring
         v12 = ring.var("v1") * ring.var("v2")
@@ -486,16 +491,15 @@ class TestPhi:
         assert before == [unkept_glue(d05, c) for c in coords]
 
     def test_loop_value(self):
-        lead, val = phi_lead(d04, (0, 1))
+        val = phi_value(d04, (0, 1))
         torus = surface_torus(d04)
-        assert lead == (0, 1)
+        assert glued_verdict(d04, (0, 1), val) is None
         assert val == torus.monomial((0, 1)) + torus.monomial((0, -1))
 
     def test_lead_box_small(self):
         for datum in (d05, d12):
             for coord in box(datum, 3, 2):
-                lead, _ = phi_lead(datum, coord)
-                assert lead == coord
+                assert glued_verdict(datum, coord) is None
 
     def test_lead_box_spliced_genus_two(self):
         # five faces, four curves: the necklace core with one punctured
@@ -503,8 +507,7 @@ class TestPhi:
         datum = standard_datum(2, 1)
         count = 0
         for coord in box(datum, 2, 1):
-            lead, _ = phi_lead(datum, coord)
-            assert lead == coord
+            assert glued_verdict(datum, coord) is None
             count += 1
         assert count > 500
 
@@ -560,8 +563,7 @@ class TestPhi:
 def unkept_glue(datum, coord):
     """The glued trace of ``coord`` at the same twist placement as
     ``phi_value``, computed from its faces with nothing kept."""
-    n = coord[: datum.r]
-    return surface_torus(datum).from_flat({n + t: c for t, c in surface._glue(datum, coord, False).items()})
+    return surface._glue(datum, coord, False)
 
 
 class TestKeptCores:
@@ -722,8 +724,16 @@ LEAD_DATA = {gm: standard_datum(*gm) for gm in ((0, 4), (0, 5), (1, 2), (2, 0))}
 LEAD_BOXES = {gm: list(box(datum, 3, 3)) for gm, datum in LEAD_DATA.items()}
 
 
-def d_embed_lead(datum, value):
-    return lead_term(value, lambda k: d_embed(datum, k))
+def d_embed_violation(datum, coord, value):
+    """:func:`glued_verdict` by its definition: every term has the lengths
+    of ``coord``, and the maximal class under ``d_embed`` is ``coord``
+    alone."""
+    n = tuple(coord[: datum.r])
+    for k in value.terms:
+        if k[: datum.r] != n:
+            return f"grading: monomial {k} has lengths {k[: datum.r]}, expected {n}"
+    leads = [k for k, _ in lead_term(value, lambda k: d_embed(datum, k))]
+    return None if leads == [tuple(coord)] else f"lead: maximal class {leads}, expected unique {coord}"
 
 
 @st.composite
@@ -740,15 +750,19 @@ def box_pair(draw, same_lengths=False):
 
 
 class TestGluedLead:
-    """``glued_lead`` orders by the twist part alone, which on terms of
-    fixed lengths is the order of ``d_embed``."""
+    """The lead verdict on a glued value orders by the twist part alone
+    (``glued_key``), which on terms of fixed lengths is the order of
+    ``d_embed``, and checks the lengths first."""
 
     @given(box_pair())
     @settings(max_examples=300, deadline=None)
     def test_matches_d_embed_on_values_and_products(self, case):
+        # the product read at l has the wrong lengths unless k's are 0
         datum, k, l = case
-        for value in (phi_value(datum, k), elem_mul(phi_value(datum, k), phi_value(datum, l))):
-            assert glued_lead(datum, value) == d_embed_lead(datum, value)
+        total = tuple(x + y for x, y in zip(k, l))
+        prod = elem_mul(phi_value(datum, k), phi_value(datum, l))
+        for coord, value in ((k, phi_value(datum, k)), (total, prod), (l, prod)):
+            assert glued_verdict(datum, coord, value) == d_embed_violation(datum, coord, value)
 
     @given(box_pair(same_lengths=True))
     @settings(max_examples=300, deadline=None)
@@ -758,7 +772,8 @@ class TestGluedLead:
         datum, k, l = case
         value = phi_value(datum, k) + phi_value(datum, l)
         if value.terms:
-            assert glued_lead(datum, value) == d_embed_lead(datum, value)
+            for coord in (k, l):
+                assert glued_verdict(datum, coord, value) == d_embed_violation(datum, coord, value)
 
     def test_ties_of_the_twist_sum(self):
         # on (0, 5) the terms at (2, 2, 1, -1) and (2, 2, 0, 0) share the
@@ -766,8 +781,14 @@ class TestGluedLead:
         # among the terms of the largest twist sum
         torus = surface_torus(d05)
         value = sum((torus.monomial((2, 2) + t) for t in ((0, 0), (1, -1), (-1, 0), (2, -3))), torus.zero())
-        assert [k for k, _ in glued_lead(d05, value)] == [(2, 2, 1, -1)]
-        assert glued_lead(d05, value) == d_embed_lead(d05, value)
+        assert glued_verdict(d05, (2, 2, 1, -1), value) is None
+        for t in ((0, 0), (-1, 0), (2, -3)):
+            assert glued_verdict(d05, (2, 2) + t, value) == d_embed_violation(d05, (2, 2) + t, value)
+            assert glued_verdict(d05, (2, 2) + t, value).startswith("lead:")
+        # the first twist alone would put (2, 2, 1, -3) first
+        value = torus.monomial((2, 2, 0, 5)) + torus.monomial((2, 2, 1, -3))
+        assert glued_verdict(d05, (2, 2, 0, 5), value) is None
+        assert glued_verdict(d05, (2, 2, 1, -3), value).startswith("lead:")
 
     @given(box_pair())
     @settings(max_examples=100, deadline=None)
@@ -777,19 +798,20 @@ class TestGluedLead:
         value = phi_value(datum, k) + phi_value(datum, l)
         if k[:r] == l[:r]:
             return
-        with pytest.raises(ValueError, match="lengths vary"):
-            glued_lead(datum, value)
+        assert glued_verdict(datum, k, value).startswith("grading:")
 
     def test_varying_lengths_even_where_the_twist_key_agrees(self):
         # d_embed puts (2, 0) above (0, 5) on (0, 4); the twist part alone
         # would pick (0, 5), so the lengths must be checked, not assumed
         torus = surface_torus(d04)
         value = torus.monomial((2, 0)) + torus.monomial((0, 5))
-        assert [k for k, _ in d_embed_lead(d04, value)] == [(2, 0)]
-        with pytest.raises(ValueError, match="lengths vary"):
-            glued_lead(d04, value)
-        with pytest.raises(ValueError, match="zero element"):
-            glued_lead(d04, torus.zero())
+        assert [k for k, _ in lead_term(value, lambda k: d_embed(d04, k))] == [(2, 0)]
+        assert glued_verdict(d04, (2, 0), value).startswith("grading:")
+        assert glued_verdict(d04, (2, 0), torus.zero()).startswith("lead:")
+        # (2, 0) is the unique top term under the twist key; only the
+        # lengths of the other term are wrong
+        value = torus.monomial((2, 0)) + torus.monomial((0, -5))
+        assert glued_verdict(d04, (2, 0), value).startswith("grading:")
 
 
 class TestAlternateDatum:
@@ -818,8 +840,7 @@ class TestAlternateDatum:
     def test_lead_theorem_on_box(self):
         datum = self.build()
         for coord in box(datum, 3, 2):
-            lead, _ = phi_lead(datum, coord)
-            assert lead == coord
+            assert glued_verdict(datum, coord) is None
 
     def test_self_glued_parity(self):
         datum = self.build()
