@@ -528,7 +528,8 @@ def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> TorusElement:
     two sides of each curve add up to the global twist exponent, and the
     paired x-degrees become the length exponent, which is the lengths of
     ``coord`` on every term.  Coefficients accumulate as integers, one
-    ``ring.flat_accumulate`` per face, as in ``elem_mul``.
+    ``ring.flat_accumulate`` per face, and become coefficients once, in
+    ``QuantumTorus.from_flat``, as in ``elem_mul``.
     """
     splits = face_split(datum, coord, secondary=secondary)
     r = datum.r
