@@ -42,7 +42,7 @@ from .qtorus import (
     lead_term,
     reflection_normalize,
 )
-from .ring import GroundElem, GroundRing, flat_mul
+from .ring import GroundElem, GroundRing, flat_mul, shared
 
 
 def _commutation_matrix(j: int) -> AntisymMatrix:
@@ -178,20 +178,17 @@ def _component_power(value: TorusElement, m: int) -> TorusElement:
     return torus.from_flat(out)
 
 
-# Bounded like _core_value: the reference path multiplies out each
-# decomposition's components once per process, not once per call.  A
-# twist at a boundary the curve meets changes only the residual twist,
-# so every coordinate with the same lengths and loop counts, on either
-# side of a twist rule, has the same components.  A product is the very
-# object _core_value keeps when its reflection shift is 0 (216 of the
-# 1008 products of a pants-traces episode); the others are held twice.
+# Bounded like _core_value: each component tuple, the same for every
+# coordinate with the same lengths and loop counts on either side of a
+# twist rule, is multiplied out once per process.  Kept coefficients are
+# ring.shared's, so a product and its core share their equal ones.
 @lru_cache(maxsize=65536)
 def _component_product(j: int, comps: tuple[ComponentSpec, ...]) -> TorusElement:
     """The untwisted product of the component values ``comps`` on pants
     type ``j``, each raised to its multiplicity."""
     tt = trace_torus(j)
     powers = [_component_power(_curve_value(tt, c), c.multiplicity) for c in comps]
-    return reduce(elem_mul, powers) if powers else tt.torus.one()
+    return _shared_coefficients(reduce(elem_mul, powers) if powers else tt.torus.one())
 
 
 @lru_cache(maxsize=65536)
@@ -199,7 +196,14 @@ def _core_value(j: int, n: tuple[int, ...], loops: tuple[int, ...]) -> TorusElem
     """Reflection-normalized trace of the untwisted canonical multiset
     for the length vector ``n`` together with ``loops[i]`` near-boundary
     loops at each missed boundary."""
-    return reflection_normalize(_component_product(j, pants.components(j, n, loops)))
+    product = _component_product(j, pants.components(j, n, loops))
+    core = reflection_normalize(product)
+    return core if core is product else _shared_coefficients(core)
+
+
+def _shared_coefficients(value: TorusElement) -> TorusElement:
+    """``value`` with each coefficient replaced by the equal one of :func:`ring.shared`."""
+    return TorusElement(value.torus, {k: shared(c) for k, c in value.terms.items()})
 
 
 def utr_coord(tt: TraceTorus, coord: Coord) -> TorusElement:

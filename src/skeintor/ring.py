@@ -179,3 +179,18 @@ def flat_accumulate(out: dict, left: list, right: list) -> dict:
                     kc = tuple(map(add, ka, kb))
                     acc[kc] = acc.get(kc, 0) + ca * cb
     return out
+
+
+_SHARED_MAX = 65536
+_shared: dict[tuple[GroundRing, GroundElem], GroundElem] = {}  # by ring: equality reads only terms
+
+
+def shared(c: GroundElem) -> GroundElem:
+    """The stored coefficient equal to ``c`` in its ring, else ``c``, stored (at most ``_SHARED_MAX``)."""
+    key = c.ring, c
+    kept = _shared.get(key)
+    if kept is None:
+        if len(_shared) >= _SHARED_MAX:
+            del _shared[next(iter(_shared))]
+        kept = _shared[key] = c
+    return kept

@@ -133,7 +133,24 @@ class TestTrace:
         code, _, err = run(
             capsys, "trace", "--genus", "0", "--punctures", "4", "--coord", "1,0"
         )
-        assert code == 2 and "monoid" in err
+        assert code == 2
+        assert err == "error: coordinate not in the monoid: odd boundary sum (1,) at face 0\n"
+
+    def test_glued_trace_tests_membership_three_times(self, capsys, monkeypatch):
+        # phi_value tests the coordinate, gluing its core tests the core and
+        # face_split the coordinate again; the command tests nothing itself
+        calls = []
+        real = surface.lambda_membership
+
+        def counting(datum, coord):
+            calls.append(tuple(coord))
+            return real(datum, coord)
+
+        monkeypatch.setattr(surface, "lambda_membership", counting)
+        monkeypatch.setattr(cli, "lambda_membership", counting)
+        code, _, _ = run(capsys, "trace", "--genus", "2", "--punctures", "0", "--coord", "2,2,2,1,-1,3")
+        assert code == 0
+        assert calls == [(2, 2, 2, 1, -1, 3), (2, 2, 2, 0, 0, 0), (2, 2, 2, 1, -1, 3)]
 
     def test_failed_lead_verdict_is_a_fail(self, capsys, monkeypatch):
         # a glued value with a rival term of other lengths and the same

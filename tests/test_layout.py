@@ -5,9 +5,10 @@ every check suite runs under the one suite harness, every
 module-level cache but the trace tori has a bound, only ``ring``
 multiplies coefficients term pair by term pair, no check suite
 orders a lead by a full degree vector, every dict kept on
-a datum is written only through its bounded store, and the
-README names every module-level cache with its size and every
-datum-kept value.
+a datum is written only through its bounded store, the store of
+kept coefficients is written only by its bounded helper and fed
+only by the two trace caches, and the README names every
+module-level cache with its size and every datum-kept value.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -22,7 +23,7 @@ import importlib.util
 from functools import cached_property
 from pathlib import Path
 
-from skeintor import qtrace
+from skeintor import qtrace, ring
 from skeintor.arith import even_sublattice
 from skeintor.surface import DTDatum, standard_datum
 
@@ -276,6 +277,63 @@ def test_module_caches_are_bounded():
     assert caches and not unbounded, f"module-level caches without a maxsize: {unbounded}"
 
 
+# The loops that multiply or translate per term, which must not pay for
+# the coefficient store.
+PRODUCT_LOOPS = {"ring.flat_mul", "ring.flat_accumulate", "qtorus.elem_mul", "qtorus._q_monomial_mul",
+                 "qtorus.TorusElement.translate"}
+
+
+def _store_uses(tree: ast.AST) -> set[str]:
+    """The top-level statements of ``tree`` that read ``_shared``, as a
+    name or an attribute: a definition by its name, an assignment by
+    its target and any other statement by its line."""
+    found = set()
+    for top in tree.body:
+        if any(getattr(n, "id", None) == "_shared" or getattr(n, "attr", None) == "_shared" for n in ast.walk(top)):
+            target = getattr(top, "target", None) or (getattr(top, "targets", None) or [None])[0]
+            found.add(getattr(top, "name", None) or getattr(target, "id", None) or str(top.lineno))
+    return found
+
+
+def _callers(name: str) -> set[str]:
+    """The package's functions and methods that call ``name``, as a plain
+    name or an attribute (``module.function``, ``module.Class.method``)."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text()).body:
+            members = top.body if isinstance(top, ast.ClassDef) else []
+            for node in [top, *members]:
+                if not isinstance(node, ast.FunctionDef):
+                    continue
+                qual = f"{top.name}.{node.name}" if node is not top else node.name
+                if any(isinstance(n, ast.Call) and name in (getattr(n.func, "id", None), getattr(n.func, "attr", None))
+                       for n in ast.walk(node)):
+                    found.add(f"{path.stem}.{qual}")
+    return found
+
+
+def test_kept_coefficients_go_through_the_bounded_store():
+    # ring._shared is written only by ring.shared, which evicts at
+    # _SHARED_MAX, and only the two trace caches pass what they keep
+    # through it, so no product loop pays for the store
+    users = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
+             for name in _store_uses(ast.parse(path.read_text()))}
+    assert users == {"ring._shared", "ring.shared"}, f"the coefficient store is used outside ring.shared: {users}"
+    helper = next(node for node in ast.parse((PACKAGE / "ring.py").read_text()).body
+                  if getattr(node, "name", None) == "shared")
+    assert any(isinstance(n, ast.Delete) for n in ast.walk(helper))
+    assert any(getattr(n, "id", None) == "_SHARED_MAX" for n in ast.walk(helper))
+    feeders = _callers("shared")
+    assert feeders == {"qtrace._shared_coefficients"}
+    assert _callers("_shared_coefficients") == {"qtrace._component_product", "qtrace._core_value"}
+    defined = {qual for qual, *_ in _definitions()}
+    assert PRODUCT_LOOPS <= defined and not PRODUCT_LOOPS & feeders
+    # the scans see a direct store, an aliased module read and a method call
+    for bad in ("def f(c):\n    _shared[c.ring, c] = c", "x = ring._shared.setdefault(k, v)"):
+        assert _store_uses(ast.parse(bad)), bad
+    assert _store_uses(ast.parse("_shared: dict = {}")) == {"_shared"}
+
+
 def _kept_dicts() -> set[str]:
     """The cached_property dicts of DTDatum."""
     datum = standard_datum(0, 4)
@@ -341,6 +399,7 @@ def test_every_module_cache_is_in_the_readme():
     paragraph = _paragraph(readme, "The module-level caches")
     caches = [f"`{name}` (`maxsize={maxsize}`)" for name, maxsize in _module_caches()]
     assert "`qtrace._component_product` (`maxsize=65536`)" in caches
+    caches.append(f"`ring._shared` (`_SHARED_MAX={ring._SHARED_MAX}`)")
     missing = [c for c in caches if c not in paragraph]
     assert not missing, f"not in the README's cache paragraph: {missing}"
     kept = [f"`DTDatum.{name}`" for name, value in vars(DTDatum).items() if isinstance(value, cached_property)]

@@ -30,8 +30,9 @@ from skeintor.qtrace import (
     utr_coord_straight,
     weyl_u_mul,
 )
-from skeintor import qtrace
-from skeintor.ring import GroundRing
+from skeintor import qtrace, ring
+from skeintor.checks import _pants_table
+from skeintor.ring import GroundElem, GroundRing
 
 
 t3 = trace_torus(3)
@@ -288,6 +289,74 @@ class TestSharedProduct:
 
     def test_bounded_like_the_core_cache(self):
         assert _component_product.cache_info().maxsize == _core_value.cache_info().maxsize == 65536
+
+
+# every monoid point of the box-4 pants grid, as the trace-property suite
+# lists it
+BOX4 = [(j, c) for j in (1, 2, 3) for c in _pants_table(j, 4, 4).points()]
+
+
+@pytest.fixture
+def cold_traces(monkeypatch):
+    """Empty trace caches over an empty coefficient store; returns the
+    function that empties the caches, which runs again at teardown."""
+    def clear():
+        _core_value.cache_clear()
+        _component_product.cache_clear()
+
+    monkeypatch.setattr(ring, "_shared", {})
+    clear()
+    yield clear
+    clear()
+
+
+def _box_values():
+    return [(utr_coord(trace_torus(j), c), utr_coord_straight(trace_torus(j), c)) for j, c in BOX4]
+
+
+class TestCoefficientStore:
+    """The trace caches keep their coefficients through ring.shared."""
+
+    def test_box_values_match_the_store_bypassed(self, cold_traces, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(qtrace, "shared", lambda c: c)
+            bypassed = _box_values()
+        assert not ring._shared
+        cold_traces()
+        stored = _box_values()
+        assert ring._shared
+        assert stored == bypassed
+        for (j, _), values in zip(BOX4, stored):
+            assert all(c.ring == trace_torus(j).ring for v in values for c in v.terms.values())
+
+    def test_equal_kept_coefficients_are_one_object(self, cold_traces):
+        # the cores (utr_coord keeps their coefficients when it translates)
+        # and the products, read back from the filled caches
+        kept = [utr_coord(trace_torus(j), c) for j, c in BOX4]
+        misses = _component_product.cache_info().misses
+        kept += [_component_product(j, decompose(j, c).components) for j, c in BOX4]
+        assert _component_product.cache_info().misses == misses
+        objects: dict = {}
+        for value in kept:
+            for c in value.terms.values():
+                objects.setdefault((c.ring, c), set()).add(id(c))
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert len(objects) < sum(len(v.terms) for v in kept)
+
+    def test_stored_coefficient_stays_after_an_attempt(self, cold_traces):
+        coord = (2, 4, 2, 1, -3, 2)
+        value = utr_coord(t3, coord)
+        k, c = next(iter(value.terms.items()))
+        assert ring.shared(GroundElem(c.ring, dict(c.terms))) is c
+        with pytest.raises(TypeError):
+            c.terms[next(iter(c.terms))] = 5
+        with pytest.raises(AttributeError):
+            c.terms = {}
+        # recomputed, the value takes the stored coefficient as it was
+        cold_traces()
+        again = utr_coord(t3, coord)
+        assert again.terms[k] is c
+        assert again == value == utr_coord_straight(t3, coord)
 
 
 class TestTraceTorusU:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeintor.ring import GroundElem, GroundRing, flat_accumulate, flat_mul
+from skeintor import ring
+from skeintor.ring import GroundElem, GroundRing, flat_accumulate, flat_mul, shared
 
 # the half-step Laurent ring
 R = GroundRing(())
@@ -117,3 +118,61 @@ class TestFlatProduct:
         assert set(out) == {(1, 1), (2, 0)}
         assert GroundElem(R2, out[(1, 1)]) == a * c
         assert GroundElem(R2, out[(2, 0)]) == b * c
+
+
+@pytest.fixture
+def store(monkeypatch):
+    """An empty coefficient store in place of the process's one."""
+    empty = {}
+    monkeypatch.setattr(ring, "_shared", empty)
+    return empty
+
+
+class TestSharedStore:
+    def test_equal_terms_in_two_rings_stay_apart(self, store):
+        # GroundElem equality reads only the terms, so the store must key
+        # by the ring as well
+        ra, rb = GroundRing(("a",)), GroundRing(("b",))
+        xa, xb = ra.var("a"), rb.var("b")
+        assert xa == xb and xa.ring != xb.ring
+        assert shared(xa) is xa
+        assert shared(xb) is xb and shared(xb).ring == rb
+        assert shared(ra.var("a")) is xa
+        assert shared(GroundElem(rb, dict(xa.terms))) is xb
+        assert len(store) == 2
+
+    def test_equal_coefficients_are_one_object(self, store):
+        a = R2.var("a") + R2.q_half(3)
+        assert shared(a) is a
+        for again in (R2.q_half(3) + R2.var("a"), GroundElem(R2, dict(a.terms))):
+            assert again is not a and shared(again) is a
+        assert shared(R2.var("a")) is not a
+
+    def test_stored_coefficient_is_read_only(self, store):
+        a = shared(R2.var("b", -1) - R2.q_half(-1))
+        before = dict(a.terms)
+        key = next(iter(a.terms))
+        for attempt in (lambda: a.terms.__setitem__(key, 5), a.terms.clear, lambda: a.terms.update({key: 0}),
+                        lambda: a.terms.pop(key)):
+            with pytest.raises(TypeError):
+                attempt()
+        with pytest.raises(AttributeError):
+            a.terms = {}
+        with pytest.raises(AttributeError):
+            a.ring = R
+        later = shared(R2.var("b", -1) - R2.q_half(-1))
+        assert later is a and dict(later.terms) == before and later.ring is R2
+
+    def test_evicts_the_oldest_at_the_bound(self, store, monkeypatch):
+        monkeypatch.setattr(ring, "_SHARED_MAX", 2)
+        first = [R.q_half(e) for e in range(3)]
+        assert all(shared(c) is c for c in first)
+        assert len(store) == 2
+        # q^0 went first; q^1 and q^2 are still the stored ones
+        again = [R.q_half(e) for e in range(3)]
+        assert shared(again[2]) is first[2] and shared(again[1]) is first[1]
+        assert shared(again[0]) is again[0]
+        assert len(store) == 2
+        # storing q^0 again evicted q^1, the oldest left
+        assert shared(R.q_half(1)) is not first[1]
+        assert len(store) == 2
