@@ -290,8 +290,8 @@ def _store_uses(tree: ast.AST) -> set[str]:
     found = set()
     for top in tree.body:
         if any(getattr(n, "id", None) == "_shared" or getattr(n, "attr", None) == "_shared" for n in ast.walk(top)):
-            target = getattr(top, "target", None) or (getattr(top, "targets", None) or [None])[0]
-            found.add(getattr(top, "name", None) or getattr(target, "id", None) or str(top.lineno))
+            targets = getattr(top, "targets", None) or [getattr(top, "target", None)]
+            found.add(getattr(top, "name", None) or getattr(targets[0], "id", None) or str(top.lineno))
     return found
 
 
@@ -328,7 +328,7 @@ def test_kept_coefficients_go_through_the_bounded_store():
     assert _callers("_shared_coefficients") == {"qtrace._component_product", "qtrace._core_value"}
     defined = {qual for qual, *_ in _definitions()}
     assert PRODUCT_LOOPS <= defined and not PRODUCT_LOOPS & feeders
-    # the scans see a direct store, an aliased module read and a method call
+    # the scan sees a direct store, a write through the module and the definition
     for bad in ("def f(c):\n    _shared[c.ring, c] = c", "x = ring._shared.setdefault(k, v)"):
         assert _store_uses(ast.parse(bad)), bad
     assert _store_uses(ast.parse("_shared: dict = {}")) == {"_shared"}
