@@ -203,16 +203,18 @@ def _parity_matrix(datum: DTDatum) -> list[list[int]]:
 
 def _center_data(datum: DTDatum) -> tuple:
     """What the center lattices of one datum share: ``(span, diagonal of
-    S, columns of B V)`` for the coordinate span with basis matrix B and
-    the Smith form S = U G V of its Gram matrix G = B^T Q~ B under the
-    doubled form.  Built on first use and kept on the datum instance
-    (next to its ``_tables``), so it lives as long as the datum does."""
+    S, columns of B V, their order-4 kernel)`` for the coordinate span
+    with basis matrix B and the Smith form S = U G V of its Gram matrix
+    G = B^T Q~ B under the doubled form.  Built on first use and kept on
+    the datum instance (next to its ``_tables``), so it lives as long as
+    the datum does."""
     data = vars(datum).get("_center")
     if data is None:
         span = _span(datum)
         diag, v = smith_columns(_gram(datum, span))
-        data = span, tuple(diag), tuple(zip(*mat_mul(span.matrix(), v)))
-        vars(datum)["_center"] = data
+        smith, span_v = tuple(diag), tuple(zip(*mat_mul(span.matrix(), v)))
+        even = LatticeBasis.from_columns(2 * datum.r, kernel_columns(smith, span_v, 4))
+        data = vars(datum)["_center"] = span, smith, span_v, even
     return data
 
 
@@ -251,7 +253,7 @@ def kernel_lattice(datum: DTDatum, modulus: int) -> LatticeBasis:
     """
     if modulus < 1:
         raise ValueError("modulus must be positive")
-    _, smith, span_v = _center_data(datum)
+    _, smith, span_v, _ = _center_data(datum)
     return LatticeBasis.from_columns(2 * datum.r, kernel_columns(smith, span_v, modulus))
 
 
@@ -259,13 +261,10 @@ def even_sublattice(datum: DTDatum) -> LatticeBasis:
     """The even part of the span: vectors pairing into 4Z against the span.
 
     Lattice form of the statement that even diagrams are those with even
-    geometric intersection with every curve.  Built on first use and kept
-    on the datum instance next to its center data.
+    geometric intersection with every curve.  Kept with the datum's
+    center data, so each call is a read.
     """
-    even = vars(datum).get("_even")
-    if even is None:
-        even = vars(datum)["_even"] = kernel_lattice(datum, 4)
-    return even
+    return _center_data(datum)[3]
 
 
 def kernel_target(root: RootOfUnity, span: LatticeBasis, even: LatticeBasis) -> LatticeBasis:

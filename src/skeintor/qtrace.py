@@ -75,9 +75,9 @@ class TraceTorus:
     def ring(self) -> GroundRing:
         return self.torus.ring
 
-    def u(self, i: int, power: int = 1, half_steps: int = 0) -> TorusElement:
-        """u_i to the ``power``, times q^(half_steps/2): see :func:`_kept_u`."""
-        return _kept_u(self.j, i, power, half_steps)
+    def u(self, i: int, half_steps: int = 0) -> TorusElement:
+        """u_i times q^(half_steps/2): see :func:`_kept_u`."""
+        return _kept_u(self.j, i, half_steps)
 
     def monomial(self, coord: Coord) -> TorusElement:
         return self.torus.monomial(coord)
@@ -91,12 +91,12 @@ def trace_torus(j: int) -> TraceTorus:
 
 
 @lru_cache(maxsize=4096)
-def _kept_u(j: int, i: int, power: int, half_steps: int) -> TorusElement:
-    """u_i to the ``power``, times q^(half_steps/2), in ``trace_torus(j)``;
-    one element per key, shared by every caller since it is read-only."""
+def _kept_u(j: int, i: int, half_steps: int) -> TorusElement:
+    """u_i times q^(half_steps/2) in ``trace_torus(j)``; one element per
+    key, shared by every caller since it is read-only."""
     torus = trace_torus(j).torus
     exponent = [0] * (2 * j)
-    exponent[j + i - 1] = power
+    exponent[j + i - 1] = 1
     return torus.monomial(exponent, torus.ring.q_half(half_steps))
 
 
@@ -181,7 +181,7 @@ def _component_power(value: TorusElement, m: int) -> TorusElement:
 # Bounded like _core_value: each component tuple, the same for every
 # coordinate with the same lengths and loop counts on either side of a
 # twist rule, is multiplied out once per process.  Kept coefficients are
-# ring.shared's, so a product and its core share their equal ones.
+# ring.shared's, so products, pants cores and glued cores share equal ones.
 @lru_cache(maxsize=65536)
 def _component_product(j: int, comps: tuple[ComponentSpec, ...]) -> TorusElement:
     """The untwisted product of the component values ``comps`` on pants
@@ -202,7 +202,8 @@ def _core_value(j: int, n: tuple[int, ...], loops: tuple[int, ...]) -> TorusElem
 
 
 def _shared_coefficients(value: TorusElement) -> TorusElement:
-    """``value`` with each coefficient replaced by the equal one of :func:`ring.shared`."""
+    """``value`` with each coefficient replaced by the equal one of
+    :func:`ring.shared`, as a pants product or core or a glued core is kept."""
     return TorusElement(value.torus, {k: shared(c) for k, c in value.terms.items()})
 
 

@@ -8,7 +8,9 @@ the plain half-step Laurent ring.  The quantum parameter is stored as
 integer counts of half-steps, so ``q^{3/2}`` is the half-step exponent
 ``3``.  This keeps every computation integral.  :func:`flat_mul` and
 :func:`flat_accumulate` are the one place that multiplies flat
-coefficients (term dicts) term pair by term pair.
+coefficients (term dicts) term pair by term pair.  :func:`keep` writes
+every kept dict under the one bound ``KEPT_MAX``: the dicts a datum
+keeps, and the coefficient store (:func:`shared`) every kept trace uses.
 """
 
 from __future__ import annotations
@@ -181,16 +183,21 @@ def flat_accumulate(out: dict, left: list, right: list) -> dict:
     return out
 
 
-_SHARED_MAX = 65536
+KEPT_MAX = 65536
 _shared: dict[tuple[GroundRing, GroundElem], GroundElem] = {}  # by ring: equality reads only terms
 
 
+def keep(kept: dict, key, value):
+    """Store ``value`` under ``key`` in the kept dict ``kept``, evicting
+    the oldest entry at ``KEPT_MAX`` entries; returns ``value``."""
+    if len(kept) >= KEPT_MAX:
+        del kept[next(iter(kept))]
+    kept[key] = value
+    return value
+
+
 def shared(c: GroundElem) -> GroundElem:
-    """The stored coefficient equal to ``c`` in its ring, else ``c``, stored (at most ``_SHARED_MAX``)."""
+    """The stored coefficient equal to ``c`` in its ring, else ``c``, stored."""
     key = c.ring, c
     kept = _shared.get(key)
-    if kept is None:
-        if len(_shared) >= _SHARED_MAX:
-            del _shared[next(iter(_shared))]
-        kept = _shared[key] = c
-    return kept
+    return keep(_shared, key, c) if kept is None else kept

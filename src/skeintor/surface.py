@@ -21,21 +21,17 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
-from operator import add
 from types import MappingProxyType
 from typing import Mapping
 
 from . import pants
 from .pants import Coord, base_twists, split_nt
 from .qtorus import AntisymMatrix, QuantumTorus, TorusElement
-from .qtrace import trace_torus, utr_coord
-from .ring import GroundElem, GroundRing, flat_accumulate
+from .qtrace import _shared_coefficients, trace_torus, utr_coord
+from .ring import GroundElem, GroundRing, flat_accumulate, keep
 
 
 _EXCLUDED = {(1, 0), (1, 1)}
-
-# Entries a dict kept on a datum holds at most, as the module caches.
-_KEPT_MAX = 65536
 
 
 def surface_excluded(g: int, m: int) -> bool:
@@ -178,14 +174,10 @@ class DTDatum:
     def _torus(self) -> QuantumTorus:
         return QuantumTorus(tilde_q(q_matrix(self)), GroundRing(self._tables.symbols))
 
-    # the glued core traces behind phi_value, and the twist vectors and
-    # coefficients they share; plain dicts, which hold nothing of the datum
+    # the glued core traces behind phi_value; a plain dict, which holds
+    # nothing of the datum
     @cached_property
-    def _cores(self) -> dict[Coord, tuple]:
-        return {}
-
-    @cached_property
-    def _core_parts(self) -> dict:
+    def _cores(self) -> dict[Coord, TorusElement]:
         return {}
 
     # the row of each length vector (see length_rule), a plain dict as well
@@ -408,7 +400,7 @@ def length_rule(datum: DTDatum, n: tuple[int, ...]) -> tuple[str, tuple[int | No
     lengths = _face_lengths(tb, n)
     for v, face_n in enumerate(lengths):
         if sum(face_n) % 2:
-            return _keep(datum._rows, n, (f"odd boundary sum {face_n} at face {v}", ()))
+            return keep(datum._rows, n, (f"odd boundary sum {face_n} at face {v}", ()))
     bounds2 = []
     for c, x in enumerate(n):
         if x:
@@ -417,7 +409,7 @@ def length_rule(datum: DTDatum, n: tuple[int, ...]) -> tuple[str, tuple[int | No
             (v1, s1), (v2, s2) = tb.sides[c]
             bounds2.append(pants.add2(tb.face_types[v1], s1 + 1, lengths[v1])
                            + pants.add2(tb.face_types[v2], s2 + 1, lengths[v2]))
-    return _keep(datum._rows, n, ("", tuple(bounds2)))
+    return keep(datum._rows, n, ("", tuple(bounds2)))
 
 
 def lambda_membership(datum: DTDatum, coord: Coord) -> tuple[bool, str]:
@@ -554,29 +546,22 @@ def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> TorusElement:
     return torus.from_flat({n + t: c for t, c in acc.items()})
 
 
-def _keep(kept: dict, key, value):
-    """Store ``value`` under ``key`` in a dict kept on a datum, evicting
-    the oldest entry at ``_KEPT_MAX`` entries; returns ``value``."""
-    if len(kept) >= _KEPT_MAX:
-        del kept[next(iter(kept))]
-    kept[key] = value
-    return value
-
-
 def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> TorusElement:
     """Glue the per-face traces and project onto the surface torus.
 
-    The datum keeps the glued trace of each core: the lengths together
-    with the twists at the curves of length 0, the twists at the other
-    curves set to 0.  A core is always in the monoid, since a curve the
-    multicurve meets has no twist bound.  Every other coordinate is its
-    core translated by its twists at the curves it meets, and that is
-    exact: ``face_split`` puts such a twist on the primary face, where
-    ``utr_coord`` applies it as a translation of the face's u-exponents,
-    and gluing adds the faces' u-exponents, so the glued value moves by
-    the same vector.  A core is kept as a flat tuple of twist vectors
-    and coefficients, each shared among the cores of the datum, since
-    the cores repeat few distinct ones; its lengths are the key's.
+    The datum keeps the glued trace of each core (``DTDatum._cores``,
+    written through ``ring.keep``): the lengths together with the twists
+    at the curves of length 0, the twists at the other curves set to 0.
+    A core is always in the monoid, since a curve the multicurve meets
+    has no twist bound.  The value of a coordinate is its core's,
+    translated by its twists at the curves it meets, as ``utr_coord``
+    translates a pants core.  That is exact: ``face_split`` puts such a
+    twist on the primary face, where ``utr_coord`` applies it as a
+    translation of the face's u-exponents, and gluing adds the faces'
+    u-exponents, so the glued value moves by the same vector.  A kept
+    core is a read-only ``TorusElement`` whose coefficients come from
+    ``ring.shared``, so equal ones in one ring are one object across the
+    glued cores and the pants traces; a core coordinate returns it itself.
 
     Membership is tested on every call, reading the row of the lengths
     (:func:`length_rule`).  ``secondary_split`` glues the opposite twist
@@ -586,7 +571,6 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
     if secondary_split:
         return _glue(datum, coord, True)
     r = datum.r
-    torus = surface_torus(datum)
     n, t = split_nt(r, coord)
     ok, why = lambda_membership(datum, coord)
     if not ok:
@@ -595,13 +579,6 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
     core = n + tuple(0 if x else y for x, y in zip(n, t))
     kept = datum._cores.get(core)
     if kept is None:
-        shared = datum._core_parts
-        parts = []
-        for k, c in _glue(datum, core, False).terms.items():
-            parts += (shared.get(x) or _keep(shared, x, x) for x in (k[r:], c))
-        kept = _keep(datum._cores, core, tuple(parts))
-    pairs = iter(kept)  # (twist vector, coefficient) in turn
-    if any(shift):
-        return TorusElement(torus, {n + tuple(map(add, tvec, shift)): c for tvec, c in zip(pairs, pairs)})
-    return TorusElement(torus, {n + tvec: c for tvec, c in zip(pairs, pairs)})
+        kept = keep(datum._cores, core, _shared_coefficients(_glue(datum, core, False)))
+    return kept.translate((0,) * r + shift)
 

@@ -4,11 +4,11 @@ each sampler of the check suites tests its draws for membership,
 every check suite runs under the one suite harness, every
 module-level cache but the trace tori has a bound, only ``ring``
 multiplies coefficients term pair by term pair, no check suite
-orders a lead by a full degree vector, every dict kept on
-a datum is written only through its bounded store, the store of
-kept coefficients is written only by its bounded helper and fed
-only by the two trace caches, and the README names every
-module-level cache with its size and every datum-kept value.
+orders a lead by a full degree vector, every kept dict (on a datum,
+or the store of kept coefficients) is written only through the one
+bounded ``ring.keep``, the store is fed only by the two trace caches
+and the glued cores, and the README names every module-level cache
+with its size and every datum-kept value.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -283,18 +283,6 @@ PRODUCT_LOOPS = {"ring.flat_mul", "ring.flat_accumulate", "qtorus.elem_mul", "qt
                  "qtorus.TorusElement.translate"}
 
 
-def _store_uses(tree: ast.AST) -> set[str]:
-    """The top-level statements of ``tree`` that read ``_shared``, as a
-    name or an attribute: a definition by its name, an assignment by
-    its target and any other statement by its line."""
-    found = set()
-    for top in tree.body:
-        if any(getattr(n, "id", None) == "_shared" or getattr(n, "attr", None) == "_shared" for n in ast.walk(top)):
-            targets = getattr(top, "targets", None) or [getattr(top, "target", None)]
-            found.add(getattr(top, "name", None) or getattr(targets[0], "id", None) or str(top.lineno))
-    return found
-
-
 def _callers(name: str) -> set[str]:
     """The package's functions and methods that call ``name``, as a plain
     name or an attribute (``module.function``, ``module.Class.method``)."""
@@ -313,25 +301,14 @@ def _callers(name: str) -> set[str]:
 
 
 def test_kept_coefficients_go_through_the_bounded_store():
-    # ring._shared is written only by ring.shared, which evicts at
-    # _SHARED_MAX, and only the two trace caches pass what they keep
-    # through it, so no product loop pays for the store
-    users = {f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py"))
-             for name in _store_uses(ast.parse(path.read_text()))}
-    assert users == {"ring._shared", "ring.shared"}, f"the coefficient store is used outside ring.shared: {users}"
-    helper = next(node for node in ast.parse((PACKAGE / "ring.py").read_text()).body
-                  if getattr(node, "name", None) == "shared")
-    assert any(isinstance(n, ast.Delete) for n in ast.walk(helper))
-    assert any(getattr(n, "id", None) == "_SHARED_MAX" for n in ast.walk(helper))
+    # only the two pants trace caches and the glued cores pass what they
+    # keep through the coefficient store, so no product loop pays for it
     feeders = _callers("shared")
     assert feeders == {"qtrace._shared_coefficients"}
-    assert _callers("_shared_coefficients") == {"qtrace._component_product", "qtrace._core_value"}
+    helper_callers = _callers("_shared_coefficients")
+    assert helper_callers == {"qtrace._component_product", "qtrace._core_value", "surface.phi_value"}
     defined = {qual for qual, *_ in _definitions()}
-    assert PRODUCT_LOOPS <= defined and not PRODUCT_LOOPS & feeders
-    # the scan sees a direct store, a write through the module and the definition
-    for bad in ("def f(c):\n    _shared[c.ring, c] = c", "x = ring._shared.setdefault(k, v)"):
-        assert _store_uses(ast.parse(bad)), bad
-    assert _store_uses(ast.parse("_shared: dict = {}")) == {"_shared"}
+    assert PRODUCT_LOOPS <= defined and not PRODUCT_LOOPS & (feeders | helper_callers)
 
 
 def _kept_dicts() -> set[str]:
@@ -344,27 +321,30 @@ def _kept_dicts() -> set[str]:
 
 
 def _unbounded_kept_uses(tree: ast.AST, kept: set[str]) -> list[int]:
-    """Lines where a kept dict, read as ``<x>.<name>`` or through a name
-    bound to one, is used other than by a read (``.get``, a subscript
-    load), as the first argument of ``_keep`` or in such a binding."""
+    """Lines where a kept dict, read as ``<x>.<name>``, as ``<name>`` or
+    through a name bound to one, is used other than by a read (``.get``,
+    a subscript load), as the first argument of ``keep`` (a plain name or
+    ``ring.keep``) or in such a binding."""
     parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
     aliases = {
         target.id
         for node in ast.walk(tree)
-        if isinstance(node, ast.Assign) and isinstance(node.value, ast.Attribute) and node.value.attr in kept
+        if isinstance(node, ast.Assign) and isinstance(node.value, (ast.Attribute, ast.Name))
+        and getattr(node.value, "attr", getattr(node.value, "id", None)) in kept
         for target in node.targets
         if isinstance(target, ast.Name)
     }
     lines = []
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr in kept or isinstance(node, ast.Name) and node.id in aliases:
+        if isinstance(node, ast.Attribute) and node.attr in kept or isinstance(node, ast.Name) and node.id in kept | aliases:
             if not isinstance(node.ctx, ast.Load):
                 continue
             up = parents[node]
             if (
                 isinstance(up, ast.Attribute) and up.attr == "get"
                 or isinstance(up, ast.Subscript) and up.value is node and isinstance(up.ctx, ast.Load)
-                or isinstance(up, ast.Call) and getattr(up.func, "id", None) == "_keep" and up.args[:1] == [node]
+                or isinstance(up, ast.Call) and "keep" in (getattr(up.func, "id", None), getattr(up.func, "attr", None))
+                and up.args[:1] == [node]
                 or isinstance(up, ast.Assign) and up.value is node and all(isinstance(t, ast.Name) for t in up.targets)
             ):
                 continue
@@ -373,20 +353,37 @@ def _unbounded_kept_uses(tree: ast.AST, kept: set[str]) -> list[int]:
 
 
 def test_kept_dicts_are_written_through_keep():
-    # surface._keep bounds every dict kept on a datum and evicts its
-    # oldest entry; a direct store, setdefault or update would let one
-    # grow without the bound
+    # ring.keep bounds every kept dict, the two on a datum and the
+    # coefficient store, and evicts its oldest entry at ring.KEPT_MAX; a
+    # direct store, setdefault or update would let one grow without it
     kept = _kept_dicts()
-    assert kept == {"_cores", "_core_parts", "_rows"}
+    assert kept == {"_cores", "_rows"}
+    kept.add("_shared")
     stray = []
     for path in sorted(PACKAGE.glob("*.py")):
         stray += [f"{path.name}:{line}" for line in _unbounded_kept_uses(ast.parse(path.read_text()), kept)]
-    assert not stray, f"a dict kept on a datum is written other than through surface._keep: {stray}"
-    # the scan itself sees a direct store, an update and an aliased store
+    assert not stray, f"a kept dict is written other than through ring.keep: {stray}"
+    assert _callers("keep") == {"ring.shared", "surface.length_rule", "surface.phi_value"}
+    helper = next(node for node in ast.parse((PACKAGE / "ring.py").read_text()).body
+                  if getattr(node, "name", None) == "keep")
+    assert any(isinstance(n, ast.Delete) for n in ast.walk(helper))
+    assert any(getattr(n, "id", None) == "KEPT_MAX" for n in ast.walk(helper))
+    bounds = [f"{path.stem}.{target.id}" for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.parse(path.read_text()).body if isinstance(node, (ast.Assign, ast.AnnAssign))
+              for target in getattr(node, "targets", [getattr(node, "target", None)])
+              if getattr(target, "id", "").endswith("_MAX")]
+    assert bounds == ["ring.KEPT_MAX"], f"more than one bound on kept dicts: {bounds}"
+    # the scan sees a direct store, setdefault, an update, an aliased
+    # store and a write through the module, and passes the reads, the
+    # stores through keep and the definition
     for bad in ("datum._rows[n] = row", "datum._cores.setdefault(k, v)",
-                "def f(d):\n    shared = d._core_parts\n    shared.update(x)",
-                "def f(d):\n    shared = d._core_parts\n    shared[x] = x"):
+                "def f(d):\n    shared = d._cores\n    shared.update(x)",
+                "def f(d):\n    shared = d._cores\n    shared[x] = x",
+                "def f(c):\n    _shared[c.ring, c] = c", "x = ring._shared.setdefault(k, v)"):
         assert _unbounded_kept_uses(ast.parse(bad), kept), bad
+    for fine in ("_shared: dict = {}", "x = _shared.get(k)", "keep(_shared, k, c)",
+                 "ring.keep(datum._rows, n, row)", "row = datum._rows[n]"):
+        assert not _unbounded_kept_uses(ast.parse(fine), kept), fine
 
 
 def test_every_module_cache_is_in_the_readme():
@@ -399,7 +396,8 @@ def test_every_module_cache_is_in_the_readme():
     paragraph = _paragraph(readme, "The module-level caches")
     caches = [f"`{name}` (`maxsize={maxsize}`)" for name, maxsize in _module_caches()]
     assert "`qtrace._component_product` (`maxsize=65536`)" in caches
-    caches.append(f"`ring._shared` (`_SHARED_MAX={ring._SHARED_MAX}`)")
+    caches.append(f"`ring._shared` (`ring.KEPT_MAX={ring.KEPT_MAX}`)")
+    caches.append("`ring.keep`")
     missing = [c for c in caches if c not in paragraph]
     assert not missing, f"not in the README's cache paragraph: {missing}"
     kept = [f"`DTDatum.{name}`" for name, value in vars(DTDatum).items() if isinstance(value, cached_property)]
@@ -408,7 +406,7 @@ def test_every_module_cache_is_in_the_readme():
     even_sublattice(datum)
     written = [f"`DTDatum.{name}`" for name in vars(datum)
                if name not in vars(DTDatum) and name not in DTDatum.__dataclass_fields__]
-    assert {"`DTDatum._center`", "`DTDatum._even`"} <= set(written)
+    assert written == ["`DTDatum._center`"]
     kept += written
     paragraph = _paragraph(readme, "Data derived from a datum")
     missing = [k for k in kept if k not in paragraph]

@@ -33,6 +33,7 @@ from skeintor.qtrace import (
 from skeintor import qtrace, ring
 from skeintor.checks import _pants_table
 from skeintor.ring import GroundElem, GroundRing
+from skeintor.surface import lambda_global, phi_value, standard_datum
 
 
 t3 = trace_torus(3)
@@ -314,6 +315,19 @@ def _box_values():
     return [(utr_coord(trace_torus(j), c), utr_coord_straight(trace_torus(j), c)) for j, c in BOX4]
 
 
+def _glued_box_values():
+    """The glued traces of every member of the (0,5) and (1,2) boxes at
+    lengths and |t| <= 3, each surface on a fresh datum, with the datums."""
+    out = []
+    for gm in ((0, 5), (1, 2)):
+        datum = standard_datum(*gm)
+        r = datum.r
+        coords = [n + t for n in itertools.product(range(4), repeat=r)
+                  for t in itertools.product(range(-3, 4), repeat=r) if lambda_global(datum, n + t)]
+        out.append((datum, [phi_value(datum, c) for c in coords]))
+    return out
+
+
 class TestCoefficientStore:
     """The trace caches keep their coefficients through ring.shared."""
 
@@ -343,6 +357,28 @@ class TestCoefficientStore:
         assert all(len(ids) == 1 for ids in objects.values())
         assert len(objects) < sum(len(v.terms) for v in kept)
 
+    def test_glued_values_match_the_store_bypassed(self, cold_traces, monkeypatch):
+        with monkeypatch.context() as m:
+            m.setattr(qtrace, "shared", lambda c: c)
+            bypassed = _glued_box_values()
+        assert not ring._shared
+        cold_traces()
+        stored = _glued_box_values()
+        assert ring._shared
+        assert [values for _, values in stored] == [values for _, values in bypassed]
+        for datum, values in stored:
+            assert all(c.ring == datum._torus.ring for v in values for c in v.terms.values())
+
+    def test_equal_glued_coefficients_are_one_object(self, cold_traces):
+        # read back from the cores the datums keep
+        cores = [core for datum, _ in _glued_box_values() for core in datum._cores.values()]
+        objects: dict = {}
+        for core in cores:
+            for c in core.terms.values():
+                objects.setdefault((c.ring, c), set()).add(id(c))
+        assert all(len(ids) == 1 for ids in objects.values())
+        assert len(objects) < sum(len(core.terms) for core in cores)
+
     def test_stored_coefficient_stays_after_an_attempt(self, cold_traces):
         coord = (2, 4, 2, 1, -3, 2)
         value = utr_coord(t3, coord)
@@ -365,14 +401,14 @@ class TestTraceTorusU:
         # kept u is compared with one built afresh, first and second call
         for j in (1, 2, 3):
             tt = trace_torus(j)
-            for i, power, h in itertools.product(range(1, j + 1), range(-3, 4), range(-34, 35, 3)):
+            for i, h in itertools.product(range(1, j + 1), range(-34, 35, 3)):
                 exponent = [0] * (2 * j)
-                exponent[j + i - 1] = power
+                exponent[j + i - 1] = 1
                 want = tt.torus.monomial(exponent, tt.ring.monomial((0,) * tt.ring.nsym, h))
-                for got in (tt.u(i, power, h), tt.u(i, power, h)):
+                for got in (tt.u(i, h), tt.u(i, h)):
                     assert got == want and list(got.terms) == list(want.terms)
                     assert got.torus is tt.torus
-            assert tt.u(1) == tt.u(1, 1, 0) == tt.u(1, power=1, half_steps=0)
+            assert tt.u(1) == tt.u(1, 0) == tt.u(1, half_steps=0)
 
     def test_kept_u_is_read_only(self):
         # every caller gets the same kept element; an attempt to change it

@@ -164,7 +164,7 @@ class TestSharedStore:
         assert later is a and dict(later.terms) == before and later.ring is R2
 
     def test_evicts_the_oldest_at_the_bound(self, store, monkeypatch):
-        monkeypatch.setattr(ring, "_SHARED_MAX", 2)
+        monkeypatch.setattr(ring, "KEPT_MAX", 2)
         first = [R.q_half(e) for e in range(3)]
         assert all(shared(c) is c for c in first)
         assert len(store) == 2

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeintor import pants, surface
+from skeintor import pants, ring, surface
 from skeintor.qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term
 from skeintor.qtrace import _commutation_matrix, lead_violation, trace_torus, utr_coord_straight
 from skeintor.surface import (
@@ -347,7 +347,7 @@ class TestLengthRows:
         assert list(datum._rows) == [(2, 0), (1, 2)]
 
     def test_bounded_oldest_first(self, monkeypatch):
-        monkeypatch.setattr(surface, "_KEPT_MAX", 3)
+        monkeypatch.setattr(ring, "KEPT_MAX", 3)
         datum = standard_datum(1, 2)
         lengths = [(k, 0) for k in range(6)]
         for n in lengths:
@@ -468,10 +468,12 @@ class TestPhi:
         assert val == want
 
     def test_returned_value_is_read_only(self):
-        # (2, 2, -3, 2) translates the core of (2, 2, 1, 1), whose
-        # coefficient objects both values hold
-        coords = [(2, 2, 1, 1), (2, 2, -3, 2)]
+        # (2, 2, 1, 1) and (2, 2, -3, 2) translate the core (2, 2, 0, 0),
+        # whose coefficient objects all three values hold; at the core
+        # phi_value returns the kept element itself
+        coords = [(2, 2, 1, 1), (2, 2, -3, 2), (2, 2, 0, 0)]
         before = [phi_value(d05, c) for c in coords]
+        assert phi_value(d05, (2, 2, 0, 0)) is d05._cores[(2, 2, 0, 0)]
         for v in [phi_value(d05, c) for c in coords]:
             k = next(iter(v.terms))
             with pytest.raises(AttributeError):
@@ -625,12 +627,12 @@ class TestKeptCores:
         assert list(datum._cores) == [(0, 0)]
 
     def test_bounded_oldest_first(self, monkeypatch):
-        monkeypatch.setattr(surface, "_KEPT_MAX", 3)
+        monkeypatch.setattr(ring, "KEPT_MAX", 3)
         datum = standard_datum(0, 4)
         coords = [(2 * k, 0) for k in range(6)]
         for c in coords:
             assert phi_value(datum, c) == unkept_glue(datum, c)
-            assert len(datum._cores) <= 3 and len(datum._core_parts) <= 3
+            assert len(datum._cores) <= 3
         assert list(datum._cores) == coords[-3:]
         # an evicted core is glued again, to the same value
         assert phi_value(datum, (0, 0)) == unkept_glue(datum, (0, 0))
