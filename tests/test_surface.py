@@ -627,7 +627,10 @@ class TestKeptCores:
         assert list(datum._cores) == [(0, 0)]
 
     def test_bounded_oldest_first(self, monkeypatch):
+        # the bound holds for the coefficient store as well: an empty one
+        # here, so the process's store is not thinned
         monkeypatch.setattr(ring, "KEPT_MAX", 3)
+        monkeypatch.setattr(ring, "_shared", {})
         datum = standard_datum(0, 4)
         coords = [(2 * k, 0) for k in range(6)]
         for c in coords:
