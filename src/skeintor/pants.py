@@ -18,10 +18,9 @@ terms of skein products.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 PANTS_TYPES = (1, 2, 3)
 
@@ -87,15 +86,15 @@ def twist_apply(j: int, i: int, coord: Coord) -> Coord:
 # standard components and the canonical decomposition
 
 
-@dataclass(frozen=True)
-class ComponentSpec:
-    """One standard curve, possibly twisted, with a multiplicity.
+class ComponentSpec(NamedTuple):
+    """One standard curve, possibly twisted, with a positive multiplicity.
 
     kind "loop": the near-boundary loop at ``boundaries[0]``; no twists.
     kind "cross": the arc joining two distinct boundaries, with one
     twist exponent per endpoint boundary.
     kind "return": the return arc based at ``boundaries[0]``, with a
-    single twist exponent.
+    single twist exponent.  Building a record checks none of this;
+    :func:`loop`, :func:`cross`, :func:`return_arc` and :func:`nu_of_component` do.
     """
 
     kind: str
@@ -103,31 +102,27 @@ class ComponentSpec:
     twists: tuple[int, ...] = ()
     multiplicity: int = 1
 
-    def __post_init__(self):
-        if self.kind not in ("loop", "cross", "return"):
-            raise ValueError(f"unknown component kind {self.kind!r}")
-        if self.multiplicity < 1:
-            raise ValueError("multiplicity must be positive")
-        if self.kind == "loop" and (len(self.boundaries) != 1 or self.twists):
-            raise ValueError("a loop meets one boundary and carries no twists")
-        if self.kind == "cross" and (
-            len(self.boundaries) != 2
-            or self.boundaries[0] == self.boundaries[1]
-            or len(self.twists) != 2
-        ):
-            raise ValueError("a cross arc joins two distinct boundaries with two twists")
-        if self.kind == "return" and (len(self.boundaries) != 1 or len(self.twists) != 1):
-            raise ValueError("a return arc has one base boundary and one twist")
+
+# (distinct boundaries, twists) of each component kind
+_SHAPES = {"loop": (1, 0), "cross": (2, 2), "return": (1, 1)}
+
+
+def _checked(c: ComponentSpec) -> ComponentSpec:
+    """``c``, after checking it against the rules of its kind."""
+    nb = len(c.boundaries)
+    if len(set(c.boundaries)) != nb or _SHAPES.get(c.kind) != (nb, len(c.twists)):
+        raise ValueError(f"not a {c.kind!r} component (see ComponentSpec): {c!r}")
+    return c
 
 
 def loop(i: int) -> ComponentSpec:
-    return ComponentSpec("loop", (i,))
+    return _checked(ComponentSpec("loop", (i,)))
 
 def cross(i: int, k: int, s: int = 0, t: int = 0) -> ComponentSpec:
-    return ComponentSpec("cross", (i, k), (s, t))
+    return _checked(ComponentSpec("cross", (i, k), (s, t)))
 
 def return_arc(i: int, m: int = 0) -> ComponentSpec:
-    return ComponentSpec("return", (i,), (m,))
+    return _checked(ComponentSpec("return", (i,), (m,)))
 
 
 def _base_return_coord(j: int, i: int) -> Coord:
@@ -148,6 +143,8 @@ def _base_return_coord(j: int, i: int) -> Coord:
 
 
 def _nu1(j: int, c: ComponentSpec) -> Coord:
+    """Coordinates of one copy of ``c``, whose shape must keep the rules
+    of its kind; only its boundaries are checked, against type ``j``."""
     for b in c.boundaries:
         if not (1 <= b <= j):
             raise ValueError(f"component boundary {b} invalid for type {j}")
@@ -156,8 +153,6 @@ def _nu1(j: int, c: ComponentSpec) -> Coord:
     if c.kind == "loop":
         t[c.boundaries[0] - 1] = 1
     elif c.kind == "cross":
-        if j == 1:
-            raise ValueError("no cross arcs on the one-holed type")
         (i, k), (s, m) = c.boundaries, c.twists
         n[i - 1] = n[k - 1] = 1
         t[i - 1] += s
@@ -173,7 +168,7 @@ def _nu1(j: int, c: ComponentSpec) -> Coord:
 def nu_of_component(j: int, c: ComponentSpec) -> Coord:
     """Dehn-Thurston coordinates of a single (twisted) standard curve."""
     _validate_type(j)
-    if c.multiplicity != 1:
+    if _checked(c).multiplicity != 1:
         raise ValueError("nu_of_component expects multiplicity 1")
     return _nu1(j, c)
 
@@ -231,8 +226,7 @@ def base_twists(j: int, n: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(t)
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(NamedTuple):
     """Canonical component multiset plus a global twist per boundary.
 
     The residual twist vector represents one global boundary twist

@@ -271,6 +271,7 @@ def _q_monomial_mul(torus: QuantumTorus, k: tuple[int, ...], h: int, e2: TorusEl
     Each output coefficient is a right coefficient shifted by ``h`` plus
     the pairing half-steps, a dot product with the row k^T Q: no two
     terms meet and none becomes zero, so nothing is accumulated or dropped.
+    A coefficient whose shift is 0 is the right factor's object itself.
     """
     row = [-sum(map(mul, q, k)) for q in torus.matrix.rows]  # k^T Q
     out = {}

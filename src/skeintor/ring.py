@@ -129,6 +129,9 @@ class GroundElem:
         return GroundElem(self.ring, {k[:-1] + (-k[-1],): c for k, c in self.terms.items()})
 
     def shift_q(self, half_steps: int) -> "GroundElem":
+        """Multiply by q^{half_steps/2}; a zero shift returns ``self``."""
+        if not half_steps:
+            return self
         return _nonzero(self.ring, {k[:-1] + (k[-1] + half_steps,): c for k, c in self.terms.items()})
 
     def __repr__(self):

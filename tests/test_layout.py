@@ -7,8 +7,9 @@ multiplies coefficients term pair by term pair, no check suite
 orders a lead by a full degree vector, every kept dict (on a datum,
 or the store of kept coefficients) is written only through the one
 bounded ``ring.keep``, the store is fed only by the two trace caches
-and the glued cores, and the README names every module-level cache
-with its size and every datum-kept value.
+and the glued cores, the README names every module-level cache
+with its size and every datum-kept value, and the pants records are
+NamedTuples checked only by the entry points that take a component.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -23,7 +24,7 @@ import importlib.util
 from functools import cached_property
 from pathlib import Path
 
-from skeintor import qtrace, ring
+from skeintor import pants, qtrace, ring
 from skeintor.arith import even_sublattice
 from skeintor.surface import DTDatum, standard_datum
 
@@ -309,6 +310,25 @@ def test_kept_coefficients_go_through_the_bounded_store():
     assert helper_callers == {"qtrace._component_product", "qtrace._core_value", "surface.phi_value"}
     defined = {qual for qual, *_ in _definitions()}
     assert PRODUCT_LOOPS <= defined and not PRODUCT_LOOPS & (feeders | helper_callers)
+
+
+# The entry points that take a component from a caller, built by them or
+# passed in; decompose builds its components valid and checks none.
+COMPONENT_CHECKS = {"pants.loop", "pants.cross", "pants.return_arc", "pants.nu_of_component"}
+
+
+def test_pants_records_check_nothing_when_built():
+    # a check in the records would run on every component of every
+    # decomposition; they stay NamedTuples, whose hash and comparison
+    # (the component product's cache key) run in C
+    tree = ast.parse((PACKAGE / "pants.py").read_text())
+    for record in (pants.ComponentSpec, pants.Decomposition):
+        node = next(n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == record.__name__)
+        assert [getattr(base, "id", None) for base in node.bases] == ["NamedTuple"]
+        defined = {item.name for item in node.body if isinstance(item, ast.FunctionDef)}
+        assert not defined & {"__new__", "__init__", "__post_init__"}, record
+        assert issubclass(record, tuple) and not hasattr(record, "__dataclass_fields__")
+    assert _callers("_checked") == COMPONENT_CHECKS
 
 
 def _kept_dicts() -> set[str]:

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from skeintor import pants
 from skeintor.pants import (
     ComponentSpec,
     add2,
@@ -131,9 +132,59 @@ class TestCatalog:
         with pytest.raises(ValueError):
             nu_of_component(2, loop(3))
         with pytest.raises(ValueError):
-            ComponentSpec("loop", (1,), (3,))
+            nu_of_component(1, ComponentSpec("loop", (1,), (3,)))
         with pytest.raises(ValueError):
             nu_of_component(3, ComponentSpec("return", (1,), (0,), multiplicity=2))
+
+
+# Every shape that breaks the rules of ComponentSpec, as a caller hands
+# it in: built by loop, cross or return_arc, or passed to nu_of_component.
+BAD_COMPONENTS = {
+    "unknown kind": lambda: nu_of_component(3, ComponentSpec("arc", (1,), (0,))),
+    "multiplicity 0": lambda: nu_of_component(3, ComponentSpec("loop", (1,), (), 0)),
+    "negative multiplicity": lambda: nu_of_component(3, ComponentSpec("return", (1,), (0,), -1)),
+    "loop with a twist": lambda: nu_of_component(3, ComponentSpec("loop", (1,), (3,))),
+    "loop at two boundaries": lambda: nu_of_component(3, ComponentSpec("loop", (1, 2))),
+    "cross built at equal boundaries": lambda: cross(2, 2),
+    "cross passed at equal boundaries": lambda: nu_of_component(3, ComponentSpec("cross", (2, 2), (0, 0))),
+    "cross at one boundary": lambda: nu_of_component(3, ComponentSpec("cross", (1,), (0, 0))),
+    "cross with one twist": lambda: nu_of_component(3, ComponentSpec("cross", (1, 2), (0,))),
+    "cross with three twists": lambda: nu_of_component(3, ComponentSpec("cross", (1, 2), (0, 0, 0))),
+    "return with no twist": lambda: nu_of_component(3, ComponentSpec("return", (1,))),
+    "return with two twists": lambda: nu_of_component(3, ComponentSpec("return", (1,), (0, 1))),
+    "return at two boundaries": lambda: nu_of_component(3, ComponentSpec("return", (1, 2), (0,))),
+}
+
+
+class TestComponentRecords:
+    """The records check nothing when built; the entry points that take
+    a component from a caller do, and decompose builds valid ones."""
+
+    @pytest.mark.parametrize("build", BAD_COMPONENTS.values(), ids=BAD_COMPONENTS.keys())
+    def test_invalid_shapes_are_rejected(self, build):
+        with pytest.raises(ValueError):
+            build()
+
+    def test_decompositions_hold_valid_components(self):
+        # every component of a member of the box-4 grids keeps the rules
+        # of its kind and lies on its pants type
+        seen = set()
+        for j in (1, 2, 3):
+            for n in itertools.product(range(5), repeat=j):
+                for t in itertools.product(range(-4, 5), repeat=j):
+                    if lambda_contains(j, n + t):
+                        for c in decompose(j, n + t).components:
+                            assert pants._checked(c) is c and c.multiplicity >= 1
+                            nu_of_component(j, c._replace(multiplicity=1))
+                            seen.add((j, c.kind))
+        assert {kind for _, kind in seen} == {"loop", "cross", "return"} and {j for j, _ in seen} == {1, 2, 3}
+
+    def test_records_are_tuples_of_their_fields(self):
+        assert loop(2) == ("loop", (2,), (), 1) and loop(2).boundaries == (2,)
+        assert cross(1, 3, 4, -5) == ("cross", (1, 3), (4, -5), 1) and cross(1, 3, 4, -5).twists == (4, -5)
+        d = decompose(3, (2, 2, 2, 1, 0, -1))
+        assert d == (3, tuple(("cross", key, (0, 0), 1) for key in ((1, 2), (1, 3), (2, 3))), (1, 0, -1))
+        assert d.components[2].boundaries == (2, 3) and d.twists == (1, 0, -1)
 
 
 class TestDecompose:

@@ -10,6 +10,7 @@ from skeintor.pants import decompose, lambda_contains
 from skeintor.qtorus import (
     AntisymMatrix,
     QuantumTorus,
+    _q_monomial_mul,
     elem_mul,
     lead_term,
     reflection_normalize,
@@ -429,6 +430,23 @@ class TestMonomialProduct:
                 + t.monomial((2, -1), c * SYM.q_half(-2) * (SYM.q_half(-1) - v2))
             )
         assert elem_mul(t.monomial((1, 0), v1), t.zero()) == t.zero()
+
+    def test_zero_shift_keeps_the_right_coefficients(self):
+        # x_1 pairs with x_2 to +2 half-steps, which q^-1 cancels, and
+        # with x_(1,-1) to -2; the unshifted coefficient is the right
+        # factor's object, the shifted one a new one
+        t = QuantumTorus(AntisymMatrix(((0, 2), (-2, 0))), SYM)
+        kept, moved = SYM.var("v1") + SYM.q_half(3), SYM.q_half(-1) - SYM.var("v2")
+        right = t.monomial((0, 1), kept) + t.monomial((1, -1), moved)
+        left = t.monomial((1, 0), SYM.q_half(-2))
+        assert _q_monomial_mul(t, (1, 0), -2, right) == elem_mul(left, right) == reference_mul(t, left, right)
+        for prod in (_q_monomial_mul(t, (1, 0), -2, right), elem_mul(left, right)):
+            assert prod.terms[(1, 1)] is right.terms[(0, 1)]
+            assert prod.terms[(2, -1)] is not right.terms[(1, -1)]
+            assert prod.terms[(2, -1)] == moved.shift_q(-4)
+        # a commuting monomial with no power of q shifts nothing
+        prod = _q_monomial_mul(t, (0, 0), 0, right)
+        assert prod == right and all(prod.terms[k] is c for k, c in right.terms.items())
 
 
 def graded(a, b):

@@ -64,6 +64,17 @@ class TestGroundRing:
         e = ring.q_half(2)
         assert e.shift_q(-2) == ring.one()
 
+    def test_zero_shift_is_the_element(self):
+        # a zero shift hands back the one read-only object, so a kept
+        # coefficient stays shared
+        e = R2.var("a") + R2.q_half(3)
+        assert e.shift_q(0) is e and R2.zero().shift_q(0).is_zero()
+        with pytest.raises(TypeError):
+            e.shift_q(0).terms[(0, 0, 0)] = 1
+        with pytest.raises(AttributeError):
+            e.shift_q(0).terms = {}
+        assert e.shift_q(1) is not e and e.shift_q(1).shift_q(-1) == e == R2.var("a") + R2.q_half(3)
+
 
 # two puncture symbols and q^{1/2}; small exponents so that products of
 # random elements share keys and cancel
