@@ -6,10 +6,10 @@ Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from math import gcd, lcm, prod
 from operator import sub
+from typing import NamedTuple
 
 from .intlinalg import (
     congruence_kernel,
@@ -22,6 +22,7 @@ from .intlinalg import (
     solve_rational,
     transpose,
 )
+from .ring import _no_rebinding
 from .surface import DTDatum, q_matrix, surface_excluded, tilde_q
 
 
@@ -29,8 +30,11 @@ from .surface import DTDatum, q_matrix, surface_excluded, tilde_q
 # orders attached to a root of unity
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
+class _RootOfUnityFields(NamedTuple):
+    n: int
+
+
+class RootOfUnity(_RootOfUnityFields):
     """A primitive root of unity of order ``n`` with its derived orders.
 
     ``n2`` is the order of the root itself, ``n1`` the order of its
@@ -39,11 +43,12 @@ class RootOfUnity:
     to the power ``epsilon_exponent``, named by ``epsilon_class``.
     """
 
-    n: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.n < 1:
+    def __new__(cls, n):
+        if type(n) is not int or n < 1:
             raise ValueError("order must be a positive integer")
+        return tuple.__new__(cls, (n,))
 
     @property
     def n2(self) -> int:
@@ -107,8 +112,12 @@ def pi_degree(g: int, m: int, xi: RootOfUnity) -> int:
 # lattices
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class _LatticeBasisFields(NamedTuple):
+    ambient: int
+    columns: tuple[tuple[int, ...], ...]
+
+
+class LatticeBasis(_LatticeBasisFields):
     """A full-rank sublattice of Z^ambient given by ``ambient`` basis
     columns.  ``from_columns`` stores the canonical column Hermite normal
     form, so that equality of such bases is lattice equality.
@@ -120,14 +129,13 @@ class LatticeBasis:
     hence lower triangular.
     """
 
-    ambient: int
-    columns: tuple[tuple[int, ...], ...]
+    def __new__(cls, ambient, columns):
+        cols = tuple(map(tuple, columns))
+        if len(cols) != ambient or any(len(c) != ambient for c in cols):
+            raise ValueError(f"a basis of Z^{ambient} needs {ambient} columns of that length")
+        return tuple.__new__(cls, (ambient, cols))
 
-    def __post_init__(self):
-        cols = tuple(map(tuple, self.columns))
-        if len(cols) != self.ambient or any(len(c) != self.ambient for c in cols):
-            raise ValueError(f"a basis of Z^{self.ambient} needs {self.ambient} columns of that length")
-        object.__setattr__(self, "columns", cols)
+    __setattr__ = __delattr__ = _no_rebinding
 
     @staticmethod
     def from_columns(ambient: int, columns) -> "LatticeBasis":

@@ -19,8 +19,8 @@ import itertools
 import math
 import random
 import time
-from dataclasses import dataclass, field
 from operator import add, mul
+from typing import NamedTuple
 
 from . import pants
 from .arith import (
@@ -56,19 +56,22 @@ from .surface import (
 )
 
 
-@dataclass
-class CheckResult:
+class _CheckResultFields(NamedTuple):
     name: str
     passed: bool
     checked: int
     elapsed: float
-    detail: dict = field(default_factory=dict)
+    detail: dict
 
-    def __post_init__(self):
+
+class CheckResult(_CheckResultFields):
+    __slots__ = ()
+
+    def __new__(cls, name, passed, checked, elapsed, detail=None):
         # a suite that checked nothing has shown nothing
-        if self.passed and not self.checked:
-            self.passed = False
-            self.detail = {"reason": "no checks ran"}
+        if passed and not checked:
+            passed, detail = False, {"reason": "no checks ran"}
+        return tuple.__new__(cls, (name, passed, checked, elapsed, {} if detail is None else detail))
 
     def summary(self, timings: bool = True) -> str:
         verdict = "PASS" if self.passed else "FAIL"

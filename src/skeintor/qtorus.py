@@ -24,30 +24,35 @@ coefficients, so that product skips the accumulation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from itertools import chain
-from operator import add, mul, neg
+from operator import add, mul
 from types import MappingProxyType
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .ring import GroundElem, GroundRing, _nonzero, flat_accumulate
+from .ring import GroundElem, GroundRing, _no_rebinding, _nonzero, flat_accumulate
 
 
-@dataclass(frozen=True)
-class AntisymMatrix:
-    """An antisymmetric integer matrix giving the commutation exponents."""
-
+class _AntisymFields(NamedTuple):
     rows: tuple[tuple[int, ...], ...]
 
-    def __post_init__(self):
-        rows = self.rows
+
+class AntisymMatrix(_AntisymFields):
+    """An antisymmetric integer matrix giving the commutation exponents."""
+
+    __slots__ = ()
+
+    def __new__(cls, rows):
         n = len(rows)
-        for row in rows:
-            if len(row) != n:
-                raise ValueError("matrix must be square")
-        # Q^T = -Q in one pass, both read in row-major order
-        if [*chain.from_iterable(zip(*rows))] != [*map(neg, chain.from_iterable(rows))]:
-            raise ValueError("matrix must be antisymmetric")
+        if any(len(row) != n for row in rows):
+            raise ValueError("matrix must be square")
+        # Q^T = -Q over the upper triangle and the diagonal, which must be zero
+        for i, row in enumerate(rows):
+            for j in range(i, n):
+                x, y = row[j], rows[j][i]
+                if type(x) is not int or type(y) is not int:
+                    raise ValueError("matrix entries must be integers")
+                if x != -y:
+                    raise ValueError("matrix must be antisymmetric")
+        return tuple.__new__(cls, (rows,))
 
     @property
     def dim(self) -> int:
@@ -65,8 +70,7 @@ class AntisymMatrix:
         return total
 
 
-@dataclass(frozen=True)
-class QuantumTorus:
+class QuantumTorus(NamedTuple):
     """A quantum torus: commutation matrix plus coefficient ground ring."""
 
     matrix: AntisymMatrix
@@ -123,11 +127,7 @@ class TorusElement:
         _set_torus(self, torus)
         _set_terms(self, MappingProxyType(terms))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"TorusElement.{name} is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"TorusElement.{name} is read-only")
+    __setattr__ = __delattr__ = _no_rebinding
 
     def _check(self, other: "TorusElement"):
         if self.torus is not other.torus and self.torus != other.torus:

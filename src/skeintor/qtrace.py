@@ -27,10 +27,10 @@ value costs one torus product per distinct component.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import accumulate, zip_longest
 from operator import add, itemgetter
+from typing import NamedTuple
 
 from . import pants
 from .pants import Coord, ComponentSpec, decompose, split_nt, twist_apply
@@ -64,8 +64,7 @@ def _commutation_matrix(j: int) -> AntisymMatrix:
 _SYMBOLS = {3: (), 2: ("b3",), 1: ("b2", "b3")}
 
 
-@dataclass(frozen=True)
-class TraceTorus:
+class TraceTorus(NamedTuple):
     """The quantum torus receiving the trace of a pants type."""
 
     j: int
@@ -282,8 +281,7 @@ def twist_violations(tt: TraceTorus, coord: Coord, trace) -> list[str]:
     ]
 
 
-@dataclass
-class ThmbtrReport:
+class ThmbtrReport(NamedTuple):
     j: int
     coord: Coord
     grading_ok: bool

@@ -15,12 +15,11 @@ keeps, and the coefficient store (:func:`shared`) every kept trace uses.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class GroundRing:
+class GroundRing(NamedTuple):
     """Laurent polynomials in the declared puncture symbols and the
     half-step generator ``q^{1/2}``.
 
@@ -74,6 +73,12 @@ class _ReadOnlyTerms(dict):
     clear = pop = popitem = setdefault = update = _read_only
 
 
+def _no_rebinding(self, name, *value):
+    """``__setattr__`` and ``__delattr__`` of a read-only object: no
+    attribute, field or value kept in its instance dict can be rebound."""
+    raise AttributeError(f"{type(self).__name__}.{name} is read-only")
+
+
 class GroundElem:
     """Element of a :class:`GroundRing`.
 
@@ -90,11 +95,7 @@ class GroundElem:
             terms = {k: c for k, c in terms.items() if c}
         _set_terms(self, _ReadOnlyTerms(terms))
 
-    def __setattr__(self, name, value):
-        raise AttributeError(f"GroundElem.{name} is read-only")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"GroundElem.{name} is read-only")
+    __setattr__ = __delattr__ = _no_rebinding
 
     def __add__(self, other: "GroundElem") -> "GroundElem":
         out = dict(self.terms)

@@ -18,17 +18,16 @@ term recovers the coordinate.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from . import pants
 from .pants import Coord, base_twists, split_nt
 from .qtorus import AntisymMatrix, QuantumTorus, TorusElement
 from .qtrace import _shared_coefficients, trace_torus, utr_coord
-from .ring import GroundElem, GroundRing, flat_accumulate, keep
+from .ring import GroundElem, GroundRing, _no_rebinding, flat_accumulate, keep
 
 
 _EXCLUDED = {(1, 0), (1, 1)}
@@ -42,8 +41,13 @@ def surface_excluded(g: int, m: int) -> bool:
 # fatgraph and DT-datum
 
 
-@dataclass(frozen=True)
-class FatGraph:
+class _FatGraphFields(NamedTuple):
+    vertices: tuple[tuple[int, ...], ...]
+    edges: tuple[tuple[int, int], ...]
+    legs: tuple[int, ...]
+
+
+class FatGraph(_FatGraphFields):
     """Embedded trivalent graph: cyclic orders, edge pairing, legs.
 
     ``vertices[v]`` lists the half-edge ids at vertex ``v`` in
@@ -52,14 +56,8 @@ class FatGraph:
     fields are copied into tuples, so a caller's lists cannot change it.
     """
 
-    vertices: tuple[tuple[int, ...], ...]
-    edges: tuple[tuple[int, int], ...]
-    legs: tuple[int, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(map(tuple, self.vertices)))
-        object.__setattr__(self, "edges", tuple(map(tuple, self.edges)))
-        object.__setattr__(self, "legs", tuple(self.legs))
+    def __new__(cls, vertices, edges, legs):
+        self = tuple.__new__(cls, (tuple(map(tuple, vertices)), tuple(map(tuple, edges)), tuple(legs)))
         seen: dict[int, int] = {}
         for v, hes in enumerate(self.vertices):
             if len(hes) != 3:
@@ -95,6 +93,9 @@ class FatGraph:
                 stack.append(w)
         if len(reached) != len(self.vertices):
             raise ValueError("fatgraph must be connected")
+        return self
+
+    __setattr__ = __delattr__ = _no_rebinding
 
     @property
     def r(self) -> int:
@@ -114,7 +115,6 @@ class FatGraph:
         return MappingProxyType({h: c for c, pair in enumerate(self.edges) for h in pair})
 
 
-@dataclass(frozen=True)
 class DTDatum:
     """Fatgraph plus the slot assignment of every face.
 
@@ -124,14 +124,17 @@ class DTDatum:
     one-holed face.  Numbering condition: in every two-holed face the
     curve at the second slot strictly precedes the curve at the first.
     The slots are copied into tuples, as the fatgraph's fields are.
+
+    A plain class rather than a NamedTuple, which cannot be weakly
+    referenced: a weak reference shows that a dropped datum goes.
     """
 
-    graph: FatGraph
-    slots: tuple[tuple[int, ...], ...]
+    __slots__ = ("graph", "slots", "__dict__", "__weakref__")
 
-    def __post_init__(self):
-        object.__setattr__(self, "slots", tuple(map(tuple, self.slots)))
-        g = self.graph
+    def __init__(self, graph: FatGraph, slots: tuple[tuple[int, ...], ...]):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "slots", tuple(map(tuple, slots)))
+        g = graph
         if len(self.slots) != len(g.vertices):
             raise ValueError("one slot tuple per vertex required")
         legset = set(g.legs)
@@ -152,6 +155,19 @@ class DTDatum:
                         f"two-holed face {v}: curve {c2} at the second slot must "
                         f"precede curve {c1} at the first"
                     )
+
+    __setattr__ = __delattr__ = _no_rebinding
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.graph, self.slots) == (other.graph, other.slots)
+
+    def __hash__(self):
+        return hash((self.graph, self.slots))
+
+    def __repr__(self):
+        return f"DTDatum(graph={self.graph!r}, slots={self.slots!r})"
 
     @cached_property
     def r(self) -> int:
@@ -220,8 +236,7 @@ class DTDatum:
         return DTDatum.from_dict(json.loads(text))
 
 
-@dataclass(frozen=True)
-class _Tables:
+class _Tables(NamedTuple):
     face_types: tuple[int, ...]
     face_curves: tuple[tuple[int, ...], ...]       # per face: curve at each boundary slot
     sides: tuple[tuple[tuple[int, int], tuple[int, int]], ...]  # per curve: ((v,slot) primary, secondary)

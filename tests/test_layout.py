@@ -8,8 +8,10 @@ orders a lead by a full degree vector, every kept dict (on a datum,
 or the store of kept coefficients) is written only through the one
 bounded ``ring.keep``, the store is fed only by the two trace caches
 and the glued cores, the README names every module-level cache
-with its size and every datum-kept value, and the pants records are
-NamedTuples checked only by the entry points that take a component.
+with its size and every datum-kept value, the pants records are
+NamedTuples checked only by the entry points that take a component,
+and importing the package loads only the standard library and builds
+no dataclass.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -21,6 +23,9 @@ access only, so a local variable of the same name does not count.
 
 import ast
 import importlib.util
+import json
+import subprocess
+import sys
 from functools import cached_property
 from pathlib import Path
 
@@ -424,10 +429,38 @@ def test_every_module_cache_is_in_the_readme():
     assert "`DTDatum._cores`" in kept
     datum = standard_datum(0, 4)
     even_sublattice(datum)
-    written = [f"`DTDatum.{name}`" for name in vars(datum)
-               if name not in vars(DTDatum) and name not in DTDatum.__dataclass_fields__]
+    written = [f"`DTDatum.{name}`" for name in vars(datum) if name not in vars(DTDatum)]
     assert written == ["`DTDatum._center`"]
     kept += written
     paragraph = _paragraph(readme, "Data derived from a datum")
     missing = [k for k in kept if k not in paragraph]
     assert not missing, f"not in the README's paragraph on data kept on a datum: {missing}"
+
+
+# Run in a fresh interpreter without site-packages: what importing the
+# package and its command line loads, and the package's dataclasses.
+_IMPORT_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+import skeintor, skeintor.cli
+package = [m for m in list(sys.modules) if m.partition(".")[0] == "skeintor"]
+print(json.dumps({
+    "modules": sorted(sys.modules),
+    "dataclasses": [f"{m}.{name}" for m in package for name, value in vars(sys.modules[m]).items()
+                    if isinstance(value, type) and hasattr(value, "__dataclass_fields__")],
+}))
+"""
+
+
+def test_import_loads_only_the_standard_library():
+    # the north star's stdlib-only rule; and the records are NamedTuples,
+    # so no import generates dataclass methods or loads dataclasses and,
+    # through it, inspect, ast, dis and tokenize
+    out = subprocess.run([sys.executable, "-I", "-S", "-c", _IMPORT_PROBE, str(ROOT / "src")],
+                         capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout)
+    outside = [m for m in report["modules"] if m.partition(".")[0] not in ("skeintor", "__main__")]
+    assert "argparse" in outside and "skeintor.cli" in report["modules"]
+    assert [m for m in outside if m.partition(".")[0] not in sys.stdlib_module_names] == []
+    assert not {"dataclasses", "inspect"} & set(outside)
+    assert report["dataclasses"] == []

@@ -201,6 +201,17 @@ class TestAntisymValidator:
             AntisymMatrix(((1,),))
         with pytest.raises(ValueError, match="antisymmetric"):
             AntisymMatrix(((0, 1), (1, 0)))
+        # the first row and column agree; only the pair (1, 2) is broken
+        with pytest.raises(ValueError, match="antisymmetric"):
+            AntisymMatrix(((0, 1, 2), (-1, 0, 3), (-2, 3, 0)))
+
+    def test_rejects_non_integer_entries(self):
+        # q-exponents are integral half-steps: a half-integer entry would
+        # put a non-integer key into a product's coefficients
+        for rows in (((0, 0.5), (-0.5, 0)), ((0, 1), (-1.0, 0)), ((0.0,),), ((False,),),
+                     ((0, True), (-1, 0)), ((0, 2, 0), (-2, 0, 1), (0, -1.0, 0))):
+            with pytest.raises(ValueError, match="^matrix entries must be integers$"):
+                AntisymMatrix(rows)
 
 
 class TestMonoMul:
