@@ -13,7 +13,6 @@ from typing import NamedTuple
 
 from .intlinalg import (
     congruence_kernel,
-    det_int,
     hnf_columns,
     identity,
     kernel_columns,
@@ -22,7 +21,7 @@ from .intlinalg import (
     solve_rational,
     transpose,
 )
-from .ring import _no_rebinding
+from .ring import _checked_make, _no_rebinding
 from .surface import DTDatum, q_matrix, surface_excluded, tilde_q
 
 
@@ -49,6 +48,8 @@ class RootOfUnity(_RootOfUnityFields):
         if type(n) is not int or n < 1:
             raise ValueError("order must be a positive integer")
         return tuple.__new__(cls, (n,))
+
+    _make = _checked_make
 
     @property
     def n2(self) -> int:
@@ -112,58 +113,64 @@ def pi_degree(g: int, m: int, xi: RootOfUnity) -> int:
 # lattices
 
 
+def _of_shape(n: int, columns):
+    """The columns, checked to be n columns of length n as
+    ``hnf_columns`` copies them, before it eliminates.  Lazy columns,
+    such as those of ``LatticeBasis.scaled``, are then made inside the
+    normal form, where the per-layer benchmark counts them."""
+    count = 0
+    for count, col in enumerate(columns, 1):
+        if len(col) != n:
+            break
+        yield col
+    else:
+        if count == n:
+            return
+    raise ValueError(f"a basis of Z^{n} needs {n} columns of that length")
+
+
 class _LatticeBasisFields(NamedTuple):
     ambient: int
     columns: tuple[tuple[int, ...], ...]
 
 
 class LatticeBasis(_LatticeBasisFields):
-    """A full-rank sublattice of Z^ambient given by ``ambient`` basis
-    columns.  ``from_columns`` stores the canonical column Hermite normal
-    form, so that equality of such bases is lattice equality.
+    """A full-rank sublattice of Z^ambient.  The constructor takes
+    ``ambient`` columns of that length and keeps the column Hermite
+    normal form of the lattice they span, its canonical basis (Cohen,
+    GTM 138, 2.4.2): equality of bases is lattice equality, and the
+    basis matrix M is lower triangular with a positive diagonal.
 
     Each instance keeps, on first use, what is read off its columns:
-    whether its matrix M is lower triangular, and then det M (the
-    product of the diagonal); and the scaled inverse of M for
-    ``lattice_index``.  Every ``from_columns`` basis is in Hermite form,
-    hence lower triangular.
+    det M, the product of the diagonal, and the scaled inverse of M for
+    ``lattice_index``.
     """
 
     def __new__(cls, ambient, columns):
-        cols = tuple(map(tuple, columns))
-        if len(cols) != ambient or any(len(c) != ambient for c in cols):
-            raise ValueError(f"a basis of Z^{ambient} needs {ambient} columns of that length")
-        return tuple.__new__(cls, (ambient, cols))
-
-    __setattr__ = __delattr__ = _no_rebinding
-
-    @staticmethod
-    def from_columns(ambient: int, columns) -> "LatticeBasis":
-        cols = hnf_columns(columns)
+        cols = hnf_columns(_of_shape(ambient, columns))
         if len(cols) != ambient:
             raise ValueError("columns do not span a full-rank sublattice")
-        return LatticeBasis(ambient, cols)
+        return tuple.__new__(cls, (ambient, tuple(map(tuple, cols))))
+
+    __setattr__ = __delattr__ = _no_rebinding
+    _make = _checked_make
 
     def matrix(self) -> list[list[int]]:
         """Columns as a matrix (rows of the ambient space)."""
         return [list(row) for row in zip(*self.columns)]
 
     def scaled(self, k: int) -> "LatticeBasis":
-        """The lattice k L in Hermite form.  The scaled columns are made
-        as ``hnf_columns`` copies its input; on a basis in Hermite form
-        they are already reduced, so the normal form eliminates nothing."""
+        """The lattice k L.  The scaled columns are made as ``hnf_columns``
+        copies its input; they are already reduced, so the normal form
+        eliminates nothing."""
         if k == 0:
             raise ValueError("scaling by zero collapses the lattice")
-        return LatticeBasis.from_columns(self.ambient, ([k * x for x in col] for col in self.columns))
+        return LatticeBasis(self.ambient, ([k * x for x in col] for col in self.columns))
 
     @cached_property
-    def _triangular_det(self) -> int | None:
-        """det M for a lower triangular basis matrix M (column j zero
-        above row j), the product of its diagonal; None for any other."""
-        cols = self.columns
-        if any(any(col[:j]) for j, col in enumerate(cols)):
-            return None
-        return prod(col[j] for j, col in enumerate(cols))
+    def _det(self) -> int:
+        """det M, the product of the diagonal."""
+        return prod(col[j] for j, col in enumerate(self.columns))
 
     @cached_property
     def _scaled_inverse(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
@@ -175,28 +182,19 @@ class LatticeBasis(_LatticeBasisFields):
 
 
 def lattice_index(sub: LatticeBasis, sup: LatticeBasis) -> int:
-    """Index [sup : sub], that is |det X| for sup X = sub; raises
-    ValueError when sub is not contained in sup.
+    """Index [sup : sub]; raises ValueError when sub is not contained in
+    sup.
 
-    X is (d sup^-1) sub / d with the scaled inverse kept on ``sup``, so
-    each call is one integer product and a divisibility test.  When both
-    bases are lower triangular, as every ``from_columns`` basis is,
-    det X = det sub / det sup is read off their diagonals; otherwise it
-    is a Bareiss determinant of X.
+    Containment is one integer product with the scaled inverse kept on
+    ``sup`` and a divisibility test.  Both matrices are lower triangular,
+    so the index det sub / det sup is read off their diagonals.
     """
     if sub.ambient != sup.ambient:
         raise ValueError("ambient dimensions differ")
     d, inv = sup._scaled_inverse
-    coords = mat_mul(inv, sub.matrix())
-    if any(v % d for row in coords for v in row):
+    if any(v % d for row in mat_mul(inv, sub.matrix()) for v in row):
         raise ValueError("first lattice is not contained in the second")
-    if sub._triangular_det is not None and sup._triangular_det is not None:
-        idx = abs(sub._triangular_det // sup._triangular_det)
-    else:
-        idx = abs(det_int([[v // d for v in row] for row in coords]))
-    if idx == 0:
-        raise ValueError("degenerate sublattice")
-    return idx
+    return sub._det // sup._det
 
 
 def _parity_matrix(datum: DTDatum) -> list[list[int]]:
@@ -221,7 +219,7 @@ def _center_data(datum: DTDatum) -> tuple:
         span = _span(datum)
         diag, v = smith_columns(_gram(datum, span))
         smith, span_v = tuple(diag), tuple(zip(*mat_mul(span.matrix(), v)))
-        even = LatticeBasis.from_columns(2 * datum.r, kernel_columns(smith, span_v, 4))
+        even = LatticeBasis(2 * datum.r, kernel_columns(smith, span_v, 4))
         data = vars(datum)["_center"] = span, smith, span_v, even
     return data
 
@@ -234,7 +232,7 @@ def _span(datum: DTDatum) -> LatticeBasis:
         unit = [0] * (2 * r)
         unit[r + i] = 1
         cols.append(unit)
-    return LatticeBasis.from_columns(2 * r, cols)
+    return LatticeBasis(2 * r, cols)
 
 
 def lambda_hat(datum: DTDatum) -> LatticeBasis:
@@ -262,7 +260,7 @@ def kernel_lattice(datum: DTDatum, modulus: int) -> LatticeBasis:
     if modulus < 1:
         raise ValueError("modulus must be positive")
     _, smith, span_v, _ = _center_data(datum)
-    return LatticeBasis.from_columns(2 * datum.r, kernel_columns(smith, span_v, modulus))
+    return LatticeBasis(2 * datum.r, kernel_columns(smith, span_v, modulus))
 
 
 def even_sublattice(datum: DTDatum) -> LatticeBasis:

@@ -43,7 +43,7 @@ from .qtrace import (
     utr_coord,
     utr_coord_straight,
 )
-from .ring import GroundElem, GroundRing
+from .ring import GroundElem, GroundRing, _checked_make
 from .surface import (
     DTDatum,
     glued_key,
@@ -72,6 +72,8 @@ class CheckResult(_CheckResultFields):
         if passed and not checked:
             passed, detail = False, {"reason": "no checks ran"}
         return tuple.__new__(cls, (name, passed, checked, elapsed, {} if detail is None else detail))
+
+    _make = _checked_make
 
     def summary(self, timings: bool = True) -> str:
         verdict = "PASS" if self.passed else "FAIL"

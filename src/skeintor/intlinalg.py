@@ -12,7 +12,6 @@ determinant off its diagonal instead of eliminating again (see
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 
 Matrix = list[list[int]]
@@ -233,33 +232,10 @@ def congruence_kernel(mat: Matrix, modulus: int) -> list[list[int]]:
     return kernel_columns(diag, transpose(V), modulus)
 
 
-def det_int(mat: Matrix) -> int:
-    """Determinant by fraction-free Bareiss elimination."""
-    n = len(mat)
-    if n == 0:
-        return 1
-    m = [row[:] for row in mat]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
 def solve_rational(a: Matrix, b: Matrix) -> list[list[Fraction]]:
     """Solve a X = b exactly over the rationals (a square and invertible)."""
+    from fractions import Fraction  # only here, so importing the package does not load it
+
     n = len(a)
     if any(len(row) != n for row in a) or len(b) != n:
         raise ValueError("solve_rational needs a square matrix and a right-hand side of its height")

@@ -28,7 +28,7 @@ from operator import add, mul
 from types import MappingProxyType
 from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .ring import GroundElem, GroundRing, _no_rebinding, _nonzero, flat_accumulate
+from .ring import GroundElem, GroundRing, _checked_make, _no_rebinding, _nonzero, flat_accumulate
 
 
 class _AntisymFields(NamedTuple):
@@ -53,6 +53,8 @@ class AntisymMatrix(_AntisymFields):
                 if x != -y:
                     raise ValueError("matrix must be antisymmetric")
         return tuple.__new__(cls, (rows,))
+
+    _make = _checked_make
 
     @property
     def dim(self) -> int:

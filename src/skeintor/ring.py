@@ -79,6 +79,11 @@ def _no_rebinding(self, name, *value):
     raise AttributeError(f"{type(self).__name__}.{name} is read-only")
 
 
+# ``_make`` of a record that checks its fields in ``__new__``: it builds
+# through the class, so ``_make`` and the ``_replace`` on top of it check too
+_checked_make = classmethod(lambda cls, fields: cls(*fields))
+
+
 class GroundElem:
     """Element of a :class:`GroundRing`.
 

@@ -27,7 +27,7 @@ from . import pants
 from .pants import Coord, base_twists, split_nt
 from .qtorus import AntisymMatrix, QuantumTorus, TorusElement
 from .qtrace import _shared_coefficients, trace_torus, utr_coord
-from .ring import GroundElem, GroundRing, _no_rebinding, flat_accumulate, keep
+from .ring import GroundElem, GroundRing, _checked_make, _no_rebinding, flat_accumulate, keep
 
 
 _EXCLUDED = {(1, 0), (1, 1)}
@@ -96,6 +96,7 @@ class FatGraph(_FatGraphFields):
         return self
 
     __setattr__ = __delattr__ = _no_rebinding
+    _make = _checked_make
 
     @property
     def r(self) -> int:

@@ -5,7 +5,7 @@ import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from skeintor.arith import (
@@ -21,7 +21,6 @@ from skeintor.arith import (
 from skeintor.checks import grid_surfaces
 from skeintor.intlinalg import (
     congruence_kernel,
-    det_int,
     hnf_columns,
     mat_mul,
     snf,
@@ -31,6 +30,32 @@ from skeintor.intlinalg import (
 from skeintor.surface import q_matrix, standard_datum, tilde_q
 
 GRID_SURFACES = [(0, 4), (0, 5), (1, 2), (0, 6), (1, 3), (2, 0), (0, 7), (1, 4), (2, 1)]
+
+
+def det_int(mat: list[list[int]]) -> int:
+    """Determinant by fraction-free Bareiss elimination: the oracle the
+    index and the unimodular transforms are checked against."""
+    n = len(mat)
+    if n == 0:
+        return 1
+    m = [row[:] for row in mat]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
 
 
 class TestOrders:
@@ -163,7 +188,7 @@ class TestIntLinalg:
             D = rng.choice([1, 2, 3, 4, 6, 8])
             M = [[rng.randint(-6, 6) for _ in range(c)] for _ in range(r)]
             K = congruence_kernel(M, D)
-            basis = LatticeBasis.from_columns(c, K)
+            basis = LatticeBasis(c, K)
             for col in K:
                 for row in M:
                     assert sum(a * b for a, b in zip(row, col)) % D == 0
@@ -205,7 +230,7 @@ class TestLattices:
     def test_non_containment_raises(self):
         d04 = standard_datum(0, 4)
         span = lambda_hat(d04)
-        whole = LatticeBasis.from_columns(2, [[1, 0], [0, 1]])
+        whole = LatticeBasis(2, [[1, 0], [0, 1]])
         with pytest.raises(ValueError):
             lattice_index(whole, span)
 
@@ -284,7 +309,7 @@ def _reference_span(datum) -> LatticeBasis:
         parity.append(row)
     cols = [list(c) + [0] * r for c in congruence_kernel(parity, 2)]
     cols += [[1 if k == r + i else 0 for k in range(2 * r)] for i in range(r)]
-    return LatticeBasis.from_columns(2 * r, cols)
+    return LatticeBasis(2 * r, cols)
 
 
 def _gram(datum, B) -> list[list[int]]:
@@ -299,12 +324,14 @@ def _reference_kernel(datum, span: LatticeBasis, modulus: int) -> LatticeBasis:
     B = span.matrix()
     sol = congruence_kernel(_gram(datum, B), modulus)
     cols = [[sum(B[i][k] * c[k] for k in range(len(c))) for i in range(len(B))] for c in sol]
-    return LatticeBasis.from_columns(len(B), cols)
+    return LatticeBasis(len(B), cols)
 
 
-def _reference_index(sub: LatticeBasis, sup: LatticeBasis) -> int:
-    """|det X| for sup X = sub, by a rational solve; raises when X is not integral."""
-    coords = solve_rational(sup.matrix(), sub.matrix())
+def _reference_index(sub, sup) -> int:
+    """|det X| for sup X = sub, by a rational solve and a Bareiss
+    determinant, from the columns of any two bases; raises when X is not
+    integral."""
+    coords = solve_rational(transpose(sup), transpose(sub))
     if any(v.denominator != 1 for row in coords for v in row):
         raise ValueError("not contained")
     return abs(det_int([[int(v) for v in row] for row in coords]))
@@ -321,29 +348,25 @@ class TestCenterReference:
             # the same lattice through a basis not in normal form
             cols = [list(c) for c in reversed(span.columns)]
             cols[0] = [a + 3 * b for a, b in zip(cols[0], cols[1])]
-            loose = LatticeBasis(span.ambient, cols)
-            assert loose != span
+            assert LatticeBasis(span.ambient, cols).columns == span.columns
             for n in range(1, 25):
                 ref = _reference_kernel(warm, span, n)
-                index = _reference_index(ref, span)
+                index = _reference_index(ref.columns, cols)
                 assert index == pi_degree(g, m, RootOfUnity(n)) ** 2
                 for datum in (standard_datum(g, m), warm):
                     ker = kernel_lattice(datum, n)
                     assert ker == ref, (g, m, n)
                     assert lattice_index(ker, lambda_hat(datum)) == index
-                assert lattice_index(ref, loose) == index
                 if index > 1:
                     for sup in (ref, kernel_lattice(warm, n)):
                         with pytest.raises(ValueError, match="not contained"):
                             lattice_index(span, sup)
-                        with pytest.raises(ValueError, match="not contained"):
-                            lattice_index(loose, sup)
                 else:
                     assert lattice_index(span, ref) == 1
 
     def test_direct_bases(self):
-        # Z^2 against 2Z + Z, both built directly; then a lattice that meets
-        # the span in a proper sublattice of both
+        # Z^2 against 2Z + Z, both given in Hermite form; then a lattice
+        # that meets the span in a proper sublattice of both
         span = LatticeBasis(2, ((2, 0), (0, 1)))
         whole = LatticeBasis(2, ((1, 0), (0, 1)))
         skew = LatticeBasis(2, ((1, 1), (0, 2)))
@@ -352,27 +375,28 @@ class TestCenterReference:
             with pytest.raises(ValueError, match="not contained"):
                 lattice_index(sub, sup)
             with pytest.raises(ValueError):
-                _reference_index(sub, sup)
+                _reference_index(sub.columns, sup.columns)
         # inverse denominators 2 and 3, so the common one is 6 = lcm, not max
         mixed = LatticeBasis(2, ((2, 0), (0, 3)))
         six = LatticeBasis(2, ((6, 0), (0, 6)))
-        assert lattice_index(six, mixed) == _reference_index(six, mixed) == 6
+        assert lattice_index(six, mixed) == _reference_index(six.columns, mixed.columns) == 6
         odd = LatticeBasis(2, ((1, 0), (0, 6)))
         with pytest.raises(ValueError, match="not contained"):
             lattice_index(odd, mixed)
         with pytest.raises(ValueError):
-            _reference_index(odd, mixed)
+            _reference_index(odd.columns, mixed.columns)
 
     def test_malformed_bases_rejected(self):
-        with pytest.raises(ValueError):
-            LatticeBasis(2, ((1, 0),))
-        with pytest.raises(ValueError):
-            LatticeBasis(2, ((1, 0), (0, 1, 0)))
-        singular = LatticeBasis(2, ((1, 2), (2, 4)))
-        with pytest.raises(ValueError):
-            lattice_index(singular, LatticeBasis(2, ((1, 0), (0, 1))))
-        with pytest.raises(ValueError):
-            lattice_index(LatticeBasis(2, ((1, 0), (0, 1))), singular)
+        # too few columns, too many (though they span Z^2), one of the
+        # wrong length, also when the columns come lazily
+        for cols in (((1, 0),), ((1, 0), (0, 1), (1, 1)), ((1, 0), (0, 1, 0)), ((1, 0, 0), (0, 1))):
+            for supplied in (cols, (list(c) for c in cols)):
+                with pytest.raises(ValueError, match="^a basis of Z\\^2 needs 2 columns of that length$"):
+                    LatticeBasis(2, supplied)
+        # columns of the right shape that span a lattice of lower rank
+        for singular in (((1, 2), (2, 4)), ((0, 0), (1, 1)), ((2, 1), (0, 0))):
+            with pytest.raises(ValueError, match="^columns do not span a full-rank sublattice$"):
+                LatticeBasis(2, singular)
 
 
 class TestCenterDefinition:
@@ -403,8 +427,9 @@ class TestCenterDefinition:
 
 
 # ---------------------------------------------------------------------------
-# the index read off triangular bases, against the Bareiss determinant
-# that directly built non-triangular bases take; scaling, against a normal
+# one basis per lattice, the Hermite form of any column set spanning it;
+# the index read off the diagonals, against a rational solve and a
+# Bareiss determinant on the columns as drawn; scaling, against a normal
 # form taken afresh
 
 _entries = st.integers(-9, 9)
@@ -427,77 +452,131 @@ def _times(a_cols, x_cols) -> list[list[int]]:
     return [[sum(a[i] * c for a, c in zip(a_cols, x)) for i in range(len(a_cols))] for x in x_cols]
 
 
+def _full_rank(cols) -> bool:
+    return det_int(transpose(cols)) != 0
+
+
 @st.composite
 def _index_pairs(draw):
-    """(sub, sup) with sub = sup X for an integer X, each of sup and X
-    triangular or not, X possibly singular; sometimes one entry of sub
-    is moved, which may take it off the lattice."""
+    """Columns (sub, sup) with sub = sup X for an integer X, each of sup
+    and X triangular or not, X possibly singular; sometimes one entry of
+    sub is moved, which may take it off the lattice."""
     n = draw(st.integers(1, 5))
     sup = draw(_square(n, draw(st.booleans())))
     x = draw(_square(n, draw(st.booleans()), diagonal=_entries))
     sub = _times(sup, x)
     if draw(st.booleans()):
         sub[-1][-1] += 1
-    return LatticeBasis(n, sub), LatticeBasis(n, sup)
+    return sub, sup
 
 
 @st.composite
-def _triangular_bases(draw):
-    """A directly built lower triangular basis, rarely in Hermite form."""
-    n = draw(st.integers(1, 5))
-    return LatticeBasis(n, draw(_square(n, True)))
+def _unimodular(draw, n: int) -> list[list[int]]:
+    """Columns of an n x n unimodular matrix: the identity after up to
+    eight column operations, each a swap, a sign change or the addition
+    of a multiple of one column to another."""
+    cols = [[int(i == j) for i in range(n)] for j in range(n)]
+    for _ in range(draw(st.integers(0, 8))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        op = draw(st.sampled_from(("swap", "negate", "add")))
+        if op == "swap":
+            cols[i], cols[j] = cols[j], cols[i]
+        elif op == "negate":
+            cols[i] = [-x for x in cols[i]]
+        elif i != j:
+            k = draw(st.integers(-3, 3))
+            cols[i] = [a + k * b for a, b in zip(cols[i], cols[j])]
+    return cols
 
 
 class TestTriangularBases:
     @given(_index_pairs())
     @settings(max_examples=400, deadline=None)
-    @example((LatticeBasis(2, ((2, 1), (0, 0))), LatticeBasis(2, ((1, 0), (0, 1)))))
-    @example((LatticeBasis(2, ((-2, 0), (0, 3))), LatticeBasis(2, ((1, 0), (0, -1)))))
-    @example((LatticeBasis(2, ((4, 0), (0, 4))), LatticeBasis(2, ((2, 1), (0, 2)))))
+    @example((((2, 1), (0, 0)), ((1, 0), (0, 1))))
+    @example((((-2, 0), (0, 3)), ((1, 0), (0, -1))))
+    @example((((4, 0), (0, 4)), ((2, 1), (0, 2))))
     def test_index_against_reference(self, pair):
-        sub, sup = pair
+        sub_cols, sup_cols = pair
+        n = len(sup_cols)
+        for cols in (sub_cols, sup_cols):
+            if not _full_rank(cols):
+                with pytest.raises(ValueError, match="full-rank"):
+                    LatticeBasis(n, cols)
+                return
+        sub, sup = LatticeBasis(n, sub_cols), LatticeBasis(n, sup_cols)
         try:
-            want = _reference_index(sub, sup)
-        except ValueError as exc:
-            with pytest.raises(ValueError, match="singular" if "singular" in str(exc) else "not contained"):
+            want = _reference_index(sub_cols, sup_cols)
+        except ValueError:
+            with pytest.raises(ValueError, match="not contained"):
                 lattice_index(sub, sup)
             return
-        if want == 0:
-            with pytest.raises(ValueError, match="degenerate sublattice"):
-                lattice_index(sub, sup)
-        else:
-            assert lattice_index(sub, sup) == want
+        assert lattice_index(sub, sup) == want
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_one_basis_per_lattice(self, data):
+        # X and X U span one lattice for a unimodular U, so they give one
+        # basis, in Hermite form; the index of a sublattice X Y is |det Y|
+        # on the oracle, and a moved entry may take it off the lattice;
+        # a rank-deficient set is no basis
+        n = data.draw(st.integers(1, 5))
+        x = data.draw(_square(n, False))
+        u = data.draw(_unimodular(n))
+        assert abs(det_int(transpose(u))) == 1
+        assume(_full_rank(x))
+        basis = LatticeBasis(n, x)
+        assert LatticeBasis(n, _times(x, u)) == basis
+        for j, col in enumerate(basis.columns):
+            assert not any(col[:j]) and col[j] > 0
+            assert all(0 <= left[j] < col[j] for left in basis.columns[:j])
+        assert basis._det == abs(det_int(transpose(x)))
+        y = data.draw(_square(n, False))
+        if _full_rank(y):
+            sub = _times(_times(x, u), y)
+            assert lattice_index(LatticeBasis(n, sub), basis) == _reference_index(sub, x) == abs(det_int(transpose(y)))
+            sub[0][-1] += 1
+            if _full_rank(sub):
+                try:
+                    want = _reference_index(sub, x)
+                except ValueError:
+                    with pytest.raises(ValueError, match="not contained"):
+                        lattice_index(LatticeBasis(n, sub), basis)
+                else:
+                    assert lattice_index(LatticeBasis(n, sub), basis) == want
+        coeffs = data.draw(st.lists(st.integers(-3, 3), min_size=n - 1, max_size=n - 1))
+        deficient = x[:-1] + [[sum(c * col[i] for c, col in zip(coeffs, x)) for i in range(n)]]
+        with pytest.raises(ValueError, match="^columns do not span a full-rank sublattice$"):
+            LatticeBasis(n, deficient)
 
     def test_index_edge_cases(self):
         whole = LatticeBasis(2, ((1, 0), (0, 1)))
-        # a zero on the diagonal of a contained triangular basis
-        flat = LatticeBasis(2, ((2, 1), (0, 0)))
-        assert flat._triangular_det == 0
-        with pytest.raises(ValueError, match="degenerate sublattice"):
-            lattice_index(flat, whole)
-        # a singular larger lattice, triangular or not
-        for singular in (flat, LatticeBasis(2, ((0, 0), (1, 1))), LatticeBasis(2, ((1, 2), (2, 4)))):
-            with pytest.raises(ValueError, match="singular"):
-                lattice_index(whole, singular)
-        # negative diagonals: the index is |det X|
-        neg = LatticeBasis(2, ((-2, 0), (0, 3)))
-        flip = LatticeBasis(2, ((1, 0), (0, -1)))
-        assert neg._triangular_det == -6 and flip._triangular_det == -1
-        assert lattice_index(neg, flip) == lattice_index(neg, whole) == _reference_index(neg, flip) == 6
+        # negative diagonals: the Hermite form has a positive diagonal,
+        # and the index is |det X|
+        neg_cols, flip_cols = ((-2, 0), (0, 3)), ((1, 0), (0, -1))
+        neg, flip = LatticeBasis(2, neg_cols), LatticeBasis(2, flip_cols)
+        assert neg.columns == ((2, 0), (0, 3)) and neg._det == 6 and flip == whole
+        assert lattice_index(neg, flip) == lattice_index(neg, whole) == _reference_index(neg_cols, flip_cols) == 6
         assert lattice_index(whole, flip) == lattice_index(flip, whole) == 1
+        with pytest.raises(ValueError, match="not contained"):
+            lattice_index(whole, neg)
+        with pytest.raises(ValueError, match="ambient dimensions differ"):
+            lattice_index(LatticeBasis(1, ((2,),)), whole)
+        # a singular column set, triangular or not, is no basis
+        for singular in (((2, 1), (0, 0)), ((0, 0), (1, 1)), ((1, 2), (2, 4))):
+            with pytest.raises(ValueError, match="full-rank"):
+                LatticeBasis(2, singular)
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
-    def test_scaled_against_from_columns(self, data):
-        triangular = data.draw(_triangular_bases())
-        n = triangular.ambient
-        hermite = LatticeBasis.from_columns(n, triangular.columns)
+    def test_scaled_against_a_fresh_normal_form(self, data):
+        n = data.draw(st.integers(1, 5))
+        cols = data.draw(_square(n, data.draw(st.booleans())))
+        assume(_full_rank(cols))
+        basis = LatticeBasis(n, cols)
         for k in (*range(-9, 0), *range(1, 10)):
-            for basis in (hermite, triangular):
-                want = LatticeBasis.from_columns(n, [[k * x for x in col] for col in basis.columns])
-                assert basis.scaled(k) == want
+            assert basis.scaled(k) == LatticeBasis(n, [[k * x for x in col] for col in cols])
             # |k| times a Hermite basis is the Hermite form of k L
-            assert hermite.scaled(k).columns == tuple(tuple(abs(k) * x for x in c) for c in hermite.columns)
+            assert basis.scaled(k).columns == tuple(tuple(abs(k) * x for x in c) for c in basis.columns)
 
     def test_scaled_examples(self):
         cases = (
@@ -511,12 +590,12 @@ class TestTriangularBases:
         )
         for cols in cases:
             basis = LatticeBasis(len(cols), cols)
-            hermite = LatticeBasis.from_columns(basis.ambient, cols)
-            assert (hermite == basis) == (cols in cases[:2])
+            # only the first two are given in Hermite form
+            assert (basis.columns == cols) == (cols in cases[:2])
             for k in (-9, -2, -1, 1, 3, 9):
-                want = LatticeBasis.from_columns(basis.ambient, [[k * x for x in c] for c in cols])
-                assert basis.scaled(k) == hermite.scaled(k) == want
-                assert want.columns == tuple(tuple(abs(k) * x for x in c) for c in hermite.columns)
+                want = LatticeBasis(basis.ambient, [[k * x for x in c] for c in cols])
+                assert basis.scaled(k) == want
+                assert want.columns == tuple(tuple(abs(k) * x for x in c) for c in basis.columns)
 
 
 class TestCachedLatticeData:

@@ -463,4 +463,7 @@ def test_import_loads_only_the_standard_library():
     assert "argparse" in outside and "skeintor.cli" in report["modules"]
     assert [m for m in outside if m.partition(".")[0] not in sys.stdlib_module_names] == []
     assert not {"dataclasses", "inspect"} & set(outside)
+    # fractions, and through it decimal and numbers, load with the first
+    # rational solve only
+    assert not {"fractions", "decimal", "numbers"} & set(outside)
     assert report["dataclasses"] == []

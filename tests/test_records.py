@@ -35,10 +35,10 @@ class TestReadOnly:
         datum = standard_datum(1, 3)
         span = lambda_hat(datum)
         lattice_index(kernel_lattice(datum, 6), span)
-        assert {"_triangular_det", "_scaled_inverse"} <= set(vars(span))
-        for name in ("ambient", "columns", "_triangular_det", "_scaled_inverse"):
+        assert {"_det", "_scaled_inverse"} <= set(vars(span))
+        for name in ("ambient", "columns", "_det", "_scaled_inverse"):
             assert_read_only(span, name)
-        assert vars(span)["_triangular_det"] == span._triangular_det
+        assert vars(span)["_det"] == span._det
 
     def test_datum_and_graph_after_first_use(self):
         datum = standard_datum(0, 5)
@@ -138,3 +138,48 @@ class TestUnchanged:
         a, b = CheckResult("toy", False, 0, 0.1), CheckResult("toy", True, 4, 0.1)
         assert a.detail == b.detail == {} and a.detail is not b.detail
         assert b.passed and b.summary(timings=False) == "[PASS] toy: 4 checks"
+
+
+class TestMakeAndReplaceCheck:
+    """``_make`` and ``_replace`` build a checking record through its
+    class, so they check what the constructor checks."""
+
+    def test_root_of_unity(self):
+        assert RootOfUnity(5)._replace(n=7) == RootOfUnity._make((7,)) == RootOfUnity(7)
+        with pytest.raises(ValueError, match="^order must be a positive integer$"):
+            RootOfUnity(5)._replace(n=0)
+        with pytest.raises(ValueError, match="^order must be a positive integer$"):
+            RootOfUnity._make((True,))
+
+    def test_antisym_matrix(self):
+        m = AntisymMatrix(((0, 1), (-1, 0)))
+        assert m._replace(rows=((0, 2), (-2, 0))) == AntisymMatrix(((0, 2), (-2, 0)))
+        with pytest.raises(ValueError, match="^matrix must be antisymmetric$"):
+            m._replace(rows=((1,),))
+        with pytest.raises(ValueError, match="^matrix must be square$"):
+            AntisymMatrix._make((((0, 1),),))
+
+    def test_lattice_basis(self):
+        span = LatticeBasis(2, ((2, 0), (0, 1)))
+        # the columns come back in Hermite form
+        assert span._replace(columns=((1, 1), (0, 2))) == LatticeBasis._make((2, ((1, 1), (0, 2))))
+        assert span._replace(columns=((-2, 0), (2, 1))) == span
+        with pytest.raises(ValueError, match="^a basis of Z\\^2 needs 2 columns of that length$"):
+            LatticeBasis._make((2, ((1,),)))
+        with pytest.raises(ValueError, match="^columns do not span a full-rank sublattice$"):
+            span._replace(columns=((1, 2), (2, 4)))
+
+    def test_fat_graph(self):
+        graph = standard_datum(0, 4).graph
+        assert graph._replace(legs=graph.legs) == FatGraph._make(graph) == graph
+        with pytest.raises(ValueError, match="^every half-edge must be an edge side or a leg$"):
+            graph._replace(legs=graph.legs[:-1])
+        with pytest.raises(ValueError, match="^every vertex must be trivalent$"):
+            FatGraph._make((((0, 1),), (), (0, 1)))
+
+    def test_check_result(self):
+        # a result with no checks stays a failure, however it is rebuilt
+        empty = CheckResult("toy", False, 0, 0.1)
+        for rebuilt in (empty._replace(passed=True), CheckResult._make(("toy", True, 0, 0.1, {}))):
+            assert not rebuilt.passed and rebuilt.detail == {"reason": "no checks ran"}
+        assert CheckResult("toy", True, 4, 0.1)._replace(checked=5) == CheckResult("toy", True, 5, 0.1)
