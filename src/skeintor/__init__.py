@@ -32,6 +32,7 @@ from .qtorus import (
     elem_mul,
     lead_term,
     reflection_normalize,
+    tilde_q,
     weyl_normalize,
 )
 from .qtrace import TraceTorus, check_thmbtr, lead_violation, pants_degree, trace_torus, utr_coord
@@ -48,7 +49,6 @@ from .surface import (
     q_matrix,
     standard_datum,
     surface_torus,
-    tilde_q,
 )
 
 __version__ = "0.1.0"

@@ -22,7 +22,7 @@ from .intlinalg import (
     transpose,
 )
 from .ring import _checked_make, _no_rebinding
-from .surface import DTDatum, q_matrix, surface_excluded, tilde_q
+from .surface import DTDatum, surface_excluded, surface_torus
 
 
 # ---------------------------------------------------------------------------
@@ -243,9 +243,8 @@ def lambda_hat(datum: DTDatum) -> LatticeBasis:
 
 
 def _gram(datum: DTDatum, basis: LatticeBasis) -> list[list[int]]:
-    tq = tilde_q(q_matrix(datum))
     B = basis.matrix()
-    return mat_mul(mat_mul(transpose(B), [list(row) for row in tq.rows]), B)
+    return mat_mul(mat_mul(transpose(B), [list(row) for row in surface_torus(datum).matrix.rows]), B)
 
 
 def kernel_lattice(datum: DTDatum, modulus: int) -> LatticeBasis:

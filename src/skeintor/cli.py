@@ -43,7 +43,7 @@ from .surface import (
     phi_value,
     q_matrix,
     standard_datum,
-    tilde_q,
+    surface_torus,
 )
 
 
@@ -166,7 +166,7 @@ def cmd_analyze(args) -> int:
             "epsilon": root.epsilon_class,
         },
         "q_matrix": [list(r) for r in q_matrix(datum).rows],
-        "tilde_q": [list(r) for r in tilde_q(q_matrix(datum)).rows],
+        "tilde_q": [list(r) for r in surface_torus(datum).matrix.rows],
         "lambda_hat": [list(c) for c in span.columns],
         "even_sublattice": [list(c) for c in even.columns],
         "even_index": lattice_index(even, span),

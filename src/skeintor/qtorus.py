@@ -72,6 +72,17 @@ class AntisymMatrix(_AntisymFields):
         return total
 
 
+def tilde_q(q: AntisymMatrix) -> AntisymMatrix:
+    """The doubled form [[Q, -2I], [2I, 0]] on lengths then twists, for
+    the x-block ``q``: u_i x_i = q^2 x_i u_i, the u's central among
+    themselves.  The one builder of an x-u block, shared by the pants
+    tori and the surface torus, so that gluing adds the face pairings."""
+    r = q.dim
+    rows = [tuple(row) + tuple(-2 if k == i else 0 for k in range(r)) for i, row in enumerate(q.rows)]
+    rows += [tuple(2 if k == i else 0 for k in range(r)) + (0,) * r for i in range(r)]
+    return AntisymMatrix(tuple(rows))
+
+
 class QuantumTorus(NamedTuple):
     """A quantum torus: commutation matrix plus coefficient ground ring."""
 

@@ -9,6 +9,9 @@ j..2j-1 for the u block) with the commutation rules
 * ``u_i x_k = q^{2 delta_{ik}} x_k u_i``, and the u's central among
   themselves.
 
+The matrix is ``qtorus.tilde_q`` of the x-block, the doubled form the
+surface torus is built with too (see ``surface``).
+
 The trace of an admissible coordinate is assembled from the catalog
 values of the standard curves: the value of a canonical decomposition
 is the product of the component values twisted by the global residual,
@@ -41,26 +44,13 @@ from .qtorus import (
     elem_mul,
     lead_term,
     reflection_normalize,
+    tilde_q,
 )
 from .ring import GroundElem, GroundRing, flat_mul, shared
 
 
-def _commutation_matrix(j: int) -> AntisymMatrix:
-    dim = 2 * j
-    rows = [[0] * dim for _ in range(dim)]
-    if j == 3:
-        for i in range(3):
-            rows[(i + 1) % 3][i] = 1
-            rows[i][(i + 1) % 3] = -1
-    elif j == 2:
-        rows[1][0] = 1
-        rows[0][1] = -1
-    for i in range(j):
-        rows[j + i][i] = 2
-        rows[i][j + i] = -2
-    return AntisymMatrix(tuple(tuple(r) for r in rows))
-
-
+# The x-block of each pants type: x_{i+1} x_i = q x_i x_{i+1}.
+_X_BLOCKS = {3: ((0, -1, 1), (1, 0, -1), (-1, 1, 0)), 2: ((0, -1), (1, 0)), 1: ((0,),)}
 _SYMBOLS = {3: (), 2: ("b3",), 1: ("b2", "b3")}
 
 
@@ -86,7 +76,7 @@ class TraceTorus(NamedTuple):
 def trace_torus(j: int) -> TraceTorus:
     if j not in pants.PANTS_TYPES:
         raise ValueError(f"pants type must be one of {pants.PANTS_TYPES}")
-    return TraceTorus(j, QuantumTorus(_commutation_matrix(j), GroundRing(_SYMBOLS[j])))
+    return TraceTorus(j, QuantumTorus(tilde_q(AntisymMatrix(_X_BLOCKS[j])), GroundRing(_SYMBOLS[j])))
 
 
 @lru_cache(maxsize=4096)

@@ -13,6 +13,10 @@ commutation matrix of the associated quantum torus from corner counts
 of the fatgraph, splits global coordinates into per-face ones, and
 evaluates the gluing of the per-face quantum traces, whose unique top
 term recovers the coordinate.
+
+The surface torus and the pants tori are ``qtorus.tilde_q`` of their
+x-blocks, [[Q, -2I], [2I, 0]] (u_c x_c = q^2 x_c u_c), and the corner
+counts sum the faces' x-blocks, so gluing takes products to products.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from typing import Mapping, NamedTuple
 
 from . import pants
 from .pants import Coord, base_twists, split_nt
-from .qtorus import AntisymMatrix, QuantumTorus, TorusElement
+from .qtorus import AntisymMatrix, QuantumTorus, TorusElement, tilde_q
 from .qtrace import _shared_coefficients, trace_torus, utr_coord
 from .ring import GroundElem, GroundRing, _checked_make, _no_rebinding, flat_accumulate, keep
 
@@ -376,20 +380,10 @@ def q_matrix(datum: DTDatum) -> AntisymMatrix:
     return AntisymMatrix(tuple(tuple(row) for row in rows))
 
 
-def tilde_q(q: AntisymMatrix) -> AntisymMatrix:
-    """The symplectic double: block matrix [[Q, 2I], [-2I, 0]]."""
-    r = q.dim
-    rows = []
-    for i in range(r):
-        rows.append(tuple(q.rows[i]) + tuple(2 if k == i else 0 for k in range(r)))
-    for i in range(r):
-        rows.append(tuple(-2 if k == i else 0 for k in range(r)) + (0,) * r)
-    return AntisymMatrix(tuple(rows))
-
-
 def surface_torus(datum: DTDatum) -> QuantumTorus:
-    """The quantum torus the graded skein algebra degenerates into, built
-    once per datum instance and kept on it."""
+    """The quantum torus the graded skein algebra degenerates into, on
+    ``tilde_q(q_matrix(datum))``, built once per datum instance and kept
+    on it: every reader of the doubled form reads its ``matrix``."""
     return datum._torus
 
 
@@ -528,27 +522,23 @@ def _inject_coeff(
     return out
 
 
-def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> TorusElement:
-    """The glued trace of ``coord``, computed from its faces.
-
-    Per-face values are matched (their boundary degrees equal the global
-    lengths), so every tensor monomial projects: the u-exponents of the
-    two sides of each curve add up to the global twist exponent, and the
-    paired x-degrees become the length exponent, which is the lengths of
-    ``coord`` on every term.  Coefficients accumulate as integers, one
+def project_faces(datum: DTDatum, n: tuple[int, ...], values: list[TorusElement]) -> TorusElement:
+    """The gluing of one value per face, in face order, whose x-degrees
+    are the face lengths of ``n``: every tensor monomial projects, the
+    u-exponents of the two sides of each curve adding up to the twist
+    exponent and ``n`` becoming the length exponent.  The projection of
+    face-by-face products is the product of the projections (see the
+    module docstring).  Coefficients accumulate as integers, one
     ``ring.flat_accumulate`` per face, and become coefficients once, in
-    ``QuantumTorus.from_flat``, as in ``elem_mul``.
-    """
-    splits = face_split(datum, coord, secondary=secondary)
+    ``QuantumTorus.from_flat``, as in ``elem_mul``."""
     r = datum.r
     tb = datum._tables
     torus = surface_torus(datum)
     nsym = torus.ring.nsym
 
     acc: dict[tuple[int, ...], dict[tuple[int, ...], int]] = {(0,) * r: {(0,) * (nsym + 1): 1}}
-    for v, (j, face_coord) in enumerate(splits):
-        tt = trace_torus(j)
-        value = utr_coord(tt, face_coord)
+    for v, value in enumerate(values):
+        j = tb.face_types[v]
         curves = tb.face_curves[v]
         sym_map = tuple(tb.leg_symbol_index[leg] for leg in datum.slots[v][j:])
         face_terms = []
@@ -558,8 +548,13 @@ def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> TorusElement:
                 contrib[curves[s]] += k[j + s]
             face_terms.append((tuple(contrib), _inject_coeff(sym_map, nsym, c)))
         acc = flat_accumulate({}, [(t, c.items()) for t, c in acc.items()], face_terms)
-    n = tuple(coord[:r])
     return torus.from_flat({n + t: c for t, c in acc.items()})
+
+
+def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> TorusElement:
+    """The glued trace of ``coord``: the projection of its face traces."""
+    values = [utr_coord(trace_torus(j), c) for j, c in face_split(datum, coord, secondary=secondary)]
+    return project_faces(datum, tuple(coord[: datum.r]), values)
 
 
 def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> TorusElement:

@@ -27,7 +27,8 @@ from skeintor.intlinalg import (
     solve_rational,
     transpose,
 )
-from skeintor.surface import q_matrix, standard_datum, tilde_q
+from skeintor.qtorus import tilde_q
+from skeintor.surface import q_matrix, standard_datum
 
 GRID_SURFACES = [(0, 4), (0, 5), (1, 2), (0, 6), (1, 3), (2, 0), (0, 7), (1, 4), (2, 1)]
 

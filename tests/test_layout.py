@@ -10,8 +10,9 @@ bounded ``ring.keep``, the store is fed only by the two trace caches
 and the glued cores, the README names every module-level cache
 with its size and every datum-kept value, the pants records are
 NamedTuples checked only by the entry points that take a component,
-and importing the package loads only the standard library and builds
-no dataclass.
+the pants tori and the surface torus take their form from the one
+``qtorus.tilde_q``, and importing the package loads only the standard
+library and builds no dataclass.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -257,6 +258,44 @@ def test_only_ring_multiplies_term_pairs():
     shift = ("def f(terms, gauss):\n for key, c in terms:\n  for s, g in enumerate(gauss):\n"
              "   k = key[:-1] + (key[-1] - 2 * s,)\n   acc[k] = acc.get(k, 0) + c * g")
     assert not _term_pair_products(ast.parse(shift))
+
+
+def _called(node) -> str | None:
+    """The name a call calls, plain or as an attribute; None for a non-call."""
+    return getattr(node.func, "id", getattr(node.func, "attr", None)) if isinstance(node, ast.Call) else None
+
+
+def _untilded_tori(tree: ast.AST) -> list[int]:
+    """Lines of the ``QuantumTorus(...)`` calls whose matrix is not a
+    ``tilde_q(...)`` call."""
+    bad = []
+    for node in ast.walk(tree):
+        if _called(node) == "QuantumTorus":
+            matrix = node.args[0] if node.args else next((k.value for k in node.keywords if k.arg == "matrix"), None)
+            if _called(matrix) != "tilde_q":
+                bad.append(node.lineno)
+    return bad
+
+
+def test_tori_take_their_form_from_tilde_q():
+    # the pants tori and the surface torus share one builder of the x-u
+    # block, so the surface form restricts to the sum of the face forms
+    # and gluing takes products to products (test_surface.py's
+    # TestGluingIdentity); the random tori of the torus-law suite are free
+    for name in ("qtrace.py", "surface.py"):
+        tree = ast.parse((PACKAGE / name).read_text())
+        assert any(_called(n) == "QuantumTorus" for n in ast.walk(tree)), name
+        assert not _untilded_tori(tree), f"{name}: a torus not on tilde_q at lines {_untilded_tori(tree)}"
+    builders = [f"{path.stem}.{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+                for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.FunctionDef) and node.name == "tilde_q"]
+    assert builders == ["qtorus.tilde_q"]
+    for bad in ("QuantumTorus(_commutation_matrix(j), GroundRing())", "qtorus.QuantumTorus(m)",
+                "QuantumTorus(matrix=AntisymMatrix(rows))", "QuantumTorus(ring=r, matrix=m)"):
+        assert _untilded_tori(ast.parse(bad)), bad
+    for fine in ("QuantumTorus(tilde_q(q_matrix(d)), ring)", "QuantumTorus(qtorus.tilde_q(m))",
+                 "QuantumTorus(ring=r, matrix=tilde_q(m))"):
+        assert not _untilded_tori(ast.parse(fine)), fine
 
 
 def _paragraph(readme: str, opening: str) -> str:

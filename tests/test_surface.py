@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from skeintor import pants, ring, surface
-from skeintor.qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term
-from skeintor.qtrace import _commutation_matrix, lead_violation, trace_torus, utr_coord_straight
+from skeintor import checks, pants, ring, surface
+from skeintor.qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term, tilde_q
+from skeintor.qtrace import lead_violation, trace_torus, utr_coord, utr_coord_straight
 from skeintor.surface import (
     DTDatum,
     FatGraph,
@@ -21,10 +21,10 @@ from skeintor.surface import (
     lambda_membership,
     length_rule,
     phi_value,
+    project_faces,
     q_matrix,
     standard_datum,
     surface_torus,
-    tilde_q,
 )
 
 d04 = standard_datum(0, 4)
@@ -185,14 +185,15 @@ class TestQMatrix:
         assert q_matrix(DTDatum(rotated, d20.slots)).rows == q_matrix(d20).rows
 
     def test_tilde_blocks(self):
-        assert tilde_q(q_matrix(d04)).rows == ((0, 2), (-2, 0))
+        # the pants sign: u_c x_c = q^2 x_c u_c
+        assert tilde_q(q_matrix(d04)).rows == ((0, -2), (2, 0))
         tq = tilde_q(q_matrix(d20))
         q = q_matrix(d20)
         for i in range(3):
             for j in range(3):
                 assert tq.rows[i][j] == q.rows[i][j]
-                assert tq.rows[i][3 + j] == (2 if i == j else 0)
-                assert tq.rows[3 + i][j] == (-2 if i == j else 0)
+                assert tq.rows[i][3 + j] == (-2 if i == j else 0)
+                assert tq.rows[3 + i][j] == (2 if i == j else 0)
                 assert tq.rows[3 + i][3 + j] == 0
 
     def test_matches_face_torus_commutation(self):
@@ -232,7 +233,7 @@ class TestQMatrix:
                 assert tq.pairing(k, l) % 2 == 0
 
     def test_pairing_formula(self):
-        # block pairing = <n,n'>_Q + 2 n.t' - 2 n'.t
+        # block pairing = <n,n'>_Q - 2 n.t' + 2 n'.t
         rng = random.Random(0)
         q = q_matrix(d05)
         tq = tilde_q(q)
@@ -241,8 +242,8 @@ class TestQMatrix:
             lhs = tq.pairing(n + t, n2 + t2)
             rhs = (
                 q.pairing(n, n2)
-                + 2 * sum(a * b for a, b in zip(n, t2))
-                - 2 * sum(a * b for a, b in zip(n2, t))
+                - 2 * sum(a * b for a, b in zip(n, t2))
+                + 2 * sum(a * b for a, b in zip(n2, t))
             )
             assert lhs == rhs
 
@@ -665,7 +666,7 @@ def oracle_glue(datum, coord):
     offsets = list(itertools.accumulate((2 * j for j, _ in splits), initial=0))
     rows = [[0] * offsets[-1] for _ in range(offsets[-1])]
     for (j, _), off in zip(splits, offsets):
-        for a, row in enumerate(_commutation_matrix(j).rows):
+        for a, row in enumerate(trace_torus(j).torus.matrix.rows):
             rows[off + a][off : off + 2 * j] = row
     tensor = QuantumTorus(AntisymMatrix(tuple(map(tuple, rows))), torus.ring)
     # the surface's puncture symbols follow the sorted leg ids, and a
@@ -714,7 +715,7 @@ class TestGradedMul:
 
     def test_examples(self):
         torus = surface_torus(d04)
-        for k, l, p in (((2, 0), (0, 1), 4), ((2, 2), (0, 0), 0), ((2, 1), (2, 1), 0)):
+        for k, l, p in (((2, 0), (0, 1), -4), ((2, 2), (0, 0), 0), ((2, 1), (2, 1), 0)):
             assert torus.matrix.pairing(k, l) == p
             prod = elem_mul(phi_value(d04, k), phi_value(d04, l))
             leads = lead_term(prod, lambda e: d_embed(d04, e))
@@ -853,3 +854,28 @@ class TestAlternateDatum:
         # parity sum twice, so only the second curve's parity constrains
         assert lambda_global(datum, (1, 2, 0, 0))
         assert not lambda_global(datum, (1, 1, 0, 0))
+
+
+class TestGluingIdentity:
+    """Gluing takes products to products: the product of two glued traces
+    is the gluing of the face-by-face products of their face traces.  It
+    holds only when the surface form restricts to the sum of the face
+    forms, so it pins the sign of the twist-length block of both."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [lambda: d04, lambda: d05, lambda: d12, lambda: d20, lambda: TestAlternateDatum().build()],
+        ids=["0_4", "0_5", "1_2", "2_0", "self_glued"],
+    )
+    def test_glued_product_is_the_glued_face_products(self, make):
+        datum = make()
+        rng = random.Random(0)
+        table = checks._global_table(datum, 2, 2)
+        for _ in range(50):
+            k, l = (checks._sample_global(rng, datum, table) for _ in range(2))
+            faces = [
+                elem_mul(utr_coord(trace_torus(j), a), utr_coord(trace_torus(j), b))
+                for (j, a), (_, b) in zip(face_split(datum, k), face_split(datum, l))
+            ]
+            n = tuple(x + y for x, y in zip(k[: datum.r], l[: datum.r]))
+            assert elem_mul(phi_value(datum, k), phi_value(datum, l)) == project_faces(datum, n, faces), (k, l)
