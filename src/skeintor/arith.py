@@ -36,7 +36,7 @@ class _RootOfUnityFields(NamedTuple):
 class RootOfUnity(_RootOfUnityFields):
     """A primitive root of unity of order ``n`` with its derived orders.
 
-    ``n2`` is the order of the root itself, ``n1`` the order of its
+    ``n`` is the order of the root itself, ``n1`` the order of its
     square, ``big_n`` the order of its fourth power.  The root raised to
     the square of ``big_n`` is a fourth root of unity epsilon: the root
     to the power ``epsilon_exponent``, named by ``epsilon_class``.
@@ -50,10 +50,6 @@ class RootOfUnity(_RootOfUnityFields):
         return tuple.__new__(cls, (n,))
 
     _make = _checked_make
-
-    @property
-    def n2(self) -> int:
-        return self.n
 
     @property
     def n1(self) -> int:

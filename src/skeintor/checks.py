@@ -121,9 +121,10 @@ class _BoxTable:
 
     The box holds the coordinates with lengths in [0, nmax] and twists in
     [-tmax, tmax] on ``r`` curves.  ``floors_of(n)`` gives the lowest
-    admissible twist at each curve for the lengths ``n``, or None when
-    ``n`` itself is not admissible.  One row per admissible ``n`` keeps
-    those floors and the number of twist values from each floor up to
+    admissible twist at each curve for the lengths ``n``, None at a curve
+    that takes any twist, or None in place of the tuple when ``n`` itself
+    is not admissible.  One row per admissible ``n`` keeps those floors,
+    raised to -tmax, and the number of twist values from each floor up to
     tmax; ``cum[i]`` counts the box coordinates in rows 0..i.
     """
 
@@ -135,7 +136,7 @@ class _BoxTable:
             floors = floors_of(n)
             if floors is None:
                 continue
-            floors = tuple(max(-tmax, f) for f in floors)
+            floors = tuple(-tmax if f is None else max(-tmax, f) for f in floors)
             widths = tuple(tmax - f + 1 for f in floors)
             if min(widths) <= 0:
                 continue
@@ -167,23 +168,15 @@ class _BoxTable:
 
 
 def _pants_table(j: int, nmax: int, tmax: int) -> _BoxTable:
-    """The box of ``Lambda_j``: at a missed boundary the twist floor is the
-    bound :func:`pants.lambda_contains` tests, half of :func:`pants.add2`
-    (the canonical arcs' own twist there, without filling their caches)."""
-    def floors_of(n):
-        if sum(n) % 2:
-            return None
-        return tuple(pants.add2(j, i, n) // 2 if n[i - 1] == 0 else -tmax for i in range(1, j + 1))
-    return _BoxTable(j, nmax, tmax, floors_of)
+    """The box of ``Lambda_j``, by the floors :func:`pants.twist_floors` gives."""
+    return _BoxTable(j, nmax, tmax, functools.partial(pants.twist_floors, j))
 
 
 def _global_table(datum: DTDatum, nmax: int, tmax: int) -> _BoxTable:
     """The box of the global monoid, by the rule :func:`length_rule` states."""
     def floors_of(n):
-        odd, bounds2 = length_rule(datum, n)
-        if odd:
-            return None
-        return tuple(-tmax if b is None else -(-b // 2) for b in bounds2)
+        odd, floors = length_rule(datum, n)
+        return None if odd else floors
     return _BoxTable(datum.r, nmax, tmax, floors_of)
 
 

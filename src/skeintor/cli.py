@@ -160,7 +160,7 @@ def cmd_analyze(args) -> int:
     report = {
         "surface": {"genus": g, "punctures": m, "r": datum.r},
         "root": {
-            "order": root.n2,
+            "order": root.n,
             "order_xi2": root.n1,
             "order_xi4": root.big_n,
             "epsilon": root.epsilon_class,

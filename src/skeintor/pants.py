@@ -6,7 +6,7 @@ flat tuple ``(n_1..n_j, t_1..t_j)`` of j non-negative lengths followed
 by j integer twists.  The admissible coordinates form the monoid
 ``Lambda_j``: the lengths satisfy a parity constraint and, at every
 boundary the curve misses, the twist is bounded below by the Add
-function (half of :func:`add2`).
+function, the integer floor :func:`twist_floors` gives.
 
 The twist convention differs from the classical one: each standard
 return arc based at boundary i contributes +1 to the twist at the
@@ -39,33 +39,39 @@ def split_nt(r: int, coord: Coord) -> tuple[tuple[int, ...], tuple[int, ...]]:
     return tuple(coord[:r]), tuple(coord[r:])
 
 
-def add2(j: int, i: int, n: tuple[int, ...]) -> int:
-    """Twice the lower twist bound at boundary ``i`` (1-based) for length
-    vector ``n``; always an integer.
+def twist_floors(j: int, n: tuple[int, ...]) -> tuple[int | None, ...] | None:
+    """The lowest admissible twist at each boundary for the ``j`` lengths
+    ``n``: the Add bound (an integer) where the curve misses the boundary,
+    None where it meets it and any twist is allowed.  None in place of the
+    tuple when a length is negative or the length sum is odd, since no
+    coordinate of ``Lambda_j`` has such lengths.
 
-    The bound itself is the number of return arcs approaching boundary i
-    in the canonical arc realization of ``n``: a half-integer, and an
-    integer whenever the parity constraint holds.
+    The floor is the number of return arcs approaching the boundary in
+    the canonical arc realization of ``n`` (the arcs' own twist there,
+    :func:`base_twists`), in closed form, so it fills no cache.
     """
+    if min(n) < 0 or sum(n) % 2:
+        return None
     if j == 1:
-        return 0
+        return (None if n[0] else 0,)
     if j == 2:
-        return -n[1] if i == 1 else n[0]
-    return max(0, n[i - 2] - n[i - 1] - n[i % 3])
-
-
-def parity_ok(j: int, n: tuple[int, ...]) -> bool:
-    return sum(n) % 2 == 0
+        a, b = n
+        return (None if a else -b // 2, None if b else a // 2)
+    a, b, c = n
+    return (None if a else max(0, c - b) // 2,
+            None if b else max(0, a - c) // 2,
+            None if c else max(0, b - a) // 2)
 
 
 def lambda_contains(j: int, coord: Coord) -> bool:
     """Membership in the coordinate monoid ``Lambda_j``."""
     _validate_type(j)
     n, t = split_nt(j, coord)
-    if min(n) < 0 or not parity_ok(j, n):
+    floors = twist_floors(j, n)
+    if floors is None:
         return False
-    for i in range(1, j + 1):
-        if n[i - 1] == 0 and 2 * t[i - 1] < add2(j, i, n):
+    for f, x in zip(floors, t):
+        if f is not None and x < f:
             return False
     return True
 
@@ -185,7 +191,7 @@ def arc_counts(j: int, n: tuple[int, ...]) -> tuple[Mapping[tuple[int, int], int
     _validate_type(j)
     if len(n) != j or any(x < 0 for x in n):
         raise ValueError("invalid length vector")
-    if not parity_ok(j, n):
+    if sum(n) % 2:
         raise ValueError("length vector violates the parity constraint")
     crosses: dict[tuple[int, int], int] = {}
     returns: dict[int, int] = {}
@@ -258,7 +264,7 @@ def canonical(j: int, coord: Coord) -> tuple[tuple[int, ...], tuple[int, ...], t
     near-boundary loops where the curve misses the boundary and the
     residual twist where it meets it.  Raises ValueError exactly when
     ``coord`` is not in ``Lambda_j``: at a missed boundary, the arcs'
-    own twist is the bound that :func:`lambda_contains` tests.  ``j``
+    own twist is the floor :func:`twist_floors` gives.  ``j``
     must be a pants type (:func:`decompose` checks it; a ``TraceTorus``
     has one).
     """

@@ -398,43 +398,40 @@ def _face_lengths(tb: _Tables, n: tuple[int, ...]) -> list[tuple[int, ...]]:
 def length_rule(datum: DTDatum, n: tuple[int, ...]) -> tuple[str, tuple[int | None, ...]]:
     """The row of the non-negative lengths ``n``, what they ask of a
     coordinate: the witness of the first face with an odd boundary sum
-    ("" when there is none), and a tuple of twice the lower twist bound
-    per curve where ``n`` misses it (the Add values of its two sides),
-    None where it meets it, empty when a face is odd.  The datum keeps
-    the row (``DTDatum._rows``), so a later call returns the same pair;
-    this is the one reader and filler of the rows."""
+    ("" when there is none), and a tuple of the integer twist floor per
+    curve where ``n`` misses it (the sum of the ``pants.twist_floors`` of
+    its two sides), None where it meets it, empty when a face is odd.
+    The datum keeps the row (``DTDatum._rows``), so a later call returns
+    the same pair; this is the one reader and filler of the rows."""
     row = datum._rows.get(n)
     if row is not None:
         return row
     tb = datum._tables
-    lengths = _face_lengths(tb, n)
-    for v, face_n in enumerate(lengths):
-        if sum(face_n) % 2:
+    face_floors = []
+    for v, face_n in enumerate(_face_lengths(tb, n)):
+        floors = pants.twist_floors(tb.face_types[v], face_n)
+        if floors is None:
             return keep(datum._rows, n, (f"odd boundary sum {face_n} at face {v}", ()))
-    bounds2 = []
-    for c, x in enumerate(n):
-        if x:
-            bounds2.append(None)
-        else:
-            (v1, s1), (v2, s2) = tb.sides[c]
-            bounds2.append(pants.add2(tb.face_types[v1], s1 + 1, lengths[v1])
-                           + pants.add2(tb.face_types[v2], s2 + 1, lengths[v2]))
-    return keep(datum._rows, n, ("", tuple(bounds2)))
+        face_floors.append(floors)
+    return keep(datum._rows, n, ("", tuple(
+        None if x else face_floors[v1][s1] + face_floors[v2][s2]
+        for x, ((v1, s1), (v2, s2)) in zip(n, tb.sides))))
 
 
 def lambda_membership(datum: DTDatum, coord: Coord) -> tuple[bool, str]:
     """Membership in the global coordinate monoid, with a witness reason;
-    the face parities and twist bounds are read from the row of the
+    the face parities and twist floors are read from the row of the
     lengths (:func:`length_rule`)."""
     n, t = split_nt(datum.r, coord)
     if min(n) < 0:
         return False, "negative length coordinate"
-    odd, bounds2 = length_rule(datum, n)
+    odd, floors = length_rule(datum, n)
     if odd:
         return False, odd
-    for c, bound2 in enumerate(bounds2):
-        if bound2 is not None and 2 * t[c] < bound2:
-            return False, f"twist {t[c]} at curve {c} below bound {bound2}/2"
+    for c, floor in enumerate(floors):
+        if floor is not None and t[c] < floor:
+            # the witness writes the floor over 2, the form the CLI reports print
+            return False, f"twist {t[c]} at curve {c} below bound {2 * floor}/2"
     return True, ""
 
 
@@ -557,7 +554,7 @@ def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> TorusElement:
     return project_faces(datum, tuple(coord[: datum.r]), values)
 
 
-def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> TorusElement:
+def phi_value(datum: DTDatum, coord: Coord) -> TorusElement:
     """Glue the per-face traces and project onto the surface torus.
 
     The datum keeps the glued trace of each core (``DTDatum._cores``,
@@ -575,12 +572,8 @@ def phi_value(datum: DTDatum, coord: Coord, secondary_split: bool = False) -> To
     glued cores and the pants traces; a core coordinate returns it itself.
 
     Membership is tested on every call, reading the row of the lengths
-    (:func:`length_rule`).  ``secondary_split`` glues the opposite twist
-    placement from scratch and keeps nothing: it is the
-    placement-independence reference.
+    (:func:`length_rule`).
     """
-    if secondary_split:
-        return _glue(datum, coord, True)
     r = datum.r
     n, t = split_nt(r, coord)
     ok, why = lambda_membership(datum, coord)

@@ -64,7 +64,7 @@ class TestOrders:
         # (order of xi, of xi^2, of xi^4, epsilon class)
         for n, want in ((5, (5, 5, 5, "1")), (6, (6, 3, 3, "-1")), (4, (4, 2, 1, "i"))):
             root = RootOfUnity(n)
-            assert (root.n2, root.n1, root.big_n, root.epsilon_class) == want
+            assert (root.n, root.n1, root.big_n, root.epsilon_class) == want
 
     def test_epsilon_classification(self):
         # epsilon is xi^e for e = epsilon_exponent, and xi has order n, so

@@ -11,8 +11,9 @@ and the glued cores, the README names every module-level cache
 with its size and every datum-kept value, the pants records are
 NamedTuples checked only by the entry points that take a component,
 the pants tori and the surface torus take their form from the one
-``qtorus.tilde_q``, and importing the package loads only the standard
-library and builds no dataclass.
+``qtorus.tilde_q``, the twist bound is stated once, in
+``pants.twist_floors``, and importing the package loads only the
+standard library and builds no dataclass.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -296,6 +297,36 @@ def test_tori_take_their_form_from_tilde_q():
     for fine in ("QuantumTorus(tilde_q(q_matrix(d)), ring)", "QuantumTorus(qtorus.tilde_q(m))",
                  "QuantumTorus(ring=r, matrix=tilde_q(m))"):
         assert not _untilded_tori(ast.parse(fine)), fine
+
+
+def _readers(tree: ast.AST, name: str) -> set[str]:
+    """The top-level functions and classes that read ``name``, as a plain
+    name or an attribute, whether they call it or pass it on."""
+    return {
+        top.name
+        for top in tree.body
+        if isinstance(top, (ast.FunctionDef, ast.ClassDef))
+        for node in ast.walk(top)
+        if (node.id if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+            else getattr(node, "attr", None)) == name
+    }
+
+
+def test_one_twist_floor():
+    # the Add bound is stated once, as the integer floors of
+    # pants.twist_floors: the pants monoid, the rows of the global monoid
+    # and the pants box read it, and no doubled bound comes back
+    defined, readers = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        defined += [f"{path.stem}.{node.name}" for node in ast.walk(tree)
+                    if isinstance(node, ast.FunctionDef) and node.name in ("twist_floors", "add2", "parity_ok")]
+        readers |= {f"{path.stem}.{name}" for name in _readers(tree, "twist_floors")}
+    assert defined == ["pants.twist_floors"]
+    assert readers == {"pants.lambda_contains", "surface.length_rule", "checks._pants_table"}
+    for passed in ("def f(j):\n    return _BoxTable(j, 2, 2, functools.partial(pants.twist_floors, j))",
+                   "def f(j):\n    return partial(twist_floors, j)", "def f(j, n):\n    return twist_floors(j, n)"):
+        assert _readers(ast.parse(passed), "twist_floors") == {"f"}, passed
 
 
 def _paragraph(readme: str, opening: str) -> str:

@@ -6,7 +6,6 @@ import pytest
 from skeintor import pants
 from skeintor.pants import (
     ComponentSpec,
-    add2,
     arc_counts,
     base_twists,
     cross,
@@ -16,6 +15,7 @@ from skeintor.pants import (
     nu_of_component,
     return_arc,
     twist_apply,
+    twist_floors,
 )
 from skeintor.qtrace import _core_value, trace_torus, utr_coord
 
@@ -30,37 +30,57 @@ def sample_member(rng, j, nmax=10, tmax=10):
             return n + t
 
 
+def add2(j, i, n):
+    """Twice the Add bound at boundary ``i`` (1-based) for the lengths
+    ``n``, an integer for any lengths (the bound is a half-integer off the
+    parity constraint): the closed form ``twist_floors`` is checked against."""
+    if j == 1:
+        return 0
+    if j == 2:
+        return -n[1] if i == 1 else n[0]
+    return max(0, n[i - 2] - n[i - 1] - n[i % 3])
+
+
+def lengths_missing(rng, j, i):
+    """Lengths in [0, 9] on ``j`` boundaries with an even sum, 0 at ``i``."""
+    while True:
+        n = [rng.randint(0, 9) for _ in range(j)]
+        n[i - 1] = 0
+        if sum(n) % 2 == 0:
+            return tuple(n)
+
+
 class TestAddFn:
-    """The Add bound through ``add2``, which is twice the bound."""
+    """The Add bound: the oracle ``add2`` is twice it, ``twist_floors``
+    gives it at the boundaries the curve misses."""
 
     def test_examples(self):
         assert add2(3, 2, (2, 0, 0)) == 2
         assert add2(2, 1, (0, 4)) == -4
         assert add2(1, 1, (6,)) == 0
-
-    def test_half_integer(self):
-        # off the parity constraint the bound is 3/2
-        assert add2(3, 2, (3, 0, 0)) == 3
+        assert twist_floors(3, (2, 0, 0)) == (None, 1, 0)
+        assert twist_floors(2, (0, 4)) == (-2, None)
+        assert twist_floors(1, (6,)) == (None,)
+        assert twist_floors(1, (0,)) == (0,)
 
     def test_additivity_two_holed(self):
-        # the two-holed and one-holed bounds are linear in the lengths
+        # the two-holed and one-holed floors are linear in the lengths
         rng = random.Random(0)
         for _ in range(300):
-            a = tuple(rng.randint(0, 9) for _ in range(2))
-            b = tuple(rng.randint(0, 9) for _ in range(2))
-            s = tuple(x + y for x, y in zip(a, b))
-            for i in (1, 2):
-                assert add2(2, i, s) == add2(2, i, a) + add2(2, i, b)
+            for j in (1, 2):
+                for i in range(1, j + 1):
+                    a, b = lengths_missing(rng, j, i), lengths_missing(rng, j, i)
+                    s = tuple(x + y for x, y in zip(a, b))
+                    assert twist_floors(j, s)[i - 1] == twist_floors(j, a)[i - 1] + twist_floors(j, b)[i - 1]
 
     def test_superadditive_three_holed(self):
-        # closure needs the bound of a sum to not exceed the summed bounds
+        # closure needs the floor of a sum to not exceed the summed floors
         rng = random.Random(1)
         for _ in range(500):
-            a = tuple(rng.randint(0, 9) for _ in range(3))
-            b = tuple(rng.randint(0, 9) for _ in range(3))
-            s = tuple(x + y for x, y in zip(a, b))
             for i in (1, 2, 3):
-                assert add2(3, i, s) <= add2(3, i, a) + add2(3, i, b)
+                a, b = lengths_missing(rng, 3, i), lengths_missing(rng, 3, i)
+                s = tuple(x + y for x, y in zip(a, b))
+                assert twist_floors(3, s)[i - 1] <= twist_floors(3, a)[i - 1] + twist_floors(3, b)[i - 1]
 
 
 class TestLambda:
@@ -255,11 +275,18 @@ class TestDecompose:
                 cache.cache_clear()
 
     def test_base_twists_match_add_at_missed_boundaries(self):
+        # twist_floors is the canonical arcs' own twist and half the Add
+        # value where the curve misses a boundary, None where it meets
+        # it, and None in place of the tuple off the monoid's lengths
         for j in (1, 2, 3):
-            for n in itertools.product(range(0, 7), repeat=j):
-                if sum(n) % 2:
+            for n in itertools.product(range(-1, 9), repeat=j):
+                floors = twist_floors(j, n)
+                if min(n) < 0 or sum(n) % 2:
+                    assert floors is None, n
                     continue
                 base = base_twists(j, n)
                 for i in range(1, j + 1):
                     if n[i - 1] == 0:
-                        assert 2 * base[i - 1] == add2(j, i, n)
+                        assert 2 * floors[i - 1] == 2 * base[i - 1] == add2(j, i, n), (n, i)
+                    else:
+                        assert floors[i - 1] is None, (n, i)

@@ -7,8 +7,9 @@ import weakref
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from test_pants import add2
 
-from skeintor import checks, pants, ring, surface
+from skeintor import checks, ring, surface
 from skeintor.qtorus import AntisymMatrix, QuantumTorus, elem_mul, lead_term, tilde_q
 from skeintor.qtrace import lead_violation, trace_torus, utr_coord, utr_coord_straight
 from skeintor.surface import (
@@ -286,23 +287,23 @@ class TestLambdaGlobal:
 
 
 def reference_length_rule(datum, n):
-    """The row of ``n`` built afresh from the face lengths, as
-    ``length_rule`` did before rows were kept: the odd-face witness and
-    the doubled twist bounds as a list, empty when a face is odd."""
+    """The row of ``n`` built afresh from the face lengths: the odd-face
+    witness and the twist floors as a list, each curve's the sum of half
+    the oracle's Add values of its two sides, empty when a face is odd."""
     tb = datum._tables
     lengths = [tuple(n[c] for c in curves) for curves in tb.face_curves]
     for v, face_n in enumerate(lengths):
         if sum(face_n) % 2:
             return f"odd boundary sum {face_n} at face {v}", []
-    bounds2 = []
+    floors = []
     for c, x in enumerate(n):
         if x:
-            bounds2.append(None)
+            floors.append(None)
         else:
             (v1, s1), (v2, s2) = tb.sides[c]
-            bounds2.append(pants.add2(tb.face_types[v1], s1 + 1, lengths[v1])
-                           + pants.add2(tb.face_types[v2], s2 + 1, lengths[v2]))
-    return "", bounds2
+            floors.append(add2(tb.face_types[v1], s1 + 1, lengths[v1]) // 2
+                          + add2(tb.face_types[v2], s2 + 1, lengths[v2]) // 2)
+    return "", floors
 
 
 def alternate_datum():
@@ -321,18 +322,18 @@ class TestLengthRows:
         datum = make()
         lengths = list(itertools.product(range(7), repeat=datum.r))
         for n in lengths:
-            odd, bounds2 = reference_length_rule(datum, n)
-            assert length_rule(datum, n) == (odd, tuple(bounds2)), n
+            odd, floors = reference_length_rule(datum, n)
+            assert length_rule(datum, n) == (odd, tuple(floors)), n
         # warm, every row is read back as kept
         assert len(datum._rows) == len(lengths)
         for n in lengths:
-            odd, bounds2 = reference_length_rule(datum, n)
-            assert length_rule(datum, n) is datum._rows[n] == (odd, tuple(bounds2)), n
+            odd, floors = reference_length_rule(datum, n)
+            assert length_rule(datum, n) is datum._rows[n] == (odd, tuple(floors)), n
 
     def test_row_is_immutable_and_kept(self):
         datum = standard_datum(0, 5)
         row = length_rule(datum, (2, 0))
-        assert row == ("", (None, -2))
+        assert row == ("", (None, -1))
         assert length_rule(datum, (2, 0)) is row
         with pytest.raises(TypeError):
             row[1][1] = 0
@@ -528,7 +529,7 @@ class TestPhi:
     ])
     def test_length_patterns_match_the_secondary_split(self, datum, coords):
         for coord in coords:
-            want = phi_value(datum, coord, secondary_split=True)
+            want = surface._glue(datum, coord, True)
             assert phi_value(datum, coord) == want, coord
             assert phi_value(datum, coord) == want, coord
             assert phi_value(datum, list(coord)) == want, coord
@@ -538,7 +539,7 @@ class TestPhi:
         for datum in (d04, d05, d12, d20):
             for _ in range(40):
                 coord = sample_member(rng, datum, nmax=3, tmax=3)
-                assert phi_value(datum, coord) == phi_value(datum, coord, secondary_split=True)
+                assert phi_value(datum, coord) == surface._glue(datum, coord, True)
 
     def test_exponents_stay_in_span(self):
         # end-to-end monomial subalgebra check: all exponents of a glued
