@@ -279,7 +279,7 @@ def check_product_top(
             rows = [list(r) for r in qt.rows]
             rows[0][-1] += 1
             rows[-1][0] -= 1
-            qt = AntisymMatrix(tuple(tuple(r) for r in rows))
+            qt = AntisymMatrix(rows)
         table = _global_table(datum, 3, 3)
         key = glued_key(datum.r)
         for _ in range(pairs):
@@ -486,42 +486,70 @@ def _read_matrix(n: int, k: int) -> tuple[AntisymMatrix, int]:
             k, d = divmod(k, base)
             row[j] = d + low
             rows[j][i] = -low - d
-    return AntisymMatrix(tuple(map(tuple, rows))), k
+    return AntisymMatrix(rows), k
 
 
-def _decode_monomial(n: int, k: int) -> tuple[AntisymMatrix, tuple[int, ...], tuple[int, ...]]:
+def _decode_monomial(n: int, k: int, read_matrix=_read_matrix) -> tuple:
     """The monomial case number ``k`` of rank ``n``, for k below
     len(_ENTRIES)^(n(n-1)/2) len(_EXPONENTS)^(2n): the matrix and the
-    exponents a, b."""
-    M, k = _read_matrix(n, k)
+    exponents a, b.  ``read_matrix`` reads the matrix digits: by default
+    :func:`_read_matrix`, and in the suite :func:`_torus_reader`'s reader,
+    which gives the torus on the matrix in its place."""
+    M, k = read_matrix(n, k)
     ab = _digits(k, _EXPONENTS, 2 * n)
     return M, tuple(ab[:n]), tuple(ab[n:])
 
 
-def _monomial_case(rng: random.Random) -> tuple[AntisymMatrix, tuple[int, ...], tuple[int, ...]]:
+def _monomial_case(rng: random.Random, read_matrix=_read_matrix) -> tuple:
     """A uniform monomial case: the rank n in 1..5, then one integer."""
     n = rng.randint(1, 5)
-    return _decode_monomial(n, rng.randrange(len(_ENTRIES) ** (n * (n - 1) // 2) * len(_EXPONENTS) ** (2 * n)))
+    return _decode_monomial(
+        n, rng.randrange(len(_ENTRIES) ** (n * (n - 1) // 2) * len(_EXPONENTS) ** (2 * n)), read_matrix)
 
 
-def _weyl_case(rng: random.Random) -> tuple[AntisymMatrix, list[tuple[int, int]]]:
+def _weyl_case(rng: random.Random, read_matrix=_read_matrix) -> tuple:
     """A uniform Weyl case: the rank n in 1..4 and the word length in
     0..5, then one integer for the matrix and the word, a list of
-    (generator, exponent) letters."""
+    (generator, exponent) letters.  ``read_matrix`` reads the matrix
+    digits, as in :func:`_decode_monomial`."""
     n = rng.randint(1, 4)
     length = rng.randint(0, 5)
     w = len(_ENTRIES)
-    M, k = _read_matrix(n, rng.randrange(w ** (n * (n - 1) // 2) * (n * w) ** length))
+    M, k = read_matrix(n, rng.randrange(w ** (n * (n - 1) // 2) * (n * w) ** length))
     return M, [(d // w, _ENTRIES[d % w]) for d in _digits(k, range(n * w), length)]
+
+
+_KEPT_RANK = 3  # 1, 7 and 343 matrices: 60% of the monomial cases, 75% of the Weyl cases
+
+
+def _torus_reader():
+    """A reader of matrix digits like :func:`_read_matrix` that gives the
+    torus on the matrix instead, keeping one torus per matrix of rank at
+    most ``_KEPT_RANK`` for the reader's life."""
+    base = len(_ENTRIES)
+    tori: dict[tuple[int, int], QuantumTorus] = {}
+
+    def read(n: int, k: int) -> tuple[QuantumTorus, int]:
+        k, digits = divmod(k, base ** (n * (n - 1) // 2))
+        T = tori.get((n, digits))
+        if T is None:
+            T = QuantumTorus(_read_matrix(n, digits)[0])
+            if n <= _KEPT_RANK:
+                tori[n, digits] = T
+        return T, k
+
+    return read
 
 
 @_suite("quantum torus laws")
 def check_qtorus_laws(mono_pairs: int = 100000, weyl_cases: int = 10000, seed: int = 0):
     rng = random.Random(seed)
+    read = _torus_reader()
+    one = GroundRing().one()
     for _ in range(mono_pairs):
-        M, a, b = _monomial_case(rng)
-        T = QuantumTorus(M)
-        terms = elem_mul(T.monomial(a), T.monomial(b)).terms
+        T, a, b = _monomial_case(rng, read)
+        M = T.matrix
+        terms = elem_mul(TorusElement(T, {a: one}), TorusElement(T, {b: one})).terms
         yield
         if len(terms) != 1:
             yield {"matrix": M.rows, "pair": (a, b), "terms": len(terms),
@@ -530,8 +558,8 @@ def check_qtorus_laws(mono_pairs: int = 100000, weyl_cases: int = 10000, seed: i
         if k != tuple(map(add, a, b)) or c != T.ring.q_half(M.pairing(a, b)):
             yield {"matrix": M.rows, "pair": (a, b), "reason": "monomial product"}
     for _ in range(weyl_cases):
-        M, seq = _weyl_case(rng)
-        T = QuantumTorus(M)
+        T, seq = _weyl_case(rng, read)
+        M = T.matrix
         perm = seq[:]
         rng.shuffle(perm)
         w1 = weyl_normalize(T, seq)

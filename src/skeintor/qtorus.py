@@ -36,11 +36,17 @@ class _AntisymFields(NamedTuple):
 
 
 class AntisymMatrix(_AntisymFields):
-    """An antisymmetric integer matrix giving the commutation exponents."""
+    """An antisymmetric integer matrix giving the commutation exponents.
+
+    The rows are copied into tuples, so a caller's later change to the
+    lists it passed does not reach the matrix, and the matrix hashes and
+    equals the one built from the same rows as tuples.
+    """
 
     __slots__ = ()
 
     def __new__(cls, rows):
+        rows = tuple(map(tuple, rows))
         n = len(rows)
         if any(len(row) != n for row in rows):
             raise ValueError("matrix must be square")
@@ -80,7 +86,7 @@ def tilde_q(q: AntisymMatrix) -> AntisymMatrix:
     r = q.dim
     rows = [tuple(row) + tuple(-2 if k == i else 0 for k in range(r)) for i, row in enumerate(q.rows)]
     rows += [tuple(2 if k == i else 0 for k in range(r)) + (0,) * r for i in range(r)]
-    return AntisymMatrix(tuple(rows))
+    return AntisymMatrix(rows)
 
 
 class QuantumTorus(NamedTuple):

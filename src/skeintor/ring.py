@@ -10,7 +10,9 @@ integer counts of half-steps, so ``q^{3/2}`` is the half-step exponent
 :func:`flat_accumulate` are the one place that multiplies flat
 coefficients (term dicts) term pair by term pair.  :func:`keep` writes
 every kept dict under the one bound ``KEPT_MAX``: the dicts a datum
-keeps, and the coefficient store (:func:`shared`) every kept trace uses.
+keeps, the coefficient store (:func:`shared`) every kept trace uses,
+and the powers of the quantum parameter that :meth:`GroundRing.q_half`
+hands out.
 """
 
 from __future__ import annotations
@@ -40,7 +42,11 @@ class GroundRing(NamedTuple):
         return _nonzero(self, {(0,) * len(self.symbols) + (0,): 1})
 
     def q_half(self, e: int) -> "GroundElem":
-        return _nonzero(self, {(0,) * self.nsym + (e,): 1})
+        """q^(e/2), one kept element per ring and ``e``: it is read-only,
+        so every caller gets the same one."""
+        key = self, e
+        kept = _q_halves.get(key)
+        return keep(_q_halves, key, _nonzero(self, {(0,) * self.nsym + (e,): 1})) if kept is None else kept
 
     def monomial(self, sym_exps: tuple[int, ...], q_half_exp: int = 0, coeff: int = 1) -> "GroundElem":
         if len(sym_exps) != self.nsym:
@@ -194,6 +200,7 @@ def flat_accumulate(out: dict, left: list, right: list) -> dict:
 
 KEPT_MAX = 65536
 _shared: dict[tuple[GroundRing, GroundElem], GroundElem] = {}  # by ring: equality reads only terms
+_q_halves: dict[tuple[GroundRing, int], GroundElem] = {}
 
 
 def keep(kept: dict, key, value):

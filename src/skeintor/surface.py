@@ -377,7 +377,7 @@ def q_matrix(datum: DTDatum) -> AntisymMatrix:
             if a is not None and b is not None and a != b:
                 rows[a][b] += 1
                 rows[b][a] -= 1
-    return AntisymMatrix(tuple(tuple(row) for row in rows))
+    return AntisymMatrix(rows)
 
 
 def surface_torus(datum: DTDatum) -> QuantumTorus:

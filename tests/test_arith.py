@@ -1,5 +1,6 @@
 import gc
 import itertools
+import math
 import random
 import weakref
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from skeintor import arith
 from skeintor.arith import (
     LatticeBasis,
     RootOfUnity,
@@ -268,6 +270,21 @@ class TestLattices:
                 target = span.scaled(root.big_n) if root.n1 % 2 else even.scaled(root.big_n)
                 assert ker == target
                 assert lattice_index(ker, span) == pi_degree(g, m, root) ** 2
+
+    def test_kernel_depends_on_the_order_through_one_period(self):
+        # the premise of center verdicts at every order: with s the Smith
+        # diagonal and L = lcm(4, s), the kernel at order n is n times a
+        # lattice fixed by the representative rho of n in 1..L
+        surfaces = grid_surfaces(6)
+        assert len(surfaces) == 16
+        for g, m in surfaces:
+            datum = standard_datum(g, m)
+            diagonal = arith._center_data(datum)[1]
+            assert 0 not in diagonal, (g, m)
+            period = math.lcm(4, *diagonal)
+            for n in range(1, 121):
+                rho = (n - 1) % period + 1
+                assert kernel_lattice(datum, n).scaled(rho) == kernel_lattice(datum, rho).scaled(n), (g, m, n)
 
     def test_kernel_brute_force_rank_two(self):
         # enumerate span members in a window and compare the membership

@@ -13,7 +13,8 @@ import pytest
 
 from skeintor import checks, cli, pants
 from skeintor.pants import lambda_contains
-from skeintor.qtorus import AntisymMatrix, TorusElement, elem_mul
+from skeintor.qtorus import AntisymMatrix, TorusElement, elem_mul, weyl_normalize
+from skeintor.ring import GroundRing
 from skeintor.surface import lambda_global, standard_datum
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -450,6 +451,71 @@ class TestLawCaseDraw:
         with pytest.raises(AssertionError):
             assert_monomial_draw(3000)
             assert_weyl_draw(3000)
+
+
+def _recorded_laws(monkeypatch, mono_pairs, weyl_cases, seed):
+    """What the torus-laws suite hands ``elem_mul`` and ``weyl_normalize``,
+    in order: ("mul", torus, a, b, the two coefficients) per monomial
+    case and ("weyl", torus, word) per normalization."""
+    calls = []
+
+    def mul(e1, e2):
+        (a, c1), = e1.terms.items()
+        (b, c2), = e2.terms.items()
+        assert e1.torus is e2.torus
+        calls.append(("mul", e1.torus, a, b, c1, c2))
+        return elem_mul(e1, e2)
+
+    def normalize(torus, seq):
+        calls.append(("weyl", torus, list(seq)))
+        return weyl_normalize(torus, seq)
+
+    monkeypatch.setattr(checks, "elem_mul", mul)
+    monkeypatch.setattr(checks, "weyl_normalize", normalize)
+    r = checks.check_qtorus_laws(mono_pairs, weyl_cases, seed=seed)
+    assert r.passed and r.checked == mono_pairs + weyl_cases
+    return calls
+
+
+def _drawn_laws(mono_pairs, weyl_cases, seed):
+    """The cases ``_monomial_case`` and ``_weyl_case`` draw from the seed,
+    with each Weyl word's shuffled copy, as the suite should hand them on."""
+    rng = random.Random(seed)
+    out = [("mul", *checks._monomial_case(rng)) for _ in range(mono_pairs)]
+    for _ in range(weyl_cases):
+        M, seq = checks._weyl_case(rng)
+        perm = seq[:]
+        rng.shuffle(perm)
+        out += [("weyl", M, seq), ("weyl", M, perm)]
+    return out
+
+
+class TestLawsKeptTori:
+    """The torus-laws suite keeps one torus per matrix of rank at most 3
+    and still checks exactly the drawn cases, in order."""
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_checks_the_drawn_cases_in_order(self, monkeypatch, seed):
+        calls = _recorded_laws(monkeypatch, 400, 200, seed)
+        assert [(kind, T.matrix, *rest[:2]) for kind, T, *rest in calls] == _drawn_laws(400, 200, seed)
+        # both factors of every monomial case carry the one unit coefficient
+        units = {id(c) for call in calls if call[0] == "mul" for c in call[4:]}
+        assert len(units) == 1
+        c = calls[0][4]
+        assert c == GroundRing().one() and c.ring == GroundRing()
+        assert all(T.ring == GroundRing() for _, T, *_ in calls)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_one_torus_per_small_matrix(self, monkeypatch, seed):
+        # the recorded calls hold every torus, so no two share an id
+        tori, cases = {}, Counter()
+        for _, T, *_ in _recorded_laws(monkeypatch, 400, 200, seed):
+            tori.setdefault(T.matrix, set()).add(id(T))
+            cases[T.matrix] += 1
+        small = [M for M in tori if M.dim <= 3]
+        # all 8 matrices of rank 1 and 2 come up, and small ones repeat
+        assert sum(M.dim <= 2 for M in small) == 8 and sum(cases[M] for M in small) > 2 * len(small)
+        assert all(len(tori[M]) == 1 for M in small)
 
 
 def _swapped_mul(e1, e2):

@@ -5,8 +5,8 @@ every check suite runs under the one suite harness, every
 module-level cache but the trace tori has a bound, only ``ring``
 multiplies coefficients term pair by term pair, no check suite
 orders a lead by a full degree vector, every kept dict (on a datum,
-or the store of kept coefficients) is written only through the one
-bounded ``ring.keep``, the store is fed only by the two trace caches
+the store of kept coefficients or the kept q-powers) is written only
+through the one bounded ``ring.keep``, the store is fed only by the two trace caches
 and the glued cores, the README names every module-level cache
 with its size and every datum-kept value, the pants records are
 NamedTuples checked only by the entry points that take a component,
@@ -448,17 +448,18 @@ def _unbounded_kept_uses(tree: ast.AST, kept: set[str]) -> list[int]:
 
 
 def test_kept_dicts_are_written_through_keep():
-    # ring.keep bounds every kept dict, the two on a datum and the
-    # coefficient store, and evicts its oldest entry at ring.KEPT_MAX; a
-    # direct store, setdefault or update would let one grow without it
+    # ring.keep bounds every kept dict, the two on a datum, the
+    # coefficient store and the kept q-powers, and evicts its oldest entry
+    # at ring.KEPT_MAX; a direct store, setdefault or update would let one
+    # grow without it
     kept = _kept_dicts()
     assert kept == {"_cores", "_rows"}
-    kept.add("_shared")
+    kept |= {"_shared", "_q_halves"}
     stray = []
     for path in sorted(PACKAGE.glob("*.py")):
         stray += [f"{path.name}:{line}" for line in _unbounded_kept_uses(ast.parse(path.read_text()), kept)]
     assert not stray, f"a kept dict is written other than through ring.keep: {stray}"
-    assert _callers("keep") == {"ring.shared", "surface.length_rule", "surface.phi_value"}
+    assert _callers("keep") == {"ring.shared", "ring.GroundRing.q_half", "surface.length_rule", "surface.phi_value"}
     helper = next(node for node in ast.parse((PACKAGE / "ring.py").read_text()).body
                   if getattr(node, "name", None) == "keep")
     assert any(isinstance(n, ast.Delete) for n in ast.walk(helper))
@@ -474,9 +475,10 @@ def test_kept_dicts_are_written_through_keep():
     for bad in ("datum._rows[n] = row", "datum._cores.setdefault(k, v)",
                 "def f(d):\n    shared = d._cores\n    shared.update(x)",
                 "def f(d):\n    shared = d._cores\n    shared[x] = x",
-                "def f(c):\n    _shared[c.ring, c] = c", "x = ring._shared.setdefault(k, v)"):
+                "def f(c):\n    _shared[c.ring, c] = c", "x = ring._shared.setdefault(k, v)",
+                "def f(r, e):\n    _q_halves[r, e] = x", "ring._q_halves.update(x)"):
         assert _unbounded_kept_uses(ast.parse(bad), kept), bad
-    for fine in ("_shared: dict = {}", "x = _shared.get(k)", "keep(_shared, k, c)",
+    for fine in ("_shared: dict = {}", "x = _shared.get(k)", "keep(_shared, k, c)", "keep(_q_halves, key, c)",
                  "ring.keep(datum._rows, n, row)", "row = datum._rows[n]"):
         assert not _unbounded_kept_uses(ast.parse(fine), kept), fine
 
@@ -492,6 +494,7 @@ def test_every_module_cache_is_in_the_readme():
     caches = [f"`{name}` (`maxsize={maxsize}`)" for name, maxsize in _module_caches()]
     assert "`qtrace._component_product` (`maxsize=65536`)" in caches
     caches.append(f"`ring._shared` (`ring.KEPT_MAX={ring.KEPT_MAX}`)")
+    caches.append(f"`ring._q_halves` (`ring.KEPT_MAX={ring.KEPT_MAX}`)")
     caches.append("`ring.keep`")
     missing = [c for c in caches if c not in paragraph]
     assert not missing, f"not in the README's cache paragraph: {missing}"

@@ -205,6 +205,19 @@ class TestAntisymValidator:
         with pytest.raises(ValueError, match="antisymmetric"):
             AntisymMatrix(((0, 1, 2), (-1, 0, 3), (-2, 3, 0)))
 
+    def test_copies_the_given_rows(self):
+        # a caller's later change to its lists does not reach the matrix,
+        # which equals and hashes like the one built from tuples
+        rows = [[0, 1], [-1, 0]]
+        M = AntisymMatrix(rows)
+        rows[0][1] = 5
+        rows[1][0] = -5
+        rows.append([0, 0])
+        built = AntisymMatrix(((0, 1), (-1, 0)))
+        assert M.pairing((1, 0), (0, 1)) == 1 and M.dim == 2
+        assert M == built and hash(M) == hash(built) and M.rows == ((0, 1), (-1, 0))
+        assert {M: 1}[built] == 1 and hash(QuantumTorus(M)) == hash(QuantumTorus(built))
+
     def test_rejects_non_integer_entries(self):
         # q-exponents are integral half-steps: a half-integer entry would
         # put a non-integer key into a product's coefficients
@@ -375,7 +388,9 @@ class TestQHalf:
         ring = GroundRing(tuple(f"s{i}" for i in range(nsym)))
         got = ring.q_half(e)
         assert got == ring.monomial((0,) * nsym, e)
-        assert got.ring is ring and dict(got.terms) == {(0,) * nsym + (e,): 1}
+        # the kept element of an equal ring built earlier: its ring is equal
+        assert got.ring == ring and dict(got.terms) == {(0,) * nsym + (e,): 1}
+        assert ring.q_half(e) is got
         with pytest.raises(TypeError):
             got.terms[(0,) * nsym + (e,)] = 2
 

@@ -175,15 +175,65 @@ class TestSharedStore:
         assert later is a and dict(later.terms) == before and later.ring is R2
 
     def test_evicts_the_oldest_at_the_bound(self, store, monkeypatch):
+        # hl builds a new element each time (q_half hands out kept ones)
         monkeypatch.setattr(ring, "KEPT_MAX", 2)
-        first = [R.q_half(e) for e in range(3)]
+        first = [hl({e: 1}) for e in range(3)]
         assert all(shared(c) is c for c in first)
         assert len(store) == 2
         # q^0 went first; q^1 and q^2 are still the stored ones
-        again = [R.q_half(e) for e in range(3)]
+        again = [hl({e: 1}) for e in range(3)]
         assert shared(again[2]) is first[2] and shared(again[1]) is first[1]
         assert shared(again[0]) is again[0]
         assert len(store) == 2
         # storing q^0 again evicted q^1, the oldest left
-        assert shared(R.q_half(1)) is not first[1]
+        assert shared(hl({1: 1})) is not first[1]
         assert len(store) == 2
+
+
+@pytest.fixture
+def q_halves(monkeypatch):
+    """An empty store of kept q-powers in place of the process's one."""
+    empty = {}
+    monkeypatch.setattr(ring, "_q_halves", empty)
+    return empty
+
+
+class TestKeptQPowers:
+    """``GroundRing.q_half`` keeps one element per ring and exponent."""
+
+    def test_equal_keys_give_one_object(self, q_halves):
+        R2 = GroundRing(("a", "b"))
+        for ring_, e in ((R, 3), (R, -2), (R2, 3), (GroundRing(), 0)):
+            c = ring_.q_half(e)
+            assert ring_.q_half(e) is c and GroundRing(ring_.symbols).q_half(e) is c
+            fresh = GroundElem(ring_, {(0,) * ring_.nsym + (e,): 1})
+            assert c == fresh and c.ring == ring_ and dict(c.terms) == dict(fresh.terms)
+        # equal terms in two rings stay apart, as in the coefficient store
+        assert R.q_half(3) is not R2.q_half(3) and R2.q_half(3).ring is R2
+        assert R.q_half(3) is not R.q_half(-3) and len(q_halves) == 5  # GroundRing() is R
+        assert q_halves[R, -2] is R.q_half(-2)
+
+    def test_kept_terms_are_read_only(self, q_halves):
+        c = R.q_half(5)
+        for attempt in (lambda: c.terms.__setitem__((5,), 2), c.terms.clear, lambda: c.terms.update({(1,): 1}),
+                        lambda: c.terms.pop((5,)), lambda: c.terms.setdefault((0,), 1)):
+            with pytest.raises(TypeError):
+                attempt()
+        for attempt in (lambda: setattr(c, "terms", {}), lambda: setattr(c, "ring", GroundRing(("a",)))):
+            with pytest.raises(AttributeError):
+                attempt()
+        again = R.q_half(5)
+        assert again is c and dict(again.terms) == {(5,): 1} and again.ring is R
+
+    def test_evicts_the_oldest_at_the_bound(self, q_halves, monkeypatch):
+        monkeypatch.setattr(ring, "KEPT_MAX", 3)
+        first = [R.q_half(e) for e in range(4)]
+        # q^0 went first; q^1 to q^3 are still the kept ones
+        assert list(q_halves) == [(R, 1), (R, 2), (R, 3)]
+        assert [R.q_half(e) for e in (1, 2, 3)] == first[1:]
+        assert all(R.q_half(e) is first[e] for e in (1, 2, 3))
+        # asking for q^0 again builds it anew and evicts q^1, the oldest left
+        zero = R.q_half(0)
+        assert zero is not first[0] and zero == first[0]
+        assert list(q_halves) == [(R, 2), (R, 3), (R, 0)]
+        assert R.q_half(1) is not first[1] and len(q_halves) == 3
