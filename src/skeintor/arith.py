@@ -268,9 +268,10 @@ def even_sublattice(datum: DTDatum) -> LatticeBasis:
     return _center_data(datum)[3]
 
 
-def kernel_target(root: RootOfUnity, span: LatticeBasis, even: LatticeBasis) -> LatticeBasis:
-    """The kernel lattice the center theorem predicts at ``root``: the
-    span scaled by the order of xi^4 when xi^2 has odd order, the even
-    sublattice scaled by it otherwise."""
+def kernel_target(datum: DTDatum, root: RootOfUnity) -> LatticeBasis:
+    """The kernel lattice the center theorem predicts at ``root``, from
+    the datum's center data: the span scaled by the order of xi^4 when
+    xi^2 has odd order, the even sublattice scaled by it otherwise."""
+    span, _, _, even = _center_data(datum)
     return (span if root.n1 % 2 else even).scaled(root.big_n)
 

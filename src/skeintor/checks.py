@@ -220,11 +220,9 @@ def check_pi_degree_grid(rmax: int = 4, nmax: int = 12):
 def check_kernel_form(rmax: int = 4, nmax: int = 12):
     for g, m in grid_surfaces(rmax):
         datum = standard_datum(g, m)
-        span = lambda_hat(datum)
-        even = even_sublattice(datum)
         for n in range(1, nmax + 1):
             yield
-            if kernel_lattice(datum, n) != kernel_target(RootOfUnity(n), span, even):
+            if kernel_lattice(datum, n) != kernel_target(datum, RootOfUnity(n)):
                 yield {"surface": (g, m), "order": n}
 
 
@@ -319,12 +317,15 @@ def _core_firsts(table: _BoxTable) -> set[int]:
     return out
 
 
+_TWIST_SAMPLES = 4000  # box coordinates per pants type whose twist rule is checked
+
+
 @_suite("trace properties")
-def check_trace_properties(box: int = 6, seed: int = 0, twist_samples: int = 4000):
+def check_trace_properties(box: int = 6, seed: int = 0):
     """Boundary grading and top term on every box coordinate; the twist
     rule through the reference path (:func:`utr_coord_straight`, which
     reads no core value) on every decomposition core and a seeded sample
-    of box coordinates.
+    of ``_TWIST_SAMPLES`` box coordinates.
 
     A twist check reads the reference trace at its coordinate and at the
     neighbour t + e_i at each boundary the curve meets, and a neighbour
@@ -345,7 +346,7 @@ def check_trace_properties(box: int = 6, seed: int = 0, twist_samples: int = 400
         tt, key = trace_torus(j), TWIST_KEY[j]
         table = _pants_table(j, box, box)
         kept.clear()
-        twisted = set(rng.sample(range(table.total), min(twist_samples, table.total))) | _core_firsts(table)
+        twisted = set(rng.sample(range(table.total), min(_TWIST_SAMPLES, table.total))) | _core_firsts(table)
         for idx, coord in enumerate(table.points()):
             value = utr_coord(tt, coord)
             yield
@@ -426,14 +427,17 @@ def check_dt_catalog():
 # criterion 9: Chebyshev oracle
 
 
+_CHEBYSHEV_KMAX = 64
+
+
 @_suite("chebyshev oracle")
-def check_chebyshev(kmax: int = 64):
+def check_chebyshev():
     ring = GroundRing()
     x = ring.q_half(2)
     z = x + x.reflect()
     z_powers = [ring.one()]   # z^0 .. z^k, one product more per k
     x_k = ring.one()
-    for k in range(kmax + 1):
+    for k in range(_CHEBYSHEV_KMAX + 1):
         if k:
             z_powers.append(z_powers[-1] * z)
             x_k = x_k * x
@@ -475,79 +479,62 @@ def _digits(k: int, values: range, count: int) -> list[int]:
     return out
 
 
-def _read_matrix(n: int, k: int) -> tuple[AntisymMatrix, int]:
-    """The antisymmetric n x n matrix whose strict upper triangle, row by
-    row, is read from the n(n-1)/2 lowest digits of ``k`` as entries of
-    ``_ENTRIES``, as :func:`_digits` reads them; and the rest of k."""
-    base, low = len(_ENTRIES), _ENTRIES.start
-    rows = [[0] * n for _ in range(n)]
-    for i, row in enumerate(rows):
-        for j in range(i + 1, n):
-            k, d = divmod(k, base)
-            row[j] = d + low
-            rows[j][i] = -low - d
-    return AntisymMatrix(rows), k
-
-
-def _decode_monomial(n: int, k: int, read_matrix=_read_matrix) -> tuple:
-    """The monomial case number ``k`` of rank ``n``, for k below
-    len(_ENTRIES)^(n(n-1)/2) len(_EXPONENTS)^(2n): the matrix and the
-    exponents a, b.  ``read_matrix`` reads the matrix digits: by default
-    :func:`_read_matrix`, and in the suite :func:`_torus_reader`'s reader,
-    which gives the torus on the matrix in its place."""
-    M, k = read_matrix(n, k)
-    ab = _digits(k, _EXPONENTS, 2 * n)
-    return M, tuple(ab[:n]), tuple(ab[n:])
-
-
-def _monomial_case(rng: random.Random, read_matrix=_read_matrix) -> tuple:
-    """A uniform monomial case: the rank n in 1..5, then one integer."""
-    n = rng.randint(1, 5)
-    return _decode_monomial(
-        n, rng.randrange(len(_ENTRIES) ** (n * (n - 1) // 2) * len(_EXPONENTS) ** (2 * n)), read_matrix)
-
-
-def _weyl_case(rng: random.Random, read_matrix=_read_matrix) -> tuple:
-    """A uniform Weyl case: the rank n in 1..4 and the word length in
-    0..5, then one integer for the matrix and the word, a list of
-    (generator, exponent) letters.  ``read_matrix`` reads the matrix
-    digits, as in :func:`_decode_monomial`."""
-    n = rng.randint(1, 4)
-    length = rng.randint(0, 5)
-    w = len(_ENTRIES)
-    M, k = read_matrix(n, rng.randrange(w ** (n * (n - 1) // 2) * (n * w) ** length))
-    return M, [(d // w, _ENTRIES[d % w]) for d in _digits(k, range(n * w), length)]
-
-
 _KEPT_RANK = 3  # 1, 7 and 343 matrices: 60% of the monomial cases, 75% of the Weyl cases
 
 
-def _torus_reader():
-    """A reader of matrix digits like :func:`_read_matrix` that gives the
-    torus on the matrix instead, keeping one torus per matrix of rank at
-    most ``_KEPT_RANK`` for the reader's life."""
-    base = len(_ENTRIES)
-    tori: dict[tuple[int, int], QuantumTorus] = {}
+def _torus(tori: dict, n: int, k: int) -> tuple[QuantumTorus, int]:
+    """The torus on the antisymmetric n x n matrix whose strict upper
+    triangle, row by row, is the n(n-1)/2 lowest digits of ``k`` read as
+    :func:`_digits` reads entries of ``_ENTRIES``; and the rest of k.
+    ``tori`` keeps the torus of each matrix of rank at most ``_KEPT_RANK``."""
+    base, low = len(_ENTRIES), _ENTRIES.start
+    k, digits = divmod(k, base ** (n * (n - 1) // 2))
+    T = tori.get((n, digits))
+    if T is None:
+        rows, rest = [[0] * n for _ in range(n)], digits
+        for i, j in itertools.combinations(range(n), 2):  # row by row
+            rest, d = divmod(rest, base)
+            rows[i][j], rows[j][i] = d + low, -low - d
+        T = QuantumTorus(AntisymMatrix(rows))
+        if n <= _KEPT_RANK:
+            tori[n, digits] = T
+    return T, k
 
-    def read(n: int, k: int) -> tuple[QuantumTorus, int]:
-        k, digits = divmod(k, base ** (n * (n - 1) // 2))
-        T = tori.get((n, digits))
-        if T is None:
-            T = QuantumTorus(_read_matrix(n, digits)[0])
-            if n <= _KEPT_RANK:
-                tori[n, digits] = T
-        return T, k
 
-    return read
+def _decode_monomial(tori: dict, n: int, k: int) -> tuple:
+    """The monomial case number ``k`` of rank ``n``, for k below
+    len(_ENTRIES)^(n(n-1)/2) len(_EXPONENTS)^(2n): the torus on the
+    matrix (:func:`_torus`) and the exponents a, b."""
+    T, k = _torus(tori, n, k)
+    ab = _digits(k, _EXPONENTS, 2 * n)
+    return T, tuple(ab[:n]), tuple(ab[n:])
+
+
+def _monomial_case(rng: random.Random, tori: dict) -> tuple:
+    """A uniform monomial case: the rank n in 1..5, then one integer."""
+    n = rng.randint(1, 5)
+    return _decode_monomial(
+        tori, n, rng.randrange(len(_ENTRIES) ** (n * (n - 1) // 2) * len(_EXPONENTS) ** (2 * n)))
+
+
+def _weyl_case(rng: random.Random, tori: dict) -> tuple:
+    """A uniform Weyl case: the rank n in 1..4 and the word length in
+    0..5, then one integer for the matrix and the word, a list of
+    (generator, exponent) letters; the matrix as :func:`_torus` reads it."""
+    n = rng.randint(1, 4)
+    length = rng.randint(0, 5)
+    w = len(_ENTRIES)
+    T, k = _torus(tori, n, rng.randrange(w ** (n * (n - 1) // 2) * (n * w) ** length))
+    return T, [(d // w, _ENTRIES[d % w]) for d in _digits(k, range(n * w), length)]
 
 
 @_suite("quantum torus laws")
 def check_qtorus_laws(mono_pairs: int = 100000, weyl_cases: int = 10000, seed: int = 0):
     rng = random.Random(seed)
-    read = _torus_reader()
+    tori: dict[tuple[int, int], QuantumTorus] = {}
     one = GroundRing().one()
     for _ in range(mono_pairs):
-        T, a, b = _monomial_case(rng, read)
+        T, a, b = _monomial_case(rng, tori)
         M = T.matrix
         terms = elem_mul(TorusElement(T, {a: one}), TorusElement(T, {b: one})).terms
         yield
@@ -558,7 +545,7 @@ def check_qtorus_laws(mono_pairs: int = 100000, weyl_cases: int = 10000, seed: i
         if k != tuple(map(add, a, b)) or c != T.ring.q_half(M.pairing(a, b)):
             yield {"matrix": M.rows, "pair": (a, b), "reason": "monomial product"}
     for _ in range(weyl_cases):
-        T, seq = _weyl_case(rng, read)
+        T, seq = _weyl_case(rng, tori)
         M = T.matrix
         perm = seq[:]
         rng.shuffle(perm)

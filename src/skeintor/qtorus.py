@@ -167,20 +167,8 @@ class TorusElement:
                     out[k] = s
         return TorusElement(self.torus, out)
 
-    def __neg__(self) -> "TorusElement":
-        return TorusElement(self.torus, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "TorusElement") -> "TorusElement":
-        return self + (-other)
-
-    def __mul__(self, other: "TorusElement") -> "TorusElement":
-        return elem_mul(self, other)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, TorusElement) and self.terms == other.terms
-
-    def __hash__(self):
-        return hash(frozenset((k, frozenset(c.terms.items())) for k, c in self.terms.items()))
 
     def is_zero(self) -> bool:
         return not self.terms

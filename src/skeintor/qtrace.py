@@ -60,16 +60,9 @@ class TraceTorus(NamedTuple):
     j: int
     torus: QuantumTorus
 
-    @property
-    def ring(self) -> GroundRing:
-        return self.torus.ring
-
     def u(self, i: int, half_steps: int = 0) -> TorusElement:
         """u_i times q^(half_steps/2): see :func:`_kept_u`."""
         return _kept_u(self.j, i, half_steps)
-
-    def monomial(self, coord: Coord) -> TorusElement:
-        return self.torus.monomial(coord)
 
 
 @lru_cache(maxsize=None)
@@ -117,15 +110,15 @@ def _curve_value(tt: TraceTorus, c: ComponentSpec) -> TorusElement:
     """Trace of one copy of the standard curve ``c``, possibly twisted:
     the monomial at the curve's coordinates, plus its inverse for a loop
     and the monomial given by ``_RETURN_TAIL`` for a return arc."""
-    top = pants._nu1(tt.j, c)
-    value = tt.monomial(top)
+    top, torus = pants._nu1(tt.j, c), tt.torus
+    value = torus.monomial(top)
     if c.kind == "loop":
-        return value + tt.monomial(tuple(-x for x in top))
+        return value + torus.monomial(tuple(-x for x in top))
     if c.kind == "return":
         shift, syms = _RETURN_TAIL[tt.j, c.boundaries[0]]
-        tail = tt.monomial(top[: tt.j] + tuple(map(add, top[tt.j :], shift)))
+        tail = torus.monomial(top[: tt.j] + tuple(map(add, top[tt.j :], shift)))
         for name, power in syms:
-            tail = tail.scale(tt.ring.var(name, power))
+            tail = tail.scale(torus.ring.var(name, power))
         return value + tail
     return value
 
@@ -218,7 +211,7 @@ def utr_coord_straight(tt: TraceTorus, coord: Coord) -> TorusElement:
     component product of each decomposition, computed once per component
     tuple; :func:`_core_value` normalizes the same product."""
     dec = decompose(tt.j, coord)
-    twist = tt.monomial((0,) * tt.j + dec.twists)
+    twist = tt.torus.monomial((0,) * tt.j + dec.twists)
     return reflection_normalize(elem_mul(twist, _component_product(tt.j, dec.components)))
 
 

@@ -118,12 +118,6 @@ class GroundElem:
                 del out[k]
         return GroundElem(self.ring, out)
 
-    def __neg__(self) -> "GroundElem":
-        return GroundElem(self.ring, {k: -c for k, c in self.terms.items()})
-
-    def __sub__(self, other: "GroundElem") -> "GroundElem":
-        return self + (-other)
-
     def __mul__(self, other: "GroundElem") -> "GroundElem":
         return GroundElem(self.ring, flat_mul(self.terms, other.terms))
 

@@ -238,7 +238,10 @@ class DTDatum:
 
     @staticmethod
     def from_json(text: str) -> "DTDatum":
-        return DTDatum.from_dict(json.loads(text))
+        try:
+            return DTDatum.from_dict(json.loads(text))
+        except RecursionError:  # the JSON decoder recurses once per nesting level
+            raise ValueError("datum nesting is too deep") from None
 
 
 class _Tables(NamedTuple):

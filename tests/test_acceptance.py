@@ -63,7 +63,7 @@ def test_criterion_08_coordinate_catalog():
 
 def test_criterion_09_chebyshev_oracle():
     # T_k(x + 1/x) = x^k + x^-k for k <= 64
-    _run(checks.check_chebyshev(kmax=64), budget=1)
+    _run(checks.check_chebyshev(), budget=1)
 
 
 def test_criterion_10_quantum_torus_laws():

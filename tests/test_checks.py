@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import inspect
 import itertools
@@ -233,7 +234,7 @@ class TestReferenceReuse:
 
         def bad(tt, c):
             value = straight(tt, c)
-            return value + tt.monomial(c) if c == wrong else value
+            return value + tt.torus.monomial(c) if c == wrong else value
 
         monkeypatch.setattr(checks, "utr_coord_straight", bad)
         r = checks.check_trace_properties(3, 0)
@@ -366,6 +367,15 @@ def _upper(M):
     return [M.rows[i][j] for i in range(n) for j in range(i + 1, n)]
 
 
+def _law_cases(seed, count):
+    """``count`` monomial and then ``count`` Weyl cases drawn from the
+    seed, each with the rows of its torus's matrix."""
+    rng, tori = random.Random(seed), {}
+    mono = [checks._monomial_case(rng, tori) for _ in range(count)]
+    weyl = [checks._weyl_case(rng, tori) for _ in range(count)]
+    return [(T.matrix.rows, a, b) for T, a, b in mono] + [(T.matrix.rows, seq) for T, seq in weyl]
+
+
 ENTRY_BOX = set(range(-3, 4))
 EXPONENT_BOX = set(range(-6, 7))
 
@@ -373,10 +383,11 @@ EXPONENT_BOX = set(range(-6, 7))
 def assert_monomial_draw(cases: int = 20000):
     """Seeded monomial cases: the rank, every matrix entry and every
     exponent are uniform on their ranges (:func:`assert_uniform_counts`)."""
-    rng = random.Random(0)
+    rng, tori = random.Random(0), {}
     ranks, entries, exponents = Counter(), Counter(), Counter()
     for _ in range(cases):
-        M, a, b = checks._monomial_case(rng)
+        T, a, b = checks._monomial_case(rng, tori)
+        M = T.matrix
         n = len(M.rows)
         assert len(a) == len(b) == n
         ranks[n] += 1
@@ -390,11 +401,12 @@ def assert_monomial_draw(cases: int = 20000):
 def assert_weyl_draw(cases: int = 20000):
     """Seeded Weyl cases: the rank, the word length and every matrix entry
     are uniform, and so is each letter (generator, exponent) given the rank."""
-    rng = random.Random(0)
+    rng, tori = random.Random(0), {}
     ranks, lengths, entries = Counter(), Counter(), Counter()
     letters = {n: Counter() for n in range(1, 5)}
     for _ in range(cases):
-        M, seq = checks._weyl_case(rng)
+        T, seq = checks._weyl_case(rng, tori)
+        M = T.matrix
         n = len(M.rows)
         ranks[n] += 1
         lengths[len(seq)] += 1
@@ -412,22 +424,33 @@ class TestLawCaseDraw:
     one integer read in mixed radix."""
 
     def test_same_seed_same_cases(self):
-        def cases(seed):
-            rng = random.Random(seed)
-            mono = [checks._monomial_case(rng) for _ in range(300)]
-            weyl = [checks._weyl_case(rng) for _ in range(300)]
-            return [(M.rows, a, b) for M, a, b in mono] + [(M.rows, seq) for M, seq in weyl]
+        assert _law_cases(3, 300) == _law_cases(3, 300)
+        assert _law_cases(3, 300) != _law_cases(4, 300)
 
-        assert cases(3) == cases(3)
-        assert cases(3) != cases(4)
+    def test_seed_0_draws_the_cases_of_earlier_versions(self):
+        # the first 1000 monomial and 1000 Weyl cases at seed 0 as the
+        # decoders have drawn them since the mixed-radix draw came in
+        cases = _law_cases(0, 1000)
+        assert cases[:2] == [
+            (((0, -1, 1, 3), (1, 0, -2, -2), (-1, 2, 0, -1), (-3, 2, 1, 0)), (-3, -1, 1, -1), (-1, -6, 4, -6)),
+            (((0, -1, 0), (1, 0, -1), (0, 1, 0)), (-3, -6, -6), (-5, 2, 2)),
+        ]
+        assert cases[1000:1002] == [
+            (((0, 1), (-1, 0)), []),
+            (((0, 1, 1), (-1, 0, 0), (-1, 0, 0)), [(2, 1), (0, -1), (0, -1), (2, -2)]),
+        ]
+        digest = hashlib.sha256(repr(cases).encode()).hexdigest()
+        assert digest == "183aa535e47e6176b150036b9645cb80d79b95fc6c9eb51157392cf6d52437d9"
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_decode_is_a_bijection_onto_the_box(self, n):
         m = n * (n - 1) // 2
         size = 7 ** m * 13 ** (2 * n)
         seen = set()
+        tori = {}
         for k in range(size):
-            M, a, b = checks._decode_monomial(n, k)
+            T, a, b = checks._decode_monomial(tori, n, k)
+            M = T.matrix
             assert len(M.rows) == len(a) == len(b) == n
             assert set(_upper(M)) <= ENTRY_BOX and set(a + b) <= EXPONENT_BOX, k
             seen.add((M.rows, a, b))
@@ -479,14 +502,18 @@ def _recorded_laws(monkeypatch, mono_pairs, weyl_cases, seed):
 
 def _drawn_laws(mono_pairs, weyl_cases, seed):
     """The cases ``_monomial_case`` and ``_weyl_case`` draw from the seed,
-    with each Weyl word's shuffled copy, as the suite should hand them on."""
-    rng = random.Random(seed)
-    out = [("mul", *checks._monomial_case(rng)) for _ in range(mono_pairs)]
+    with each Weyl word's shuffled copy, as the suite should hand them on;
+    each with the matrix of its torus."""
+    rng, tori = random.Random(seed), {}
+    out = []
+    for _ in range(mono_pairs):
+        T, a, b = checks._monomial_case(rng, tori)
+        out.append(("mul", T.matrix, a, b))
     for _ in range(weyl_cases):
-        M, seq = checks._weyl_case(rng)
+        T, seq = checks._weyl_case(rng, tori)
         perm = seq[:]
         rng.shuffle(perm)
-        out += [("weyl", M, seq), ("weyl", M, perm)]
+        out += [("weyl", T.matrix, seq), ("weyl", T.matrix, perm)]
     return out
 
 

@@ -100,6 +100,13 @@ class TestCoords:
         assert code == 2 and out == ""
         assert err.startswith("error: cannot parse coordinate list")
 
+    @pytest.mark.parametrize("coord", ["2,2,0", "2,2,0,0,0", "2"])
+    def test_wrong_length_is_an_error(self, capsys, coord):
+        # the length check is the one pants.split_nt makes
+        code, out, err = run(capsys, "coords", "--genus", "0", "--punctures", "5", "--coord", coord)
+        assert code == 2 and out == ""
+        assert err == "error: coordinate must have length 4\n"
+
     def test_spaces_around_entries(self, capsys):
         code, out, _ = run(
             capsys, "coords", "--genus", "0", "--punctures", "5", "--coord", " 2, 2 ,0,0",
@@ -293,6 +300,18 @@ class TestMalformedDatum:
         assert code == 2 and out == ""
         assert err.startswith("error: ") and named in err
 
+    @pytest.mark.parametrize("text", [
+        "[" * 100000 + "]" * 100000,
+        '{"vertices": ' + "[" * 100000 + "]" * 100000 + ', "edges": [], "legs": [], "slots": []}',
+    ], ids=["top-level", "under-vertices"])
+    def test_deep_nesting_is_an_error(self, tmp_path, capsys, text):
+        # the JSON decoder recurses once per level and would end in a
+        # RecursionError traceback
+        path = tmp_path / "datum.json"
+        path.write_text(text, encoding="utf-8")
+        code, out, err = run(capsys, "coords", "--datum", str(path), "--coord", "1,2")
+        assert code == 2 and out == ""
+        assert err == "error: datum nesting is too deep\n"
 
     @pytest.mark.parametrize("edit, bad", [
         (lambda d: d["edges"][0].__setitem__(1, 3.0), "3.0"),

@@ -12,8 +12,10 @@ with its size and every datum-kept value, the pants records are
 NamedTuples checked only by the entry points that take a component,
 the pants tori and the surface torus take their form from the one
 ``qtorus.tilde_q``, the twist bound is stated once, in
-``pants.twist_floors``, and importing the package loads only the
-standard library and builds no dataclass.
+``pants.twist_floors``, importing the package loads only the
+standard library and builds no dataclass, and a traced slice of the
+``glue``, ``pants-traces`` and ``center`` benchmark workloads sees
+every layer ``tracing.COVERAGE`` names for it.
 
 A module-level function or class, or a public method, counts as used
 when its name is read somewhere in ``src/skeintor`` outside its own
@@ -30,6 +32,8 @@ import subprocess
 import sys
 from functools import cached_property
 from pathlib import Path
+
+import pytest
 
 from skeintor import pants, qtrace, ring
 from skeintor.arith import even_sublattice
@@ -540,3 +544,55 @@ def test_import_loads_only_the_standard_library():
     # rational solve only
     assert not {"fractions", "decimal", "numbers"} & set(outside)
     assert report["dataclasses"] == []
+
+
+# One traced slice of a benchmark workload at seed 0, as perfbench/worker.py
+# traces an episode: argv is the src and perfbench directories, the
+# workload, the span file, and the wrapped entry points (module.attribute)
+# to rebind to their bare functions after the wrappers go in, so that the
+# program calls them unseen.
+_TRACED_SLICE = """
+import json, sys
+sys.path[:0] = sys.argv[1:3]
+import tracing, workloads
+workload, spans, unseen = sys.argv[3], sys.argv[4], sys.argv[5:]
+st = workloads.setup(workload, 0)
+recorder = tracing.Recorder()
+recorder.install(st.mods)
+for target in unseen:
+    mod, attr = target.split(".")
+    wrapper = getattr(st.mods[mod], attr)
+    for m in [m for n, m in sys.modules.items() if n.startswith("skeintor")]:
+        for key, value in list(vars(m).items()):
+            if value is wrapper:
+                setattr(m, key, wrapper.__wrapped__)
+op = recorder.wrap("bench.op", workloads.OPS[workload], after=lambda a, r, _: (0, r[1]))
+failed = sum(not op(st, item)[0] for item in st.items[:150])
+recorder.extra["core_cache"] = st.mods["qtrace"]._core_value.cache_info()._asdict()
+recorder.write(spans)
+problems = tracing.coverage_problems(workload, tracing.summarize(spans))
+print(json.dumps({"failed": failed, "problems": problems}))
+"""
+
+
+@pytest.mark.parametrize("workload, unseen, zero", [
+    ("glue", (), []),
+    ("pants-traces", (), []),
+    ("center", (), []),
+    # negative control: face_split's membership test makes the only pants
+    # call of a glue operation
+    ("glue", ("pants.lambda_contains",), ["pants.calls is 0"]),
+], ids=["glue", "pants-traces", "center", "glue-unseen-lambda_contains"])
+def test_traced_layers_stay_seen(tmp_path, workload, unseen, zero):
+    # a traced benchmark run fails when a layer its workload exercises
+    # reads 0 (tracing.COVERAGE); this catches a program change that drops
+    # or hides such a call, on 150 operations in a fresh interpreter.  The
+    # share of benchmark code varies from run to run and is left to the
+    # traced runs themselves.
+    spans = tmp_path / f"{workload}.spans"
+    argv = [str(ROOT / "src"), str(ROOT / "perfbench"), workload, str(spans), *unseen]
+    out = subprocess.run([sys.executable, "-I", "-c", _TRACED_SLICE, *argv],
+                         capture_output=True, text=True, check=True)
+    report = json.loads(out.stdout)
+    assert report["failed"] == 0
+    assert [p for p in report["problems"] if p.endswith(" is 0")] == zero
