@@ -445,7 +445,7 @@ def check_chebyshev():
         flat: dict = {}
         for c, z_i in zip(chebyshev(k), z_powers):
             if c:
-                for key, v in z_i.terms.items():
+                for key, v in z_i.items():
                     flat[key] = flat.get(key, 0) + c * v
         yield
         if GroundElem(ring, flat) != x_k + x_k.reflect():

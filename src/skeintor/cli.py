@@ -83,8 +83,7 @@ def _int_option(text: str) -> int:
 def _format_coeff(c: GroundElem) -> str:
     symbols = c.ring.symbols
     parts = []
-    for key in sorted(c.terms):
-        coeff = c.terms[key]
+    for key, coeff in sorted(c.items()):
         factors = []
         if abs(coeff) != 1:
             factors.append(str(abs(coeff)))
@@ -368,10 +367,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -111,7 +111,7 @@ class QuantumTorus(NamedTuple):
             raise ValueError("exponent length mismatch")
         if coeff is None:
             return TorusElement(self, {k: self.ring.one()})
-        if coeff.is_zero():
+        if not coeff:
             return self.zero()
         return TorusElement(self, {k: coeff})
 
@@ -123,7 +123,7 @@ class QuantumTorus(NamedTuple):
         cancelled = []
         for k, acc in terms.items():
             c = GroundElem(ring, acc)
-            if c.terms:
+            if c:
                 terms[k] = c
             else:
                 cancelled.append(k)
@@ -161,10 +161,10 @@ class TorusElement:
                 out[k] = c
             else:
                 s = s + c
-                if s.is_zero():
-                    del out[k]
-                else:
+                if s:
                     out[k] = s
+                else:
+                    del out[k]
         return TorusElement(self.torus, out)
 
     def __eq__(self, other) -> bool:
@@ -174,7 +174,7 @@ class TorusElement:
         return not self.terms
 
     def scale(self, c: GroundElem) -> "TorusElement":
-        if c.is_zero():
+        if not c:
             return self.torus.zero()
         return TorusElement(self.torus, {k: v * c for k, v in self.terms.items()})
 
@@ -188,8 +188,10 @@ class TorusElement:
         """Shift every exponent by ``vector``, leaving coefficients alone.
 
         This is *not* multiplication by a monomial unless the pairing of
-        ``vector`` against every exponent in the support is constant; the
-        callers that rely on that (twist shifts) check the constancy.
+        ``vector`` against every exponent in the support is constant.  The
+        callers (``qtrace.utr_coord``, ``surface.phi_value``) do not check
+        it: they rely on every term of a kept core having the same x-degrees,
+        which are all that the twist vector they pass pairs with.
         """
         v = tuple(vector)
         if not any(v):
@@ -232,8 +234,8 @@ def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
     terms1, terms2 = e1.terms, e2.terms
     if len(terms1) == 1:
         (k, c), = terms1.items()
-        if len(c.terms) == 1:
-            (ka, ca), = c.terms.items()
+        if len(c) == 1:
+            (ka, ca), = c.items()
             if ca == 1 and not any(ka[:-1]):
                 return _q_monomial_mul(torus, k, ka[-1], e2)
     if not terms1 or not terms2:
@@ -252,15 +254,15 @@ def elem_mul(e1: TorusElement, e2: TorusElement) -> TorusElement:
         row = [-sum(map(mul, q, k0)) for q in rows]  # k0^T Q
         right = []
         for l, d in terms2.items():
-            h, terms = sum(map(mul, row, l)), d.terms.items()
+            h, terms = sum(map(mul, row, l)), d.items()
             right.append((l, [(kb[:-1] + (kb[-1] + h,), cb) for kb, cb in terms] if h else terms))
-        left = [(k0, c0.terms.items())]
+        left = [(k0, c0.items())]
         if rest:
             l0 = next(iter(terms2))
             base = sum(map(mul, row, l0))
             col = [sum(map(mul, q, l0)) for q in rows]  # Q l0
             for k, c in rest:
-                h, terms = sum(map(mul, col, k)) - base, c.terms.items()
+                h, terms = sum(map(mul, col, k)) - base, c.items()
                 left.append((k, [(ka[:-1] + (ka[-1] + h,), ca) for ka, ca in terms] if h else terms))
         flat_accumulate(out, left, right)
     return torus.from_flat(out)
@@ -350,7 +352,7 @@ def reflection_normalize(e: TorusElement) -> TorusElement:
     """
     if e.is_zero():
         return e
-    first = next(iter(e.terms.values())).terms
+    first = next(iter(e.terms.values()))
     group = next(iter(first))[:-1]
     qs = [key[-1] for key in first if key[:-1] == group]
     twice = -(max(qs) + min(qs))
@@ -359,9 +361,8 @@ def reflection_normalize(e: TorusElement) -> TorusElement:
     shift = twice // 2
     if not shift:
         for c in e.terms.values():
-            terms = c.terms
-            for key, v in terms.items():
-                if terms.get(key[:-1] + (-key[-1],)) != v:
+            for key, v in c.items():
+                if c.get(key[:-1] + (-key[-1],)) != v:
                     raise ValueError("element is not reflection-normalizable")
         return e
     # invariance of the shifted element, read off the unshifted terms:
@@ -370,11 +371,10 @@ def reflection_normalize(e: TorusElement) -> TorusElement:
     ring = e.torus.ring
     out = {}
     for x, c in e.terms.items():
-        terms = c.terms
         shifted = {}
-        for key, v in terms.items():
+        for key, v in c.items():
             head, h = key[:-1], key[-1]
-            if terms.get(head + (-h - twice,)) != v:
+            if c.get(head + (-h - twice,)) != v:
                 raise ValueError("element is not reflection-normalizable")
             shifted[head + (h + shift,)] = v
         out[x] = _nonzero(ring, shifted)

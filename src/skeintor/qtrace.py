@@ -65,11 +65,15 @@ class TraceTorus(NamedTuple):
         return _kept_u(self.j, i, half_steps)
 
 
-@lru_cache(maxsize=None)
 def trace_torus(j: int) -> TraceTorus:
+    """The trace torus of pants type ``j``, one of three built at import."""
     if j not in pants.PANTS_TYPES:
         raise ValueError(f"pants type must be one of {pants.PANTS_TYPES}")
-    return TraceTorus(j, QuantumTorus(tilde_q(AntisymMatrix(_X_BLOCKS[j])), GroundRing(_SYMBOLS[j])))
+    return _TRACE_TORI[j]
+
+
+_TRACE_TORI = {j: TraceTorus(j, QuantumTorus(tilde_q(AntisymMatrix(_X_BLOCKS[j])), GroundRing(_SYMBOLS[j])))
+               for j in pants.PANTS_TYPES}
 
 
 @lru_cache(maxsize=4096)
@@ -139,11 +143,11 @@ def _component_power(value: TorusElement, m: int) -> TorusElement:
     torus = value.torus
     (a, alpha), *rest = value.terms.items()
     one = {(0,) * torus.ring.nsym + (0,): 1}
-    alphas = list(accumulate([alpha.terms] * m, flat_mul, initial=one))
+    alphas = list(accumulate([alpha] * m, flat_mul, initial=one))
     if not rest:
         return torus.monomial(tuple(m * x for x in a), GroundElem(torus.ring, alphas[m]))
     (b, beta), = rest
-    betas = list(accumulate([beta.terms] * m, flat_mul, initial=one))
+    betas = list(accumulate([beta] * m, flat_mul, initial=one))
     row = [[1]]  # [r choose j]_t for j = 0..r, by Pascal's rule [r-1, j-1] + t^j [r-1, j]
     for r in range(1, m + 1):
         pascal = (zip_longest(row[j - 1], [0] * j + row[j], fillvalue=0) for j in range(1, r))

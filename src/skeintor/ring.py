@@ -62,23 +62,6 @@ class GroundRing(NamedTuple):
         return self.monomial(tuple(exps))
 
 
-class _ReadOnlyTerms(dict):
-    """A dict whose mutating methods raise TypeError.
-
-    Coefficients use it rather than a ``types.MappingProxyType`` view:
-    a cached trace holds one coefficient per term, and a view is one
-    more object for each.
-    """
-
-    __slots__ = ()
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("coefficient terms are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-
 def _no_rebinding(self, name, *value):
     """``__setattr__`` and ``__delattr__`` of a read-only object: no
     attribute, field or value kept in its instance dict can be rebound."""
@@ -90,27 +73,34 @@ def _no_rebinding(self, name, *value):
 _checked_make = classmethod(lambda cls, fields: cls(*fields))
 
 
-class GroundElem:
-    """Element of a :class:`GroundRing`.
+class GroundElem(dict):
+    """Element of a :class:`GroundRing`: the dict of its terms, from term
+    key to nonzero integer coefficient, with its ``ring``.
 
-    ``terms`` maps term key to nonzero integer coefficient.  Neither it
-    nor the attributes can be changed, so values shared with a cache
-    stay as they were computed.
+    Neither the terms nor the ring can be changed, so values shared
+    with a cache stay as they were computed.  Equality is that of the
+    term dicts, and an element is falsy exactly when it is zero.
     """
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ("ring",)
 
     def __init__(self, ring: GroundRing, terms: dict[tuple[int, ...], int]):
         _set_ring(self, ring)
         if 0 in terms.values():
             terms = {k: c for k, c in terms.items() if c}
-        _set_terms(self, _ReadOnlyTerms(terms))
+        _update(self, terms)
 
     __setattr__ = __delattr__ = _no_rebinding
 
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("coefficient terms are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
     def __add__(self, other: "GroundElem") -> "GroundElem":
-        out = dict(self.terms)
-        for k, c in other.terms.items():
+        out = dict(self)
+        for k, c in other.items():
             s = out.get(k, 0) + c
             if s:
                 out[k] = s
@@ -119,35 +109,29 @@ class GroundElem:
         return GroundElem(self.ring, out)
 
     def __mul__(self, other: "GroundElem") -> "GroundElem":
-        return GroundElem(self.ring, flat_mul(self.terms, other.terms))
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, GroundElem) and self.terms == other.terms
+        return GroundElem(self.ring, flat_mul(self, other))
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return hash(frozenset(self.items()))
 
     def reflect(self) -> "GroundElem":
         """q^{1/2} -> q^{-1/2}; puncture symbols are fixed."""
-        return GroundElem(self.ring, {k[:-1] + (-k[-1],): c for k, c in self.terms.items()})
+        return GroundElem(self.ring, {k[:-1] + (-k[-1],): c for k, c in self.items()})
 
     def shift_q(self, half_steps: int) -> "GroundElem":
         """Multiply by q^{half_steps/2}; a zero shift returns ``self``."""
         if not half_steps:
             return self
-        return _nonzero(self.ring, {k[:-1] + (k[-1] + half_steps,): c for k, c in self.terms.items()})
+        return _nonzero(self.ring, {k[:-1] + (k[-1] + half_steps,): c for k, c in self.items()})
 
     def __repr__(self):
-        return f"GroundElem({self.terms!r})"
+        return f"GroundElem({dict(self)!r})"
 
 
-# The slot setters, which bypass the guard; on this hot path they cost
-# about half of what object.__setattr__ does.
+# The slot setter and the dict methods, which bypass the guards; on this
+# hot path the setter costs about half of what object.__setattr__ does.
 _set_ring = GroundElem.ring.__set__
-_set_terms = GroundElem.terms.__set__
+_new, _update = dict.__new__, dict.update
 
 
 def _nonzero(ring: GroundRing, terms: dict[tuple[int, ...], int]) -> GroundElem:
@@ -157,9 +141,9 @@ def _nonzero(ring: GroundRing, terms: dict[tuple[int, ...], int]) -> GroundElem:
     For terms that cannot cancel: those of one element with every
     q-exponent shifted by one amount.
     """
-    e = object.__new__(GroundElem)
+    e = _new(GroundElem)
     _set_ring(e, ring)
-    _set_terms(e, _ReadOnlyTerms(terms))
+    _update(e, terms)
     return e
 
 

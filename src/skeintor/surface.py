@@ -231,7 +231,8 @@ class DTDatum:
         try:
             for h in chain(d["legs"], *d["vertices"], *d["edges"], *d["slots"]):
                 if type(h) is not int:
-                    raise ValueError(f"half-edge ids must be integers, not {h!r}")
+                    import reprlib  # only on the error path
+                    raise ValueError(f"half-edge ids must be integers, not {reprlib.repr(h)}")
             return DTDatum(FatGraph(d["vertices"], d["edges"], d["legs"]), d["slots"])
         except TypeError as exc:
             raise ValueError(f"malformed datum: {exc}") from None
@@ -513,7 +514,7 @@ def _inject_coeff(
     local symbol; ``nsym`` is the number of global symbols.
     """
     out = []
-    for key, c in coeff.terms.items():
+    for key, c in coeff.items():
         exps = [0] * nsym
         for i, e in enumerate(key[:-1]):
             if e:

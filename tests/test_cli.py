@@ -318,17 +318,21 @@ class TestMalformedDatum:
         (lambda d: d["legs"].__setitem__(0, 1.0), "1.0"),
         (lambda d: (d["vertices"][0].__setitem__(1, True), d["legs"].__setitem__(0, True)), "True"),
         (lambda d: d["slots"][0].__setitem__(0, "0"), "'0'"),
-    ], ids=["float-edge", "float-leg", "bool", "string"])
+        (lambda d: d["legs"].__setitem__(0, "x" * 100000), "'xxxxxxxxxxxx...xxxxxxxxxxxxx'"),
+        (lambda d: d["vertices"][0].__setitem__(1, "@"), "[[[[[[[...]]]]]]]"),  # "@": 900 nested lists
+    ], ids=["float-edge", "float-leg", "bool", "string", "long-string", "deep-list"])
     def test_half_edge_ids_must_be_integers(self, tmp_path, capsys, edit, bad):
         # 3.0 == 3 and True == 1 as dict keys, so such an id would pass
-        # the graph's checks and be written back by to_json as it came
+        # the graph's checks and be written back by to_json as it came; a
+        # bad id is quoted through reprlib.repr, so the error is one short line
         d = standard_datum(0, 4).to_dict()
         edit(d)
         path = tmp_path / "datum.json"
-        path.write_text(json.dumps(d), encoding="utf-8")
+        path.write_text(json.dumps(d).replace('"@"', "[" * 900 + "0" + "]" * 900), encoding="utf-8")
         code, out, err = run(capsys, "analyze", "--datum", str(path), "--xi-order", "4")
         assert code == 2 and out == ""
         assert err.startswith("error: ") and f"half-edge ids must be integers, not {bad}" in err
+        assert err.count("\n") == 1 and len(err) <= 121
 
 
 # Exact stdout of these commands, pinned byte for byte: a refactor must

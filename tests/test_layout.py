@@ -349,10 +349,8 @@ def _module_caches() -> list[tuple[str, int | None]]:
 
 
 def test_module_caches_are_bounded():
-    # the README promises caches of fixed size; only the three trace tori
-    # are kept without a bound
+    # the README promises caches of fixed size
     caches = dict(_module_caches())
-    assert caches.pop("qtrace.trace_torus") is None
     unbounded = [name for name, maxsize in caches.items() if maxsize is None]
     assert caches and not unbounded, f"module-level caches without a maxsize: {unbounded}"
 

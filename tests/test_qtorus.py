@@ -339,7 +339,7 @@ class TestElemMulReference:
         t, a, b = case
         prod = elem_mul(a, b)
         assert prod == reference_mul(t, a, b)
-        assert all(not c.is_zero() for c in prod.terms.values())
+        assert all(prod.terms.values())
 
     def test_cancelling_terms_are_dropped(self):
         # X Y = q^{p/2} [XY] and Y X = q^{-p/2} [XY], so in
@@ -389,10 +389,10 @@ class TestQHalf:
         got = ring.q_half(e)
         assert got == ring.monomial((0,) * nsym, e)
         # the kept element of an equal ring built earlier: its ring is equal
-        assert got.ring == ring and dict(got.terms) == {(0,) * nsym + (e,): 1}
+        assert got.ring == ring and dict(got) == {(0,) * nsym + (e,): 1}
         assert ring.q_half(e) is got
         with pytest.raises(TypeError):
-            got.terms[(0,) * nsym + (e,)] = 2
+            got[(0,) * nsym + (e,)] = 2
 
 
 Q_ONLY = GroundRing(())
@@ -442,7 +442,7 @@ class TestMonomialProduct:
         t, a, b = case
         prod = elem_mul(a, b)
         assert prod == reference_mul(t, a, b)
-        assert all(not c.is_zero() for c in prod.terms.values())
+        assert all(prod.terms.values())
         assert len(prod.terms) == len(b.terms)
 
     def test_examples(self):
@@ -545,7 +545,7 @@ class TestGradedProduct:
         assert graded(a, b)
         prod = elem_mul(a, b)
         assert prod == reference_mul(t, a, b)
-        assert all(not c.is_zero() for c in prod.terms.values())
+        assert all(prod.terms.values())
 
     @given(non_graded_pair())
     @settings(max_examples=300, deadline=None)
@@ -629,7 +629,7 @@ def reference_normalize(e):
     shift = None
     for c in e.terms.values():
         groups = {}
-        for key in c.terms:
+        for key in c:
             groups.setdefault(key[:-1], []).append(key[-1])
         for qs in groups.values():
             s = -(max(qs) + min(qs))
@@ -640,9 +640,8 @@ def reference_normalize(e):
             elif shift != s // 2:
                 raise ValueError("element is not reflection-normalizable (mixed centers)")
     for c in e.terms.values():
-        terms = c.terms
-        for key, v in terms.items():
-            if terms.get(key[:-1] + (-key[-1] - 2 * shift,)) != v:
+        for key, v in c.items():
+            if c.get(key[:-1] + (-key[-1] - 2 * shift,)) != v:
                 raise ValueError("element is not reflection-normalizable")
     return e.shift_q(shift) if shift else e
 
@@ -676,7 +675,7 @@ class TestReflectionNormalizeReference:
         shifted = e.shift_q(s)
         got = reflection_normalize(shifted)
         assert got == reference_normalize(shifted) == e
-        assert all(not c.is_zero() for c in got.terms.values())
+        assert all(got.terms.values())
         # an element already invariant comes back as the same object
         assert reflection_normalize(e) is e
 
