@@ -47,6 +47,7 @@ from .ring import GroundElem, GroundRing, _checked_make
 from .surface import (
     DTDatum,
     glued_key,
+    glued_product,
     lambda_global,
     length_rule,
     phi_value,
@@ -287,7 +288,7 @@ def check_product_top(
             yield
             if p % 2:
                 yield {"surface": (g, m), "pair": (k, l), "pairing": p, "reason": "odd pairing"}
-            prod = elem_mul(phi_value(datum, k), phi_value(datum, l))
+            prod = glued_product(datum, k, l)
             total = tuple(map(add, k, l))
             why = lead_violation(total, prod, datum.r, key)
             if why:

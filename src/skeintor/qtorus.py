@@ -136,16 +136,21 @@ class TorusElement:
     """Finitely supported map from exponent vectors to coefficients.
 
     ``terms`` is a read-only view of the dict passed in, which the
-    element takes over, and the attributes cannot be rebound: values
-    shared with a cache cannot be changed.
+    element takes over, and the attributes cannot be rebound, not even by
+    calling ``__init__`` again: values shared with a cache cannot be
+    changed.
     """
 
     __slots__ = ("torus", "terms")
 
-    def __init__(self, torus: QuantumTorus, terms: dict[tuple[int, ...], GroundElem]):
-        _set_torus(self, torus)
-        _set_terms(self, MappingProxyType(terms))
+    def __new__(cls, torus: QuantumTorus, terms: dict[tuple[int, ...], GroundElem]):
+        e = _new(cls)
+        _set_torus(e, torus)
+        _set_terms(e, MappingProxyType(terms))
+        return e
 
+    # built whole in __new__, as a coefficient is: a second __init__ call changes nothing
+    __init__ = object.__init__
     __setattr__ = __delattr__ = _no_rebinding
 
     def _check(self, other: "TorusElement"):
@@ -189,9 +194,11 @@ class TorusElement:
 
         This is *not* multiplication by a monomial unless the pairing of
         ``vector`` against every exponent in the support is constant.  The
-        callers (``qtrace.utr_coord``, ``surface.phi_value``) do not check
-        it: they rely on every term of a kept core having the same x-degrees,
-        which are all that the twist vector they pass pairs with.
+        callers (``qtrace.utr_coord``, ``surface.phi_value``,
+        ``surface.glued_product``) do not check it: they rely on every term
+        of a kept core, or of a kept product of two glued cores, having the
+        same x-degrees, which are all that the twist vector they pass pairs
+        with.
         """
         v = tuple(vector)
         if not any(v):
@@ -206,7 +213,8 @@ class TorusElement:
         return f"TorusElement({dict(self.terms)!r})"
 
 
-# The slot setters, which bypass the guard (as in ring.GroundElem).
+# The allocator and the slot setters, which bypass the guard (as in ring.GroundElem).
+_new = object.__new__
 _set_torus = TorusElement.torus.__set__
 _set_terms = TorusElement.terms.__set__
 

@@ -77,19 +77,24 @@ class GroundElem(dict):
     """Element of a :class:`GroundRing`: the dict of its terms, from term
     key to nonzero integer coefficient, with its ``ring``.
 
-    Neither the terms nor the ring can be changed, so values shared
-    with a cache stay as they were computed.  Equality is that of the
-    term dicts, and an element is falsy exactly when it is zero.
+    Neither the terms nor the ring can be changed, not even by calling
+    ``__init__`` again, so values shared with a cache stay as they were
+    computed.  Equality is that of the term dicts, and an element is
+    falsy exactly when it is zero.
     """
 
     __slots__ = ("ring",)
 
-    def __init__(self, ring: GroundRing, terms: dict[tuple[int, ...], int]):
-        _set_ring(self, ring)
+    def __new__(cls, ring: GroundRing, terms: dict[tuple[int, ...], int]):
+        e = _new(cls)
+        _set_ring(e, ring)
         if 0 in terms.values():
             terms = {k: c for k, c in terms.items() if c}
-        _update(self, terms)
+        _update(e, terms)
+        return e
 
+    # built whole in __new__, so calling __init__ again changes nothing
+    __init__ = object.__init__
     __setattr__ = __delattr__ = _no_rebinding
 
     def _read_only(self, *args, **kwargs):
@@ -136,7 +141,7 @@ _new, _update = dict.__new__, dict.update
 
 def _nonzero(ring: GroundRing, terms: dict[tuple[int, ...], int]) -> GroundElem:
     """The element with ``terms``, which must hold no zero coefficient,
-    built without the zero scan of ``GroundElem.__init__``.
+    built without the zero scan of ``GroundElem.__new__``.
 
     For terms that cannot cancel: those of one element with every
     q-exponent shifted by one amount.

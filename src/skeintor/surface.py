@@ -17,6 +17,17 @@ term recovers the coordinate.
 The surface torus and the pants tori are ``qtorus.tilde_q`` of their
 x-blocks, [[Q, -2I], [2I, 0]] (u_c x_c = q^2 x_c u_c), and the corner
 counts sum the faces' x-blocks, so gluing takes products to products.
+
+A glued trace is its core's (the lengths, with the twists at the curves
+of length 0) translated by its twists s at the other curves, and every
+term of a core has the core's lengths.  The u-u block of the form is 0,
+so the product of the glued traces of k and l is the product of their
+cores c_k and c_l, translated by s + t and multiplied by q^(c/2), where
+
+    c = omega(k, l) - omega(c_k, c_l) = 2 (s . n_l - n_k . t)
+
+for the lengths n_k, n_l and the twists s, t of k and l at the curves of
+positive length (:func:`glued_product`).
 """
 
 from __future__ import annotations
@@ -24,12 +35,13 @@ from __future__ import annotations
 import json
 from functools import cached_property
 from itertools import chain
+from operator import add, mul
 from types import MappingProxyType
 from typing import Mapping, NamedTuple
 
 from . import pants
 from .pants import Coord, base_twists, split_nt
-from .qtorus import AntisymMatrix, QuantumTorus, TorusElement, tilde_q
+from .qtorus import AntisymMatrix, QuantumTorus, TorusElement, elem_mul, tilde_q
 from .qtrace import _shared_coefficients, trace_torus, utr_coord
 from .ring import GroundElem, GroundRing, _checked_make, _no_rebinding, flat_accumulate, keep
 
@@ -199,6 +211,11 @@ class DTDatum:
     # nothing of the datum
     @cached_property
     def _cores(self) -> dict[Coord, TorusElement]:
+        return {}
+
+    # the product of each pair of cores behind glued_product, a plain dict too
+    @cached_property
+    def _core_products(self) -> dict[tuple[Coord, Coord], TorusElement]:
         return {}
 
     # the row of each length vector (see length_rule), a plain dict as well
@@ -558,6 +575,14 @@ def _glue(datum: DTDatum, coord: Coord, secondary: bool) -> TorusElement:
     return project_faces(datum, tuple(coord[: datum.r]), values)
 
 
+def _core_split(r: int, coord: Coord) -> tuple[Coord, tuple[int, ...]]:
+    """The core of ``coord`` (its lengths, with its twists at the curves of
+    length 0 and 0 at the others) and its twists at the curves of positive
+    length, 0 at the others."""
+    n, t = split_nt(r, coord)
+    return n + tuple(0 if x else y for x, y in zip(n, t)), tuple(y if x else 0 for x, y in zip(n, t))
+
+
 def phi_value(datum: DTDatum, coord: Coord) -> TorusElement:
     """Glue the per-face traces and project onto the surface torus.
 
@@ -578,15 +603,36 @@ def phi_value(datum: DTDatum, coord: Coord) -> TorusElement:
     Membership is tested on every call, reading the row of the lengths
     (:func:`length_rule`).
     """
-    r = datum.r
-    n, t = split_nt(r, coord)
     ok, why = lambda_membership(datum, coord)
     if not ok:
         raise ValueError(f"coordinate not in the monoid: {why}")
-    shift = tuple(y if x else 0 for x, y in zip(n, t))
-    core = n + tuple(0 if x else y for x, y in zip(n, t))
+    core, shift = _core_split(datum.r, coord)
     kept = datum._cores.get(core)
     if kept is None:
         kept = keep(datum._cores, core, _shared_coefficients(_glue(datum, core, False)))
-    return kept.translate((0,) * r + shift)
+    return kept.translate((0,) * datum.r + shift)
 
+
+def glued_product(datum: DTDatum, k: Coord, l: Coord) -> TorusElement:
+    """``elem_mul(phi_value(datum, k), phi_value(datum, l))``, from the
+    product of the two cores translated by s + t and multiplied by
+    q^(c/2), c = 2 (s . n_l - n_k . t) (see the module docstring).
+
+    The datum keeps the product of each pair of cores
+    (``DTDatum._core_products``, written through ``ring.keep``, its
+    coefficients from ``ring.shared``).  A coordinate is in the monoid
+    exactly when its core is, since a curve of positive length has no
+    twist floor, so the ``phi_value`` of each core on a miss is the
+    membership test, and a kept pair is of members.  A non-member raises
+    ValueError.
+    """
+    r = datum.r
+    core_k, s = _core_split(r, k)
+    core_l, t = _core_split(r, l)
+    key = core_k, core_l
+    kept = datum._core_products.get(key)
+    if kept is None:
+        product = elem_mul(phi_value(datum, core_k), phi_value(datum, core_l))
+        kept = keep(datum._core_products, key, _shared_coefficients(product))
+    c = 2 * (sum(map(mul, s, core_l[:r])) - sum(map(mul, core_k[:r], t)))
+    return kept.translate((0,) * r + tuple(map(add, s, t))).shift_q(c)

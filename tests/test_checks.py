@@ -16,7 +16,7 @@ from skeintor import checks, cli, pants
 from skeintor.pants import lambda_contains
 from skeintor.qtorus import AntisymMatrix, TorusElement, elem_mul, weyl_normalize
 from skeintor.ring import GroundRing
-from skeintor.surface import lambda_global, standard_datum
+from skeintor.surface import glued_product, lambda_global, standard_datum
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -543,6 +543,32 @@ class TestLawsKeptTori:
         # all 8 matrices of rank 1 and 2 come up, and small ones repeat
         assert sum(M.dim <= 2 for M in small) == 8 and sum(cases[M] for M in small) > 2 * len(small)
         assert all(len(tori[M]) == 1 for M in small)
+
+
+class TestProductsCheckTheDrawnPairs:
+    """The top-term suite hands ``glued_product`` exactly the pairs its
+    sampler draws from the seed, in order, so a faster product path
+    cannot change which cases are checked."""
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_checks_the_drawn_pairs_in_order(self, monkeypatch, seed):
+        calls = []
+
+        def product(datum, k, l):
+            calls.append((datum, k, l))
+            return glued_product(datum, k, l)
+
+        monkeypatch.setattr(checks, "glued_product", product)
+        r = checks.check_product_top(pairs=200, seed=seed)
+        assert r.passed and r.checked == 4 * 200
+        rng, drawn = random.Random(seed), []
+        for g, m in checks.LEAD_SURFACES:
+            datum = standard_datum(g, m)
+            table = checks._global_table(datum, 3, 3)
+            for _ in range(200):
+                k = checks._sample_global(rng, datum, table)
+                drawn.append((datum, k, checks._sample_global(rng, datum, table)))
+        assert calls == drawn
 
 
 def _swapped_mul(e1, e2):

@@ -4,10 +4,11 @@ each sampler of the check suites tests its draws for membership,
 every check suite runs under the one suite harness, every
 module-level cache but the trace tori has a bound, only ``ring``
 multiplies coefficients term pair by term pair, no check suite
-orders a lead by a full degree vector, every kept dict (on a datum,
+orders a lead by a full degree vector, the top-term suite takes its
+products from ``surface.glued_product`` alone, every kept dict (on a datum,
 the store of kept coefficients or the kept q-powers) is written only
-through the one bounded ``ring.keep``, the store is fed only by the two trace caches
-and the glued cores, the README names every module-level cache
+through the one bounded ``ring.keep``, the store is fed only by the two trace caches,
+the glued cores and their products, the README names every module-level cache
 with its size and every datum-kept value, the pants records are
 NamedTuples checked only by the entry points that take a component,
 the pants tori and the surface torus take their form from the one
@@ -172,6 +173,23 @@ def test_check_suites_go_through_the_harness():
             if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "CheckResult" and id(node) not in allowed:
                 stray.append(f"{path.name}:{node.lineno}")
     assert not stray, f"CheckResult built outside checks._suite: {stray}"
+
+
+def _called_names(node: ast.AST) -> set[str]:
+    """The names ``node`` calls, as a plain name or an attribute."""
+    return {getattr(n.func, "id", None) or getattr(n.func, "attr", None) for n in ast.walk(node) if isinstance(n, ast.Call)}
+
+
+def test_top_term_suite_has_one_product_path():
+    # the top-term suite takes every product from surface.glued_product,
+    # which the tests hold to elem_mul(phi_value(k), phi_value(l)); a
+    # product of its own would be a second path, checked by nothing
+    tree = ast.parse((PACKAGE / "checks.py").read_text())
+    suite = next(node for node in tree.body if isinstance(node, ast.FunctionDef) and node.name == "check_product_top")
+    called = _called_names(suite)
+    assert "glued_product" in called and "elem_mul" not in called
+    for bad in ("elem_mul(a, b)", "qtorus.elem_mul(a, b)"):
+        assert "elem_mul" in _called_names(ast.parse(bad)), bad
 
 
 # The full degrees, which ask for the lengths of every term again; and
@@ -379,12 +397,14 @@ def _callers(name: str) -> set[str]:
 
 
 def test_kept_coefficients_go_through_the_bounded_store():
-    # only the two pants trace caches and the glued cores pass what they
-    # keep through the coefficient store, so no product loop pays for it
+    # only the two pants trace caches, the glued cores and the products of
+    # glued cores pass what they keep through the coefficient store, so no
+    # product loop pays for it
     feeders = _callers("shared")
     assert feeders == {"qtrace._shared_coefficients"}
     helper_callers = _callers("_shared_coefficients")
-    assert helper_callers == {"qtrace._component_product", "qtrace._core_value", "surface.phi_value"}
+    assert helper_callers == {"qtrace._component_product", "qtrace._core_value", "surface.phi_value",
+                              "surface.glued_product"}
     defined = {qual for qual, *_ in _definitions()}
     assert PRODUCT_LOOPS <= defined and not PRODUCT_LOOPS & (feeders | helper_callers)
 
@@ -450,18 +470,19 @@ def _unbounded_kept_uses(tree: ast.AST, kept: set[str]) -> list[int]:
 
 
 def test_kept_dicts_are_written_through_keep():
-    # ring.keep bounds every kept dict, the two on a datum, the
+    # ring.keep bounds every kept dict, the three on a datum, the
     # coefficient store and the kept q-powers, and evicts its oldest entry
     # at ring.KEPT_MAX; a direct store, setdefault or update would let one
     # grow without it
     kept = _kept_dicts()
-    assert kept == {"_cores", "_rows"}
+    assert kept == {"_cores", "_core_products", "_rows"}
     kept |= {"_shared", "_q_halves"}
     stray = []
     for path in sorted(PACKAGE.glob("*.py")):
         stray += [f"{path.name}:{line}" for line in _unbounded_kept_uses(ast.parse(path.read_text()), kept)]
     assert not stray, f"a kept dict is written other than through ring.keep: {stray}"
-    assert _callers("keep") == {"ring.shared", "ring.GroundRing.q_half", "surface.length_rule", "surface.phi_value"}
+    assert _callers("keep") == {"ring.shared", "ring.GroundRing.q_half", "surface.length_rule", "surface.phi_value",
+                                "surface.glued_product"}
     helper = next(node for node in ast.parse((PACKAGE / "ring.py").read_text()).body
                   if getattr(node, "name", None) == "keep")
     assert any(isinstance(n, ast.Delete) for n in ast.walk(helper))
@@ -474,7 +495,7 @@ def test_kept_dicts_are_written_through_keep():
     # the scan sees a direct store, setdefault, an update, an aliased
     # store and a write through the module, and passes the reads, the
     # stores through keep and the definition
-    for bad in ("datum._rows[n] = row", "datum._cores.setdefault(k, v)",
+    for bad in ("datum._rows[n] = row", "datum._cores.setdefault(k, v)", "datum._core_products[k, l] = p",
                 "def f(d):\n    shared = d._cores\n    shared.update(x)",
                 "def f(d):\n    shared = d._cores\n    shared[x] = x",
                 "def f(c):\n    _shared[c.ring, c] = c", "x = ring._shared.setdefault(k, v)",

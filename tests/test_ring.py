@@ -237,6 +237,18 @@ class TestKeptQPowers:
         again = R.q_half(5)
         assert again is c and dict(again) == {(5,): 1} and again.ring is R
 
+    def test_a_second_init_changes_nothing(self, q_halves):
+        # a coefficient is built whole when it is made: calling __init__
+        # again on it rebinds no ring and merges no terms, kept or not
+        c = R.q_half(5)
+        c.__init__(GroundRing(("a",)), {(1, 2): 3})
+        again = R.q_half(5)
+        assert again is c and dict(again) == {(5,): 1} and again.ring is R
+        for e in (hl({1: 2, -3: 1}), R.zero(), GroundElem(GroundRing(("a",)), {(1, 2): 3})):
+            before, ring_ = dict(e), e.ring
+            e.__init__(R, {(7,): 4})
+            assert dict(e) == before and e.ring is ring_
+
     def test_evicts_the_oldest_at_the_bound(self, q_halves, monkeypatch):
         monkeypatch.setattr(ring, "KEPT_MAX", 3)
         first = [R.q_half(e) for e in range(4)]

@@ -18,6 +18,7 @@ from skeintor.surface import (
     d_embed,
     face_split,
     glued_key,
+    glued_product,
     lambda_global,
     lambda_membership,
     length_rule,
@@ -494,6 +495,17 @@ class TestPhi:
         assert [phi_value(d05, c) for c in coords] == before
         assert before == [unkept_glue(d05, c) for c in coords]
 
+    def test_a_second_init_changes_nothing(self):
+        # a value is built whole when it is made, so calling __init__ again
+        # on a kept core cannot empty it for the next caller
+        datum = standard_datum(0, 4)
+        value = phi_value(datum, (2, 0))
+        before = dict(value.terms)
+        assert before and datum._cores[(2, 0)] is value
+        value.__init__(surface_torus(datum), {})
+        again = phi_value(datum, (2, 0))
+        assert again is value and dict(again.terms) == before and again.torus is surface_torus(datum)
+
     def test_loop_value(self):
         val = phi_value(d04, (0, 1))
         torus = surface_torus(d04)
@@ -649,6 +661,102 @@ class TestKeptCores:
             datum = standard_datum(0, 5)
             phi_value(datum, (2, 2, 1, 1))
             phi_value(datum, (2, 2, 0, 1))
+            ref = weakref.ref(datum)
+            del datum
+            assert ref() is None
+        finally:
+            gc.enable()
+
+
+def box_pairs(datum, pairs, seed=0):
+    """``pairs`` pairs of the box at lengths and twists up to 3, drawn as
+    the top-term suite draws them."""
+    rng = random.Random(seed)
+    table = checks._global_table(datum, 3, 3)
+    return [(checks._sample_global(rng, datum, table), checks._sample_global(rng, datum, table))
+            for _ in range(pairs)]
+
+
+class TestGluedProduct:
+    """glued_product keeps one product per pair of cores on the datum and
+    translates it by the twists at the curves of positive length, times
+    a power of q; the reference is the product of the two glued traces."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: standard_datum(0, 4), lambda: standard_datum(0, 5), lambda: standard_datum(1, 2),
+        lambda: standard_datum(2, 0), lambda: standard_datum(0, 6), lambda: standard_datum(1, 3),
+        alternate_datum,
+    ], ids=["0,4", "0,5", "1,2", "2,0", "0,6", "1,3", "alternate"])
+    def test_box_draws_match_the_product_of_the_glued_traces(self, make):
+        datum = make()
+        pairs = box_pairs(datum, 300)
+        for k, l in pairs:
+            assert glued_product(datum, k, l) == elem_mul(phi_value(datum, k), phi_value(datum, l)), (k, l)
+        # so some pairs read a kept product
+        assert len(datum._core_products) < len(pairs)
+
+    def test_twists_at_positive_lengths_translate_and_shift(self):
+        # one pair of cores, its twists at the curves of positive length
+        # redrawn: each product reads the one kept product
+        datum = standard_datum(0, 5)
+        rng = random.Random(5)
+        for _ in range(40):
+            k = (2, 2) + tuple(rng.randint(-3, 3) for _ in range(2))
+            l = (2, 0, rng.randint(-3, 3), 1)
+            assert glued_product(datum, k, l) == elem_mul(phi_value(datum, k), phi_value(datum, l)), (k, l)
+        assert list(datum._core_products) == [((2, 2, 0, 0), (2, 0, 0, 1))]
+
+    def test_cores_return_the_kept_product(self):
+        datum = standard_datum(0, 4)
+        value = glued_product(datum, (2, 0), (0, 1))
+        assert glued_product(datum, (2, 0), (0, 1)) is value is datum._core_products[(2, 0), (0, 1)]
+        # its coefficients are the store's
+        assert all(ring.shared(c) is c for c in value.terms.values())
+        # and it cannot be changed for the next caller
+        before = dict(value.terms)
+        value.__init__(value.torus, {})
+        with pytest.raises(TypeError):
+            value.terms[(0, 0)] = value.torus.ring.one()
+        assert dict(glued_product(datum, (2, 0), (0, 1)).terms) == before
+
+    @pytest.mark.parametrize("gm, bad", [
+        ((0, 5), (1, 2, 0, 0)),   # odd boundary sum
+        ((0, 4), (0, -1)),        # twist below its floor
+        ((1, 2), (0, 2, -1, 5)),  # twist below its floor, at a curve of length 0 beside a positive one
+        ((0, 5), (-2, 2, 0, 0)),  # negative length
+    ])
+    def test_non_members_raise_and_keep_nothing(self, gm, bad):
+        datum = standard_datum(*gm)
+        member = (0,) * (2 * datum.r)
+        glued_product(datum, member, member)
+        for k, l in ((bad, member), (member, bad), (bad, bad)):
+            with pytest.raises(ValueError, match="not in the monoid"):
+                glued_product(datum, k, l)
+        assert list(datum._core_products) == [(member, member)]
+
+    def test_bounded_oldest_first(self, monkeypatch):
+        # an empty coefficient store, so the process's store is not thinned
+        monkeypatch.setattr(ring, "KEPT_MAX", 3)
+        monkeypatch.setattr(ring, "_shared", {})
+        datum = standard_datum(0, 4)
+        pairs = [((2 * a, 0), (0, b)) for a in range(3) for b in range(2)]
+        for k, l in pairs:
+            assert glued_product(datum, k, l) == elem_mul(phi_value(datum, k), phi_value(datum, l))
+            assert len(datum._core_products) <= 3
+        assert list(datum._core_products) == pairs[-3:]
+        # an evicted product is multiplied again, to the same value
+        k, l = pairs[0]
+        assert glued_product(datum, k, l) == elem_mul(unkept_glue(datum, k), unkept_glue(datum, l))
+        assert list(datum._core_products) == pairs[-2:] + [pairs[0]]
+
+    def test_dropped_datum_goes_without_a_collection(self):
+        # the kept products hold their torus, not the datum
+        gc.disable()
+        try:
+            datum = standard_datum(0, 5)
+            glued_product(datum, (2, 2, 1, 1), (2, 0, 0, 1))
+            glued_product(datum, (2, 2, 0, 1), (0, 2, 1, 0))
+            assert len(datum._core_products) == 2
             ref = weakref.ref(datum)
             del datum
             assert ref() is None
