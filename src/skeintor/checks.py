@@ -120,25 +120,25 @@ class _BoxTable:
     """The monoid points of a coordinate box as weighted rows, for exact
     uniform draws and for enumeration.
 
-    The box holds the coordinates with lengths in [0, nmax] and twists in
-    [-tmax, tmax] on ``r`` curves.  ``floors_of(n)`` gives the lowest
+    The box holds the coordinates with lengths in [0, box] and twists in
+    [-box, box] on ``r`` curves.  ``floors_of(n)`` gives the lowest
     admissible twist at each curve for the lengths ``n``, None at a curve
     that takes any twist, or None in place of the tuple when ``n`` itself
     is not admissible.  One row per admissible ``n`` keeps those floors,
-    raised to -tmax, and the number of twist values from each floor up to
-    tmax; ``cum[i]`` counts the box coordinates in rows 0..i.
+    raised to -box, and the number of twist values from each floor up to
+    box; ``cum[i]`` counts the box coordinates in rows 0..i.
     """
 
-    def __init__(self, r: int, nmax: int, tmax: int, floors_of):
+    def __init__(self, r: int, box: int, floors_of):
         self.rows: list[tuple[tuple[int, ...], tuple[int, ...], tuple[int, ...]]] = []
         self.cum: list[int] = []
         total = 0
-        for n in itertools.product(range(nmax + 1), repeat=r):
+        for n in itertools.product(range(box + 1), repeat=r):
             floors = floors_of(n)
             if floors is None:
                 continue
-            floors = tuple(-tmax if f is None else max(-tmax, f) for f in floors)
-            widths = tuple(tmax - f + 1 for f in floors)
+            floors = tuple(-box if f is None else max(-box, f) for f in floors)
+            widths = tuple(box - f + 1 for f in floors)
             if min(widths) <= 0:
                 continue
             total += math.prod(widths)
@@ -148,7 +148,7 @@ class _BoxTable:
 
     def points(self):
         """Every box coordinate, in lexicographic order: the lengths by
-        row, then the twists from each floor up to tmax."""
+        row, then the twists from each floor up to box."""
         for n, floors, widths in self.rows:
             for t in itertools.product(*(range(f, f + w) for f, w in zip(floors, widths))):
                 yield n + t
@@ -168,17 +168,17 @@ class _BoxTable:
         return n + tuple(t)
 
 
-def _pants_table(j: int, nmax: int, tmax: int) -> _BoxTable:
+def _pants_table(j: int, box: int) -> _BoxTable:
     """The box of ``Lambda_j``, by the floors :func:`pants.twist_floors` gives."""
-    return _BoxTable(j, nmax, tmax, functools.partial(pants.twist_floors, j))
+    return _BoxTable(j, box, functools.partial(pants.twist_floors, j))
 
 
-def _global_table(datum: DTDatum, nmax: int, tmax: int) -> _BoxTable:
+def _global_table(datum: DTDatum, box: int) -> _BoxTable:
     """The box of the global monoid, by the rule :func:`length_rule` states."""
     def floors_of(n):
         odd, floors = length_rule(datum, n)
         return None if odd else floors
-    return _BoxTable(datum.r, nmax, tmax, floors_of)
+    return _BoxTable(datum.r, box, floors_of)
 
 
 def _sample_pants(rng: random.Random, j: int, table: _BoxTable):
@@ -250,7 +250,7 @@ def check_lead_term(box: int = 4, surfaces=LEAD_SURFACES):
     for g, m in surfaces:
         datum = standard_datum(g, m)
         key = glued_key(datum.r)
-        for coord in _global_table(datum, box, box).points():
+        for coord in _global_table(datum, box).points():
             value = phi_value(datum, coord)
             yield
             why = lead_violation(coord, value, datum.r, key)
@@ -279,7 +279,7 @@ def check_product_top(
             rows[0][-1] += 1
             rows[-1][0] -= 1
             qt = AntisymMatrix(rows)
-        table = _global_table(datum, 3, 3)
+        table = _global_table(datum, 3)
         key = glued_key(datum.r)
         for _ in range(pairs):
             k = _sample_global(rng, datum, table)
@@ -345,7 +345,7 @@ def check_trace_properties(box: int = 6, seed: int = 0):
 
     for j in (1, 2, 3):
         tt, key = trace_torus(j), TWIST_KEY[j]
-        table = _pants_table(j, box, box)
+        table = _pants_table(j, box)
         kept.clear()
         twisted = set(rng.sample(range(table.total), min(_TWIST_SAMPLES, table.total))) | _core_firsts(table)
         for idx, coord in enumerate(table.points()):
@@ -369,7 +369,7 @@ def check_trace_properties(box: int = 6, seed: int = 0):
 def check_monoid_closure(pairs: int = 10000, seed: int = 0, surfaces=LEAD_SURFACES):
     rng = random.Random(seed)
     for j in (1, 2, 3):
-        table = _pants_table(j, 10, 10)
+        table = _pants_table(j, 10)
         for _ in range(pairs):
             a = _sample_pants(rng, j, table)
             b = _sample_pants(rng, j, table)
@@ -379,7 +379,7 @@ def check_monoid_closure(pairs: int = 10000, seed: int = 0, surfaces=LEAD_SURFAC
                 yield {"j": j, "pair": (a, b)}
     for g, m in surfaces:
         datum = standard_datum(g, m)
-        table = _global_table(datum, 8, 8)
+        table = _global_table(datum, 8)
         for _ in range(pairs):
             a = _sample_global(rng, datum, table)
             b = _sample_global(rng, datum, table)

@@ -60,10 +60,6 @@ class TraceTorus(NamedTuple):
     j: int
     torus: QuantumTorus
 
-    def u(self, i: int, half_steps: int = 0) -> TorusElement:
-        """u_i times q^(half_steps/2): see :func:`_kept_u`."""
-        return _kept_u(self.j, i, half_steps)
-
 
 def trace_torus(j: int) -> TraceTorus:
     """The trace torus of pants type ``j``, one of three built at import."""
@@ -222,7 +218,7 @@ def utr_coord_straight(tt: TraceTorus, coord: Coord) -> TorusElement:
 def weyl_u_mul(tt: TraceTorus, i: int, value: TorusElement, x_degree: int) -> TorusElement:
     """The Weyl-normalized product of u_i with a value of x_i-degree k,
     equal to q^{-k} u_i value: one product with the monomial q^{-k} u_i."""
-    return elem_mul(tt.u(i, half_steps=-2 * x_degree), value)
+    return elem_mul(_kept_u(tt.j, i, -2 * x_degree), value)
 
 
 # ---------------------------------------------------------------------------

@@ -18,11 +18,19 @@ The surface torus and the pants tori are ``qtorus.tilde_q`` of their
 x-blocks, [[Q, -2I], [2I, 0]] (u_c x_c = q^2 x_c u_c), and the corner
 counts sum the faces' x-blocks, so gluing takes products to products.
 
-A glued trace is its core's (the lengths, with the twists at the curves
-of length 0) translated by its twists s at the other curves, and every
-term of a core has the core's lengths.  The u-u block of the form is 0,
-so the product of the glued traces of k and l is the product of their
-cores c_k and c_l, translated by s + t and multiplied by q^(c/2), where
+A coordinate is in the monoid exactly when its core is, with the same
+witness: the core is the lengths, with the twists at the curves of
+length 0, and only a curve of length 0 has a twist floor.  This is the
+one membership rule of the glued traces: :func:`phi_value` and
+:func:`glued_product` test nothing themselves, a core that is not kept
+is tested when :func:`face_split` splits it to be glued, and a kept core
+was a member when it was glued.
+
+A glued trace is its core's translated by its twists s at the other
+curves, and every term of a core has the core's lengths.  The u-u block
+of the form is 0, so the product of the glued traces of k and l is the
+product of their cores c_k and c_l, translated by s + t and multiplied
+by q^(c/2), where
 
     c = omega(k, l) - omega(c_k, c_l) = 2 (s . n_l - n_k . t)
 
@@ -589,23 +597,17 @@ def phi_value(datum: DTDatum, coord: Coord) -> TorusElement:
     The datum keeps the glued trace of each core (``DTDatum._cores``,
     written through ``ring.keep``): the lengths together with the twists
     at the curves of length 0, the twists at the other curves set to 0.
-    A core is always in the monoid, since a curve the multicurve meets
-    has no twist bound.  The value of a coordinate is its core's,
-    translated by its twists at the curves it meets, as ``utr_coord``
-    translates a pants core.  That is exact: ``face_split`` puts such a
-    twist on the primary face, where ``utr_coord`` applies it as a
-    translation of the face's u-exponents, and gluing adds the faces'
-    u-exponents, so the glued value moves by the same vector.  A kept
+    The value of a coordinate is its core's, translated by its twists at
+    the curves it meets, as ``utr_coord`` translates a pants core.  That
+    is exact: ``face_split`` puts such a twist on the primary face, where
+    ``utr_coord`` applies it as a translation of the face's u-exponents,
+    and gluing adds the faces' u-exponents, so the glued value moves by
+    the same vector.  A kept
     core is a read-only ``TorusElement`` whose coefficients come from
     ``ring.shared``, so equal ones in one ring are one object across the
     glued cores and the pants traces; a core coordinate returns it itself.
-
-    Membership is tested on every call, reading the row of the lengths
-    (:func:`length_rule`).
+    A non-member raises ValueError (see the module docstring).
     """
-    ok, why = lambda_membership(datum, coord)
-    if not ok:
-        raise ValueError(f"coordinate not in the monoid: {why}")
     core, shift = _core_split(datum.r, coord)
     kept = datum._cores.get(core)
     if kept is None:
@@ -620,11 +622,8 @@ def glued_product(datum: DTDatum, k: Coord, l: Coord) -> TorusElement:
 
     The datum keeps the product of each pair of cores
     (``DTDatum._core_products``, written through ``ring.keep``, its
-    coefficients from ``ring.shared``).  A coordinate is in the monoid
-    exactly when its core is, since a curve of positive length has no
-    twist floor, so the ``phi_value`` of each core on a miss is the
-    membership test, and a kept pair is of members.  A non-member raises
-    ValueError.
+    coefficients from ``ring.shared``).  A non-member raises ValueError
+    (see the module docstring).
     """
     r = datum.r
     core_k, s = _core_split(r, k)

@@ -269,34 +269,34 @@ class TestSamplers:
     @pytest.mark.parametrize("gm", checks.LEAD_SURFACES)
     def test_global_table_counts_the_box(self, gm, box):
         datum = standard_datum(*gm)
-        table = checks._global_table(datum, box, box)
+        table = checks._global_table(datum, box)
         assert table.total == sum(1 for _ in _lambda_box(datum, box, box))
 
     @pytest.mark.parametrize("box", [2, 3])
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_pants_table_counts_the_box(self, j, box):
-        assert checks._pants_table(j, box, box).total == sum(1 for _ in _pants_box(j, box, box))
+        assert checks._pants_table(j, box).total == sum(1 for _ in _pants_box(j, box, box))
 
     # the trace-properties suite samples indices into the enumerated list,
     # so the tables must list the box in the filter's order
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_pants_table_lists_the_box_in_order(self, j):
         for box in range(7):
-            got = list(checks._pants_table(j, box, box).points())
+            got = list(checks._pants_table(j, box).points())
             assert got == list(_pants_box(j, box, box)), f"box {box}"
 
     @pytest.mark.parametrize("gm", checks.LEAD_SURFACES)
     def test_global_table_lists_the_box_in_order(self, gm):
         datum = standard_datum(*gm)
         for box in range(5):
-            got = list(checks._global_table(datum, box, box).points())
+            got = list(checks._global_table(datum, box).points())
             assert got == list(_lambda_box(datum, box, box)), f"box {box}"
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_core_firsts_are_the_first_coordinate_of_each_core(self, j):
         # a core is the lengths and the twists at the boundaries of length 0
         for box in range(6):
-            table = checks._pants_table(j, box, box)
+            table = checks._pants_table(j, box)
             seen, firsts = set(), set()
             for idx, c in enumerate(table.points()):
                 core = (c[:j], tuple(c[j + i] if c[i] == 0 else 0 for i in range(j)))
@@ -308,7 +308,7 @@ class TestSamplers:
     def test_pants_table_leaves_the_pants_caches_empty(self):
         pants.arc_counts.cache_clear()
         pants.base_twists.cache_clear()
-        tables = {j: checks._pants_table(j, 10, 10) for j in (1, 2, 3)}
+        tables = {j: checks._pants_table(j, 10) for j in (1, 2, 3)}
         assert pants.arc_counts.cache_info().currsize == 0
         assert pants.base_twists.cache_info().currsize == 0
         # the same rows as with the canonical arcs' own twist as the floor
@@ -318,7 +318,7 @@ class TestSamplers:
                     return None
                 base = pants.base_twists(j, n)
                 return tuple(base[i] if n[i] == 0 else -10 for i in range(j))
-            reference = checks._BoxTable(j, 10, 10, floors_of)
+            reference = checks._BoxTable(j, 10, floors_of)
             assert table.rows == reference.rows and table.cum == reference.cum
 
     @staticmethod
@@ -330,31 +330,31 @@ class TestSamplers:
     @pytest.mark.parametrize("j, box", [(1, 3), (2, 2), (3, 1)])
     def test_pants_sampler_uniform(self, j, box):
         rng = random.Random(0)
-        table = checks._pants_table(j, box, box)
+        table = checks._pants_table(j, box)
         self.assert_uniform(set(_pants_box(j, box, box)), lambda: checks._sample_pants(rng, j, table))
 
     @pytest.mark.parametrize("gm, box", [((0, 4), 3), ((0, 5), 2), ((2, 0), 1)])
     def test_global_sampler_uniform(self, gm, box):
         rng = random.Random(0)
         datum = standard_datum(*gm)
-        table = checks._global_table(datum, box, box)
+        table = checks._global_table(datum, box)
         self.assert_uniform(set(_lambda_box(datum, box, box)),
                             lambda: checks._sample_global(rng, datum, table))
 
     def test_samples_are_members(self):
         rng = random.Random(1)
         for j in (1, 2, 3):
-            table = checks._pants_table(j, 10, 10)
+            table = checks._pants_table(j, 10)
             assert all(lambda_contains(j, checks._sample_pants(rng, j, table)) for _ in range(2000))
         for gm in checks.LEAD_SURFACES:
             datum = standard_datum(*gm)
-            table = checks._global_table(datum, 8, 8)
+            table = checks._global_table(datum, 8)
             assert all(lambda_global(datum, checks._sample_global(rng, datum, table)) for _ in range(2000))
 
     def test_a_drawn_non_member_raises(self):
         # a table that ignores the twist floors draws non-members, which
         # the sampler's own membership test must catch
-        table = checks._BoxTable(3, 2, 2, lambda n: None if sum(n) % 2 else (-2, -2, -2))
+        table = checks._BoxTable(3, 2, lambda n: None if sum(n) % 2 else (-2, -2, -2))
         rng = random.Random(0)
         with pytest.raises(AssertionError, match="not in Lambda_3"):
             for _ in range(1000):
@@ -564,7 +564,7 @@ class TestProductsCheckTheDrawnPairs:
         rng, drawn = random.Random(seed), []
         for g, m in checks.LEAD_SURFACES:
             datum = standard_datum(g, m)
-            table = checks._global_table(datum, 3, 3)
+            table = checks._global_table(datum, 3)
             for _ in range(200):
                 k = checks._sample_global(rng, datum, table)
                 drawn.append((datum, k, checks._sample_global(rng, datum, table)))

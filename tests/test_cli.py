@@ -143,9 +143,10 @@ class TestTrace:
         assert code == 2
         assert err == "error: coordinate not in the monoid: odd boundary sum (1,) at face 0\n"
 
-    def test_glued_trace_tests_membership_three_times(self, capsys, monkeypatch):
-        # phi_value tests the coordinate, gluing its core tests the core and
-        # face_split the coordinate again; the command tests nothing itself
+    def test_glued_trace_tests_membership_twice(self, capsys, monkeypatch):
+        # gluing the cold core tests the core in face_split, and face_split
+        # tests the coordinate for the face reports; phi_value and the
+        # command test nothing themselves
         calls = []
         real = surface.lambda_membership
 
@@ -157,7 +158,7 @@ class TestTrace:
         monkeypatch.setattr(cli, "lambda_membership", counting)
         code, _, _ = run(capsys, "trace", "--genus", "2", "--punctures", "0", "--coord", "2,2,2,1,-1,3")
         assert code == 0
-        assert calls == [(2, 2, 2, 1, -1, 3), (2, 2, 2, 0, 0, 0), (2, 2, 2, 1, -1, 3)]
+        assert calls == [(2, 2, 2, 0, 0, 0), (2, 2, 2, 1, -1, 3)]
 
     def test_failed_lead_verdict_is_a_fail(self, capsys, monkeypatch):
         # a glued value with a rival term of other lengths and the same

@@ -13,7 +13,8 @@ with its size and every datum-kept value, the pants records are
 NamedTuples checked only by the entry points that take a component,
 the pants tori and the surface torus take their form from the one
 ``qtorus.tilde_q``, the twist bound is stated once, in
-``pants.twist_floors``, importing the package loads only the
+``pants.twist_floors``, the glued traces test membership only when
+``face_split`` splits a core to be glued, importing the package loads only the
 standard library and builds no dataclass, and a traced slice of the
 ``glue``, ``pants-traces`` and ``center`` benchmark workloads sees
 every layer ``tracing.COVERAGE`` names for it.
@@ -346,7 +347,7 @@ def test_one_twist_floor():
         readers |= {f"{path.stem}.{name}" for name in _readers(tree, "twist_floors")}
     assert defined == ["pants.twist_floors"]
     assert readers == {"pants.lambda_contains", "surface.length_rule", "checks._pants_table"}
-    for passed in ("def f(j):\n    return _BoxTable(j, 2, 2, functools.partial(pants.twist_floors, j))",
+    for passed in ("def f(j):\n    return _BoxTable(j, 2, functools.partial(pants.twist_floors, j))",
                    "def f(j):\n    return partial(twist_floors, j)", "def f(j, n):\n    return twist_floors(j, n)"):
         assert _readers(ast.parse(passed), "twist_floors") == {"f"}, passed
 
@@ -394,6 +395,17 @@ def _callers(name: str) -> set[str]:
                        for n in ast.walk(node)):
                     found.add(f"{path.stem}.{qual}")
     return found
+
+
+def test_glued_traces_test_membership_once():
+    # a coordinate is a member exactly when its core is (the surface module
+    # docstring): a core is tested when face_split splits it to be glued,
+    # and a kept core was a member, so the glued traces test nothing more
+    tree = ast.parse((PACKAGE / "surface.py").read_text())
+    for name in ("phi_value", "glued_product"):
+        node = next(n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == name)
+        assert not _called_names(node) & {"lambda_membership", "lambda_global"}, name
+    assert _callers("lambda_membership") == {"surface.lambda_global", "surface.face_split", "cli.cmd_coords"}
 
 
 def test_kept_coefficients_go_through_the_bounded_store():

@@ -311,6 +311,42 @@ def alternate_datum():
     return TestAlternateDatum().build()
 
 
+def reference_core(datum, coord):
+    """The lengths of ``coord``, with its twists at the curves of length 0
+    and 0 at the others."""
+    n, t = coord[: datum.r], coord[datum.r :]
+    return n + tuple(0 if x else y for x, y in zip(n, t))
+
+
+class TestCoreRule:
+    """A coordinate is in the monoid exactly when its core is, with the
+    same witness; phi_value raises that witness for a non-member."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: standard_datum(0, 4), lambda: standard_datum(0, 5),
+        lambda: standard_datum(1, 2), lambda: standard_datum(2, 0), alternate_datum,
+    ], ids=["0,4", "0,5", "1,2", "2,0", "alternate"])
+    def test_membership_is_the_cores(self, make):
+        datum = make()
+        kinds = set()
+        for n in itertools.product(range(-1, 3), repeat=datum.r):
+            for t in itertools.product(range(-3, 4), repeat=datum.r):
+                verdict = lambda_membership(datum, n + t)
+                assert verdict == lambda_membership(datum, reference_core(datum, n + t)), n + t
+                if not verdict[0]:
+                    kinds.add(verdict[1].split(" ", 1)[0])
+                    with pytest.raises(ValueError) as raised:
+                        phi_value(datum, n + t)
+                    assert str(raised.value) == f"coordinate not in the monoid: {verdict[1]}"
+        assert not datum._cores
+        assert kinds == {"odd", "twist", "negative"}
+        # a coordinate of the wrong length has no core: both raise in split_nt
+        for wrong in ((0,) * (2 * datum.r - 1), (0,) * (2 * datum.r + 1)):
+            for call in (lambda_membership, phi_value):
+                with pytest.raises(ValueError, match=f"must have length {2 * datum.r}"):
+                    call(datum, wrong)
+
+
 class TestLengthRows:
     """length_rule keeps one row per length vector on the datum; the
     reference builds it afresh from the face lengths."""
@@ -616,21 +652,42 @@ class TestKeptCores:
         # so most calls translate a kept core
         assert hits >= 3 * 60
 
-    def test_membership_is_tested_on_a_warm_core(self, monkeypatch):
+    def test_a_warm_core_is_not_tested_again(self, monkeypatch):
+        # a kept core was a member when it was glued, so a warm call tests
+        # nothing; a cold one is tested once, as face_split splits its core
         datum = standard_datum(0, 5)
-        coord = (2, 2, 1, 1)
-        value = phi_value(datum, coord)
-        with pytest.raises(ValueError, match="not in the monoid"):
-            phi_value(datum, (2, 1, 1, 1))
-        with pytest.raises(ValueError):
-            phi_value(datum, (2, 2, 1))
-        # the test goes through the module attribute on every call, hit
-        # or miss, so it rejects a coordinate whose core is kept
-        monkeypatch.setattr(surface, "lambda_membership", lambda d, c: (False, "rejected"))
-        with pytest.raises(ValueError, match="rejected"):
-            phi_value(datum, coord)
-        monkeypatch.undo()
-        assert phi_value(datum, coord) == value
+        coords = [(2, 2, 1, 1), (2, 2, -3, 5), (2, 2, 0, 0)]
+        want = [unkept_glue(datum, c) for c in coords]
+        phi_value(datum, coords[0])
+        calls = []
+        real = surface.lambda_membership
+
+        def counting(d, c):
+            calls.append(tuple(c))
+            return real(d, c)
+
+        monkeypatch.setattr(surface, "lambda_membership", counting)
+        assert [phi_value(datum, c) for c in coords] == want
+        assert calls == []
+        phi_value(datum, (2, 0, 1, 0))
+        assert calls == [(2, 0, 0, 0)]
+
+    @pytest.mark.parametrize("gm, member, bad, why", [
+        ((0, 4), (0, 0), (0, -1), "twist -1 at curve 0 below bound 0/2"),
+        ((0, 5), (2, 0, 5, -1), (2, 0, 5, -2), "twist -2 at curve 1 below bound -2/2"),
+        ((1, 2), (0, 2, 2, 5), (0, 2, 1, 5), "twist 1 at curve 0 below bound 4/2"),
+    ], ids=["0,4", "0,5", "1,2"])
+    def test_a_non_member_raises_beside_kept_cores(self, gm, member, bad, why):
+        # the non-member has the lengths, and the twists at the curves of
+        # positive length, of a member whose core is kept; its own core
+        # differs at a curve of length 0, is not kept and is tested
+        datum = standard_datum(*gm)
+        phi_value(datum, member)
+        for _ in range(2):
+            with pytest.raises(ValueError) as raised:
+                phi_value(datum, bad)
+            assert str(raised.value) == f"coordinate not in the monoid: {why}"
+        assert len(datum._cores) == 1
 
     def test_non_members_keep_nothing(self):
         datum = standard_datum(0, 4)
@@ -672,7 +729,7 @@ def box_pairs(datum, pairs, seed=0):
     """``pairs`` pairs of the box at lengths and twists up to 3, drawn as
     the top-term suite draws them."""
     rng = random.Random(seed)
-    table = checks._global_table(datum, 3, 3)
+    table = checks._global_table(datum, 3)
     return [(checks._sample_global(rng, datum, table), checks._sample_global(rng, datum, table))
             for _ in range(pairs)]
 
@@ -979,7 +1036,7 @@ class TestGluingIdentity:
     def test_glued_product_is_the_glued_face_products(self, make):
         datum = make()
         rng = random.Random(0)
-        table = checks._global_table(datum, 2, 2)
+        table = checks._global_table(datum, 2)
         for _ in range(50):
             k, l = (checks._sample_global(rng, datum, table) for _ in range(2))
             faces = [
